@@ -93,6 +93,13 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("s must be >= 0")
     if cfg.n < 2 or cfg.n_offsets < 1 or cfg.n_angles < 1:
         raise ConfigError("grid sizes must be positive (n >= 2)")
+    if cfg.experiment == "RadonRecon":
+        if cfg.n < 16:
+            raise ConfigError(f"n={cfg.n} is too small for RadonRecon: "
+                              "the phantoms need n >= 16")
+        if cfg.backend != "multiplier":
+            raise ConfigError(f"backend {cfg.backend!r} cannot run RadonRecon: "
+                              "only backend 'multiplier' smooths on its 2D image grid")
     if cfg.max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
     if cfg.step < 0:
@@ -208,21 +215,6 @@ def _run_smoothing_2d(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _make_smoother(cfg: RunConfig, spec: SobolevSpec, dom: Domain):
-    if cfg.backend == "multiplier":
-        return None
-    if cfg.backend == "kernel":
-        return lambda u: kernel.convolve_adjoint(u, spec.order_s)
-    if cfg.backend == "wavelet":
-        levels = int(np.log2(dom.shape[0]))
-        return lambda u: wavelet.adjoint_embedding_wavelet(
-            u, spec.order_s, wavelet.DB4, levels)
-    if cfg.backend == "bvp" and dom.ndim == 1:
-        return lambda u: bvp.solve_torus_helmholtz(u, int(round(spec.order_s)))
-    raise ConfigError(
-        f"backend {cfg.backend!r} not available for this experiment/domain")
-
-
 def _run_radon(cfg: RunConfig, out: Path) -> int:
     geom = radon.RadonGeometry(cfg.n, cfg.n_offsets, cfg.n_angles)
     op = radon.RadonOperator(geom)
@@ -238,12 +230,10 @@ def _run_radon(cfg: RunConfig, out: Path) -> int:
     err_spec = SobolevSpec(cfg.s if cfg.s > 0 else 0.5, NormVariant.TORUS_S)
     report = {"delta": delta, "tau": cfg.tau}
     errors = {}
-    for s in (0.0, cfg.s):
+    for s in dict.fromkeys((0.0, cfg.s)):  # s=0 needs one solve, not two
         tag = f"s{s:g}".replace(".", "p")
         spec = SobolevSpec(s, NormVariant.TORUS_S) if s > 0 else None
-        smoother = _make_smoother(cfg, spec, geom.image_domain) if spec else None
-        problem = InverseProblem(linop, ydelta, noise_level=delta,
-                                 embedding=spec, smoother=smoother)
+        problem = InverseProblem(linop, ydelta, noise_level=delta, embedding=spec)
         step = cfg.step if cfg.step > 0 else None
         u, log = landweber(problem, step=step, max_iter=cfg.max_iter,
                            stop=DiscrepancyStop(cfg.tau))

@@ -3,8 +3,10 @@
 The image is an N x N pixel grid covering [-1, 1]^2 (piecewise-constant
 pixel basis); rays are parallel lines indexed by a signed offset (midpoint
 samples over [-s_max, s_max]) and an angle (uniform in [0, pi)).  The
-forward map sums exact pixel-ray intersection lengths collected by a
-Siddon-style traversal into a sparse matrix, and the adjoint is the exact
+forward map sums exact pixel-ray intersection lengths into a sparse
+matrix.  They are collected by a Siddon-style traversal that runs over all
+offsets of one angle at once and computes the same exact intersections,
+bit for bit, as tracing each ray on its own.  The adjoint is the exact
 transpose of that matrix rescaled by the quadrature weights, so that the
 discrete adjoint identity holds to rounding.
 
@@ -132,59 +134,59 @@ class Sinogram:
         return Sinogram(self.geometry, self.values + other.values)
 
 
-def _trace_ray(origin, direction, edges):
-    """Sorted crossing parameters of one line with the pixel lattice."""
-    ts = []
-    tmin, tmax = -np.inf, np.inf
-    for axis in range(2):
-        d, o = direction[axis], origin[axis]
-        if abs(d) < 1e-15:
-            if abs(o) >= 1.0:
-                return None
-            continue
-        ta, tb = (-1.0 - o) / d, (1.0 - o) / d
-        lo, hi = min(ta, tb), max(ta, tb)
-        tmin, tmax = max(tmin, lo), min(tmax, hi)
-    if not tmin < tmax:
-        return None
-    for axis in range(2):
-        d, o = direction[axis], origin[axis]
-        if abs(d) < 1e-15:
-            continue
-        tcross = (edges - o) / d
-        ts.append(tcross[(tcross > tmin + 1e-13) & (tcross < tmax - 1e-13)])
-    ts.append(np.array([tmin, tmax]))
-    t = np.unique(np.concatenate(ts))
-    return t
-
-
 @lru_cache(maxsize=8)
 def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
-    n = geom.n_pixels
+    """Exact pixel-ray intersection lengths, one vectorized pass per angle.
+
+    For every ray of an angle at once: clip the line to the square, collect
+    its crossings with the pixel edges strictly inside that window, sort
+    them, and credit each segment to the pixel holding its midpoint.  Rows
+    whose crossings fall short of the full width are padded with the exit
+    parameter, so the padding only adds zero-length segments that the
+    length cut drops.
+    """
+    n, n_angles = geom.n_pixels, geom.n_angles
     px = geom.pixel_size
     edges = -1.0 + px * np.arange(n + 1)
+    offsets = geom.offsets
+    idx = (np.int32 if max(geom.n_offsets * n_angles, n * n) <= np.iinfo(np.int32).max
+           else np.int64)
+    ray_ids = np.arange(geom.n_offsets, dtype=idx) * n_angles
     rows, cols, lens = [], [], []
     for j, phi in enumerate(geom.angles):
-        omega = np.array([np.cos(phi), np.sin(phi)])
-        perp = np.array([-np.sin(phi), np.cos(phi)])
-        for i, s in enumerate(geom.offsets):
-            t = _trace_ray(s * omega, perp, edges)
-            if t is None or t.size < 2:
+        perp = (-np.sin(phi), np.cos(phi))
+        origin = (offsets * np.cos(phi), offsets * np.sin(phi))
+        tmin = np.full(offsets.shape, -np.inf)
+        tmax = np.full(offsets.shape, np.inf)
+        hit = np.ones(offsets.shape, dtype=bool)
+        crossing_axes = []
+        for d, o in zip(perp, origin):
+            if abs(d) < 1e-15:  # the rays run parallel to these edges
+                hit &= np.abs(o) < 1.0
                 continue
-            seg = np.diff(t)
-            mids = s * omega[:, None] + 0.5 * (t[:-1] + t[1:])[None, :] * perp[:, None]
-            ix = np.clip(((mids[0] + 1.0) / px).astype(int), 0, n - 1)
-            iy = np.clip(((mids[1] + 1.0) / px).astype(int), 0, n - 1)
-            keep = seg > 1e-14
-            rows.append(np.full(int(keep.sum()), i * geom.n_angles + j))
-            cols.append((ix * n + iy)[keep])
-            lens.append(seg[keep])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    lens = np.concatenate(lens)
-    mat = scipy.sparse.coo_matrix(
-        (lens, (rows, cols)),
-        shape=(geom.n_offsets * geom.n_angles, n * n))
+            ta, tb = (-1.0 - o) / d, (1.0 - o) / d
+            tmin = np.maximum(tmin, np.minimum(ta, tb))
+            tmax = np.minimum(tmax, np.maximum(ta, tb))
+            crossing_axes.append((d, o))
+        hit &= tmin < tmax
+        lo, hi = tmin[hit, None], tmax[hit, None]
+        t = [lo, hi]
+        for d, o in crossing_axes:
+            tcross = (edges - o[hit, None]) / d
+            inside = (tcross > lo + 1e-13) & (tcross < hi - 1e-13)
+            t.append(np.where(inside, tcross, hi))
+        t = np.sort(np.concatenate(t, axis=1), axis=1)
+        seg = t[:, 1:] - t[:, :-1]
+        tmid = 0.5 * (t[:, :-1] + t[:, 1:])
+        ix, iy = (np.clip(((o[hit, None] + tmid * d + 1.0) / px).astype(idx), 0, n - 1)
+                  for d, o in zip(perp, origin))
+        keep = seg > 1e-14
+        rows.append(np.broadcast_to((ray_ids[hit] + j)[:, None], seg.shape)[keep])
+        cols.append((ix * n + iy)[keep])
+        lens.append(seg[keep])
+    rows, cols, lens = map(np.concatenate, (rows, cols, lens))
+    mat = scipy.sparse.coo_matrix((lens, (rows, cols)),
+                                  shape=(geom.n_offsets * n_angles, n * n))
     return mat.tocsr()
 
 

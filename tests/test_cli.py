@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sobolev_adjoint import cli
 from sobolev_adjoint.cli import (
     ConfigError,
     RunConfig,
@@ -84,17 +85,28 @@ def test_smoothing_2d_run(tmp_path):
     assert doc["results"]["smoothed_l2"] < doc["results"]["input_l2"]
 
 
-def _small_radon_cfg(out_dir, seed=1234):
+def _small_radon_cfg(out_dir, seed=1234, s=0.5):
     return parse_config(
         f"experiment=RadonRecon\nn=32\nn_offsets=48\nn_angles=30\n"
-        f"max_iter=20000\nseed={seed}\nout_dir={out_dir}")
+        f"max_iter=20000\nseed={seed}\ns={s}\nout_dir={out_dir}")
 
 
-def test_radon_run_and_byte_identical_reruns(tmp_path):
-    cfg_a = _small_radon_cfg(tmp_path / "a")
-    cfg_b = _small_radon_cfg(tmp_path / "b")
+@pytest.mark.parametrize("s", [0.5, 0])
+def test_radon_run_and_byte_identical_reruns(tmp_path, monkeypatch, s):
+    solves = []
+    landweber = cli.landweber
+
+    def counting_landweber(*args, **kwargs):
+        solves.append(1)
+        return landweber(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "landweber", counting_landweber)
+    cfg_a = _small_radon_cfg(tmp_path / "a", s=s)
+    cfg_b = _small_radon_cfg(tmp_path / "b", s=s)
     assert run(cfg_a) == 0
     assert run(cfg_b) == 0
+    # an order-s solve per run, plus the s=0 baseline unless s is 0
+    assert len(solves) == (2 if s == 0 else 4)
     files = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in files:
@@ -108,8 +120,11 @@ def test_radon_run_and_byte_identical_reruns(tmp_path):
             assert da == db
         else:
             assert a == b
-    doc = json.loads((tmp_path / "a" / "summary.json").read_text())
-    assert doc["results"]["s0p5"]["final_residual"] <= 1.01 * doc["results"]["delta"]
+    results = json.loads((tmp_path / "a" / "summary.json").read_text())["results"]
+    tag = f"s{s:g}".replace(".", "p")
+    assert results[tag]["final_residual"] <= 1.01 * results["delta"]
+    if s == 0:
+        assert set(results) == {"delta", "tau", "s0"}
 
 
 def test_radon_different_seed_changes_outputs(tmp_path):
@@ -120,7 +135,7 @@ def test_radon_different_seed_changes_outputs(tmp_path):
     assert a != b
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["run", "--config", str(missing)]) == 2
 
@@ -133,6 +148,26 @@ def test_main_exit_codes(tmp_path):
                      "max_iter=3\n")
     assert main(["run", "--config", str(short), "--out",
                  str(tmp_path / "short_out")]) == 4
+
+    # RadonRecon config errors are caught before any compute
+    capsys.readouterr()
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text("experiment=RadonRecon\nn=8\n")
+    out = tmp_path / "tiny_out"
+    assert main(["run", "--config", str(tiny), "--out", str(out)]) == 2
+    assert "n=8" in capsys.readouterr().err
+    assert not out.exists()
+
+    cfg = tmp_path / "radon.cfg"
+    for s in ("0.5", "0"):
+        cfg.write_text(f"experiment=RadonRecon\nn=32\nn_offsets=48\n"
+                       f"n_angles=30\ns={s}\n")
+        for backend in ("kernel", "wavelet", "bvp", "eigs", "discrete"):
+            out = tmp_path / f"{backend}_{s}"
+            assert main(["run", "--config", str(cfg), "--backend", backend,
+                         "--out", str(out)]) == 2
+            assert f"backend {backend!r}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_main_selftest():

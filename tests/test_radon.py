@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sobolev_adjoint.core import GridFn, check_adjoint, l2_norm
 from sobolev_adjoint.radon import (
     RadonGeometry,
     RadonOperator,
     SHEPP_LOGAN_SYMMETRIC,
+    _system_matrix,
     Sinogram,
     _SHEPP_LOGAN_ELLIPSES,
     read_csv,
@@ -37,6 +39,76 @@ def test_named_geometries_and_functional_wrappers():
                          - RadonOperator(small).forward(u).values)) == 0.0
     back = radon_adjoint(sino, small)
     assert back.values.shape == (64,)
+
+
+def _trace_ray(origin, direction, edges):
+    """Sorted crossing parameters of one line with the pixel lattice."""
+    ts = []
+    tmin, tmax = -np.inf, np.inf
+    for axis in range(2):
+        d, o = direction[axis], origin[axis]
+        if abs(d) < 1e-15:
+            if abs(o) >= 1.0:
+                return None
+            continue
+        ta, tb = (-1.0 - o) / d, (1.0 - o) / d
+        lo, hi = min(ta, tb), max(ta, tb)
+        tmin, tmax = max(tmin, lo), min(tmax, hi)
+    if not tmin < tmax:
+        return None
+    for axis in range(2):
+        d, o = direction[axis], origin[axis]
+        if abs(d) < 1e-15:
+            continue
+        tcross = (edges - o) / d
+        ts.append(tcross[(tcross > tmin + 1e-13) & (tcross < tmax - 1e-13)])
+    ts.append(np.array([tmin, tmax]))
+    return np.unique(np.concatenate(ts))
+
+
+def _reference_matrix(geom):
+    """The system matrix traced one ray at a time (Siddon 1985)."""
+    n = geom.n_pixels
+    px = geom.pixel_size
+    edges = -1.0 + px * np.arange(n + 1)
+    rows, cols, lens = [], [], []
+    for j, phi in enumerate(geom.angles):
+        omega = np.array([np.cos(phi), np.sin(phi)])
+        perp = np.array([-np.sin(phi), np.cos(phi)])
+        for i, s in enumerate(geom.offsets):
+            t = _trace_ray(s * omega, perp, edges)
+            if t is None or t.size < 2:
+                continue
+            seg = np.diff(t)
+            mids = s * omega[:, None] + 0.5 * (t[:-1] + t[1:])[None, :] * perp[:, None]
+            ix = np.clip(((mids[0] + 1.0) / px).astype(int), 0, n - 1)
+            iy = np.clip(((mids[1] + 1.0) / px).astype(int), 0, n - 1)
+            keep = seg > 1e-14
+            rows.append(np.full(int(keep.sum()), i * geom.n_angles + j))
+            cols.append((ix * n + iy)[keep])
+            lens.append(seg[keep])
+    mat = scipy.sparse.coo_matrix(
+        (np.concatenate(lens), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geom.n_offsets * geom.n_angles, n * n))
+    return mat.tocsr()
+
+
+@pytest.mark.parametrize("geom", [
+    RadonGeometry(8, 12, 6),
+    RadonGeometry(16, 24, 8),
+    RadonGeometry(32, 48, 30),
+    RadonGeometry(15, 23, 7),  # odd pixel count
+    RadonGeometry(64, 128, 2),  # axis-aligned angles only
+    RadonGeometry(16, 24, 1),  # a single angle
+    RadonGeometry(12, 20, 5, s_max=1.5),  # outer rays miss the square
+], ids=lambda g: f"{g.n_pixels}-{g.n_offsets}-{g.n_angles}-{g.s_max:g}")
+def test_system_matrix_matches_ray_by_ray_traversal(geom):
+    mat, ref = _system_matrix(geom), _reference_matrix(geom)
+    assert mat.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(mat, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_single_pixel_matches_explicit_matrix_column():

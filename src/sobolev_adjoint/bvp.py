@@ -17,8 +17,10 @@ discrete counterpart of the defining adjoint identity.  Supported cases:
   against the Fourier-multiplier route
 
 Second-order finite differences throughout; 1D systems go through banded
-Cholesky, 2D systems through Jacobi-preconditioned conjugate gradients
-(relative tolerance 1e-12, at most 10n iterations).
+Cholesky.  On the rectangle the trapezoid-lumped mass turns ``M^{-1} A``
+into a sum of per-axis second differences, which the DCT-I (reflecting
+boundary) and the DST-I (zero boundary) diagonalize, so the 2D solves are
+exact fast-Poisson solves (Buzbee, Golub & Nielson 1970).
 """
 
 from __future__ import annotations
@@ -177,34 +179,6 @@ def _forms_rectangle_dirichlet(domain: Domain):
     return A.tocsr(), m_diag, mask.ravel()
 
 
-def _pcg(A, b: np.ndarray, tol: float = 1e-12, maxiter: Optional[int] = None
-         ) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients, deterministic from x0 = 0."""
-    n = b.size
-    maxiter = maxiter if maxiter is not None else 10 * n
-    inv_diag = 1.0 / A.diagonal()
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return x
-    for _ in range(maxiter):
-        Ap = A @ p
-        alpha = rz / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * b_norm:
-            return x
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise RuntimeError("conjugate gradients failed to reach tolerance")
-
-
 def _solve_banded_spd(A: scipy.sparse.spmatrix, b: np.ndarray) -> np.ndarray:
     dia = A.todia()
     bands = int(max(dia.offsets.max(), 1))
@@ -213,33 +187,60 @@ def _solve_banded_spd(A: scipy.sparse.spmatrix, b: np.ndarray) -> np.ndarray:
     for off, data in zip(dia.offsets, dia.data):
         if off >= 0:
             ab[bands - off, :] = data
+    if np.iscomplexobj(b):
+        return (scipy.linalg.solveh_banded(ab, b.real, lower=False)
+                + 1j * scipy.linalg.solveh_banded(ab, b.imag, lower=False))
     return scipy.linalg.solveh_banded(ab, b, lower=False)
 
 
-def _solve(A, b: np.ndarray, two_dim: bool) -> np.ndarray:
-    solver = _pcg if two_dim else _solve_banded_spd
-    if np.iscomplexobj(b):
-        return solver(A, b.real) + 1j * solver(A, b.imag)
-    return solver(A, b)
+def _second_difference_eigs(n: int, h: float, k: np.ndarray) -> np.ndarray:
+    # eigenvalues of the n-node second difference; DCT-I modes k = 0..n-1
+    # (reflecting ends), DST-I modes k = 1..n-2 (zero ends)
+    return (2.0 - 2.0 * np.cos(np.pi * k / (n - 1))) / h**2
+
+
+def _solve_rectangle(u: GridFn, spec: BvpSpec) -> np.ndarray:
+    """Exact solve of ``A z = M u`` on the rectangle, as nodal values.
+
+    ``M^{-1} A`` is ``I + L_x + L_y`` (Neumann) or ``L_x + L_y`` on the
+    interior (Dirichlet), with ``L`` the per-axis second difference.
+    """
+    import scipy.fft  # deferred: the tomography path never needs it
+    (nx, ny), (hx, hy) = spec.domain.shape, spec.domain.spacing
+    # at least double precision, as the 1D path's mass product gives
+    vals = np.asarray(u.values, np.result_type(u.values, np.float64)).reshape(nx, ny)
+    if spec.bc is BoundaryKind.NEUMANN_LIKE:
+        lam = (1.0 + _second_difference_eigs(nx, hx, np.arange(nx))[:, None]
+               + _second_difference_eigs(ny, hy, np.arange(ny))[None, :])
+        return scipy.fft.idctn(scipy.fft.dctn(vals, type=1) / lam, type=1)
+    z = np.zeros_like(vals)
+    if nx > 2 and ny > 2:
+        lam = (_second_difference_eigs(nx, hx, np.arange(1, nx - 1))[:, None]
+               + _second_difference_eigs(ny, hy, np.arange(1, ny - 1))[None, :])
+        z[1:-1, 1:-1] = scipy.fft.idstn(
+            scipy.fft.dstn(vals[1:-1, 1:-1], type=1) / lam, type=1)
+    return z
 
 
 def _forms_for_spec(spec: BvpSpec):
     dom = spec.domain
     if dom.kind is DomainKind.INTERVAL:
-        return _forms_interval(spec) + (False,)
+        return _forms_interval(spec)
     if dom.kind is DomainKind.RECTANGLE:
         if spec.order_m != 1:
             raise ValueError("rectangle solves support order 1")
         if spec.bc is BoundaryKind.NEUMANN_LIKE:
-            return _forms_rectangle_neumann(dom) + (True,)
-        return _forms_rectangle_dirichlet(dom) + (True,)
+            return _forms_rectangle_neumann(dom)
+        return _forms_rectangle_dirichlet(dom)
     raise ValueError("solver supports interval and rectangle domains")
 
 
 def _run_solve(u: GridFn, spec: BvpSpec) -> GridFn:
-    A, m_diag, active, two_dim = _forms_for_spec(spec)
+    if spec.domain.kind is DomainKind.RECTANGLE:
+        return GridFn(spec.domain, _solve_rectangle(u, spec))
+    A, m_diag, active = _forms_for_spec(spec)
     rhs = (m_diag * u.values)[active]
-    z_act = _solve(A, rhs, two_dim)
+    z_act = _solve_banded_spd(A, rhs)
     z_full = np.zeros(u.values.size, dtype=z_act.dtype)
     z_full[active] = z_act
     return GridFn(spec.domain, z_full)
@@ -317,7 +318,7 @@ def variational_gap(z: GridFn, u: GridFn, spec: BvpSpec) -> float:
     """
     if z.domain != u.domain or z.domain != spec.domain:
         raise ValueError("domain mismatch")
-    A, m_diag, active, _ = _forms_for_spec(spec)
+    A, m_diag, active = _forms_for_spec(spec)
     r = A @ z.values[active] - (m_diag * u.values)[active]
     scale = np.sqrt(A.diagonal())
     return float(np.max(np.abs(r) / scale)) if r.size else 0.0

@@ -66,7 +66,7 @@ class Domain:
 
     @staticmethod
     def torus(n_dims: int, points_per_dim: int) -> "Domain":
-        _require_even(points_per_dim)
+        _require_at_least_two_points(points_per_dim)
         return Domain(DomainKind.TORUS, (points_per_dim,) * n_dims,
                       (1.0,) * n_dims, (0.0,) * n_dims)
 
@@ -100,7 +100,7 @@ class Domain:
     def real_line(half_width: float, points: int) -> "Domain":
         if half_width <= 0:
             raise ValueError("half_width must be positive")
-        _require_even(points)
+        _require_at_least_two_points(points)
         return Domain(DomainKind.REAL_LINE, (points,), (2.0 * half_width,),
                       (-half_width,))
 
@@ -143,7 +143,7 @@ class Domain:
         return int(np.prod(self.shape))
 
 
-def _require_even(points: int) -> None:
+def _require_at_least_two_points(points: int) -> None:
     # Odd counts are admitted for pixel geometries with a central pixel
     # (e.g. 201x201 tomography grids); numpy's mixed-radix FFT handles them
     # and the Nyquist-mode convention only arises for even counts.

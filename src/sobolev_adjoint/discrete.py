@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .core import Domain, DomainKind, GridFn, InnerProductSpec, inner
+from .core import Domain, DomainKind, GridFn, InnerProductSpec
 
 __all__ = [
     "DiscreteSetting",
@@ -99,6 +99,16 @@ def assemble(basis_x: Sequence[GridFn], basis_y: Sequence[GridFn],
                            h_x, h_y, cross)
 
 
+def _solve_and_expand(gram: np.ndarray, name: str, rhs: np.ndarray,
+                      basis: tuple[GridFn, ...]) -> tuple[np.ndarray, GridFn]:
+    # coefficients c = gram^{-1} rhs and the function sum_k c_k basis_k
+    c = scipy.linalg.cho_solve(_spd_cholesky(gram, name), rhs)
+    vals = np.zeros(basis[0].values.size, dtype=np.complex128)
+    for ck, fn in zip(c, basis):
+        vals += ck * fn.values
+    return c, GridFn(basis[0].domain, vals)
+
+
 def projected_adjoint(setting: DiscreteSetting, u: GridFn
                       ) -> tuple[np.ndarray, GridFn]:
     """Coefficients z = H_X^{-1} M H_Y^{-1} u and the represented function."""
@@ -106,32 +116,21 @@ def projected_adjoint(setting: DiscreteSetting, u: GridFn
         raise ValueError("domain mismatch")
     u_vec = np.array([setting.inner_y(u, psi) for psi in setting.basis_y])
     v = scipy.linalg.cho_solve(_spd_cholesky(setting.h_y, "L2-space"), u_vec)
-    z = scipy.linalg.cho_solve(_spd_cholesky(setting.h_x, "smoothness-space"),
-                               setting.cross @ v)
-    vals = np.zeros(u.values.size, dtype=np.complex128)
-    for zk, phi in zip(z, setting.basis_x):
-        vals += zk * phi.values
-    return z, GridFn(u.domain, vals)
+    return _solve_and_expand(setting.h_x, "smoothness-space", setting.cross @ v,
+                             setting.basis_x)
 
 
 def project_onto_x(setting: DiscreteSetting, v: GridFn) -> GridFn:
     """Orthogonal projection onto span(phi) in the smoothness inner product."""
     rhs = np.array([setting.inner_x(v, phi) for phi in setting.basis_x])
-    c = scipy.linalg.cho_solve(_spd_cholesky(setting.h_x, "smoothness-space"), rhs)
-    vals = np.zeros(v.values.size, dtype=np.complex128)
-    for ck, phi in zip(c, setting.basis_x):
-        vals += ck * phi.values
-    return GridFn(v.domain, vals)
+    return _solve_and_expand(setting.h_x, "smoothness-space", rhs,
+                             setting.basis_x)[1]
 
 
 def project_onto_y(setting: DiscreteSetting, v: GridFn) -> GridFn:
     """Orthogonal projection onto span(psi) in L2."""
     rhs = np.array([setting.inner_y(v, psi) for psi in setting.basis_y])
-    c = scipy.linalg.cho_solve(_spd_cholesky(setting.h_y, "L2-space"), rhs)
-    vals = np.zeros(v.values.size, dtype=np.complex128)
-    for ck, psi in zip(c, setting.basis_y):
-        vals += ck * psi.values
-    return GridFn(v.domain, vals)
+    return _solve_and_expand(setting.h_y, "L2-space", rhs, setting.basis_y)[1]
 
 
 def fourier_mode_basis(domain: Domain, kmax: int) -> tuple[list[GridFn], list]:

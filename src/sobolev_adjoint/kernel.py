@@ -11,12 +11,8 @@ from the origin, exponentially decaying, and square-integrable iff
 ``G_{2s}``, which reproduces the Fourier-multiplier route up to grid and
 truncation error.
 
-Special functions are evaluated locally: the Gamma function by the
-Lanczos approximation and K_nu by composite Simpson quadrature of
-
-    K_nu(x) = int_0^inf exp(-x*cosh t) * cosh(nu*t) dt,
-
-truncated where the integrand falls below 1e-18 of its peak.
+The Gamma function and K_nu come from ``scipy.special``; the wrappers
+here only reject arguments outside the domain the kernel formulas use.
 """
 
 from __future__ import annotations
@@ -40,67 +36,21 @@ __all__ = [
     "convolve_adjoint",
 ]
 
-# Lanczos approximation, g = 7, 9 coefficients (relative error ~ 1e-14).
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-
 
 def gamma_fn(x: float) -> float:
     """Gamma function for real x > 0."""
     if x <= 0:
         raise ValueError("gamma_fn requires x > 0")
-    if x < 0.5:
-        return gamma_fn(x + 1.0) / x
-    z = x - 1.0
-    a = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        a += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return float(np.sqrt(2.0 * np.pi) * t ** (z + 0.5) * np.exp(-t) * a)
-
-
-_KNU_NODES = 4001
-
-
-def _knu_cutoff(nu: float, x_min: float) -> float:
-    # Smallest T with x*cosh(T) - nu*T >= x + 42 (integrand below 1e-18 of peak).
-    t = 5.0
-    for _ in range(12):
-        arg = (x_min + 42.0 + nu * t) / x_min
-        t = float(np.arccosh(max(arg, 1.0 + 1e-12)))
-    return max(t, 1e-3)
+    import scipy.special  # deferred: the tomography path never needs it
+    return float(scipy.special.gamma(x))
 
 
 def _bessel_k_vec(nu: float, xs: np.ndarray) -> np.ndarray:
-    nu = abs(float(nu))
     xs = np.asarray(xs, dtype=np.float64)
     if np.any(xs <= 0):
         raise ValueError("bessel_k requires x > 0")
-    T = _knu_cutoff(nu, float(xs.min()))
-    t = np.linspace(0.0, T, _KNU_NODES)
-    w = np.full(_KNU_NODES, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= (t[1] - t[0]) / 3.0
-    cosh_t = np.cosh(t)
-    row = np.cosh(nu * t) * w
-    out = np.empty(xs.size)
-    chunk = max(1, (1 << 22) // _KNU_NODES)
-    flat = xs.ravel()
-    for i in range(0, flat.size, chunk):
-        block = flat[i:i + chunk, None]
-        out[i:i + chunk] = np.exp(-block * cosh_t[None, :]) @ row
-    return out.reshape(xs.shape)
+    import scipy.special  # deferred: the tomography path never needs it
+    return scipy.special.kv(abs(float(nu)), xs)
 
 
 def bessel_k(nu: float, x: float) -> float:

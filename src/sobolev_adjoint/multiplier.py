@@ -119,12 +119,7 @@ def hilbert_scale_apply(u: GridFn, spec: SobolevSpec, power: float) -> GridFn:
 
 def bessel_potential(u: GridFn, s: float) -> GridFn:
     """Multiplier (1 + 4*pi^2*|xi|^2)**(-s/2); negative s differentiates."""
-    c = fft_forward(u)
-    w = (1.0 + 4.0 * np.pi**2 * frequency_sq(u.domain)) ** (-s / 2.0)
-    res = fft_inverse(SpectralField(u.domain, c.coeffs * w))
-    if u.is_real:
-        return GridFn(u.domain, res.values.real)
-    return res
+    return _apply_weight_power(u, SobolevSpec(1.0, NormVariant.BESSEL_V1), -s / 2.0)
 
 
 def _spectral_measure(domain: Domain) -> float:

@@ -37,8 +37,6 @@ __all__ = [
     "PhantomKind",
     "Phantom",
     "RadonOperator",
-    "radon_forward",
-    "radon_adjoint",
     "shepp_logan",
     "smooth_phantom",
     "write_pgm",
@@ -225,16 +223,6 @@ class RadonOperator:
             domain_template=img_template,
             codomain_template=sino_template,
         )
-
-
-def radon_forward(u: GridFn, geometry: RadonGeometry) -> Sinogram:
-    """Ray sums of the pixel image over all (offset, angle) lines."""
-    return RadonOperator(geometry).forward(u)
-
-
-def radon_adjoint(g: Sinogram, geometry: RadonGeometry) -> GridFn:
-    """Backprojection matched to :func:`radon_forward` (exact transpose)."""
-    return RadonOperator(geometry).adjoint(g)
 
 
 # -- phantoms -------------------------------------------------------------------

@@ -8,9 +8,9 @@ complete orthonormal eigensystem (lambda_k, u_k) of that operator,
 
 Closed-form Dirichlet-Laplacian eigensystems are shipped for the rectangle
 (sine products) and the disk (Bessel functions J_m with zeros j_{m,n});
-J_m and its zeros are computed locally.  On the torus the embedding has an
-explicit singular value decomposition with sigma_k = w(k)^(-1/2), which is
-also provided.
+J_m and its zeros come from ``scipy.special``.  On the torus the embedding
+has an explicit singular value decomposition with sigma_k = w(k)^(-1/2),
+which is also provided.
 """
 
 from __future__ import annotations
@@ -38,59 +38,25 @@ __all__ = [
 # -- Bessel J and its zeros ----------------------------------------------------
 
 def _bessel_j_vec(m: int, x: np.ndarray) -> np.ndarray:
-    # Midpoint rule on J_m(x) = (1/pi) int_0^pi cos(m t - x sin t) dt.
-    # The quadrature error involves Bessel terms of order >= 2*nodes - m,
-    # which vanish superexponentially once 2*nodes exceeds |x| + m.
-    x = np.asarray(x, dtype=np.float64)
-    nodes = 64 + int(np.max(np.abs(x), initial=0.0)) + abs(m)
-    t = (np.arange(nodes) + 0.5) * np.pi / nodes
-    sign = np.where(x < 0, (-1.0) ** m, 1.0)
-    ax = np.abs(x)
-    out = np.mean(np.cos(m * t[None, :] - ax[..., None] * np.sin(t)[None, :]),
-                  axis=-1)
-    return sign * out
+    import scipy.special  # deferred: the tomography path never needs it
+    return scipy.special.jv(m, np.asarray(x, dtype=np.float64))
 
 
 def bessel_j(m: int, x: float) -> float:
     """Bessel function of the first kind of integer order m."""
     if m < 0:
         raise ValueError("order must be >= 0")
-    return float(_bessel_j_vec(m, np.array([float(x)]))[0])
-
-
-def _bessel_j_derivative(m: int, x: float) -> float:
-    if m == 0:
-        return -bessel_j(1, x)
-    return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
+    return float(_bessel_j_vec(m, float(x)))
 
 
 def bessel_j_zero(m: int, n: int) -> float:
-    """n-th positive zero of J_m, bracketed by the asymptotic spacing."""
+    """n-th positive zero of J_m."""
+    if m < 0:
+        raise ValueError("order must be >= 0")
     if n < 1:
         raise ValueError("zero index must be >= 1")
-    beta = (n + m / 2.0 - 0.25) * np.pi
-    guess = beta - (4.0 * m**2 - 1.0) / (8.0 * beta)
-    lo, hi = guess - 0.45 * np.pi, guess + 0.45 * np.pi
-    lo = max(lo, 1e-6)
-    flo, fhi = bessel_j(m, lo), bessel_j(m, hi)
-    widen = 0
-    while flo * fhi > 0:
-        lo, hi = lo - 0.2, hi + 0.2
-        flo, fhi = bessel_j(m, lo), bessel_j(m, hi)
-        widen += 1
-        if widen > 20:
-            raise RuntimeError(f"failed to bracket zero {n} of J_{m}")
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        fmid = bessel_j(m, mid)
-        if flo * fmid <= 0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    root = 0.5 * (lo + hi)
-    for _ in range(4):  # Newton polish
-        root -= bessel_j(m, root) / _bessel_j_derivative(m, root)
-    return float(root)
+    import scipy.special  # deferred: the tomography path never needs it
+    return float(scipy.special.jn_zeros(m, n)[n - 1])
 
 
 # -- eigensystems ---------------------------------------------------------------

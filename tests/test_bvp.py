@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from sobolev_adjoint import bvp
 from sobolev_adjoint.core import Domain, GridFn, l2_norm
 from sobolev_adjoint.bvp import (
     BcVariant,
@@ -115,6 +117,35 @@ def test_dirichlet_poisson_2d_analytic():
         errs.append(np.max(np.abs(z.values - exact.ravel())))
     assert 3.5 < errs[0] / errs[1] < 4.5
     assert errs[1] < 5e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32])
+@pytest.mark.parametrize("a, b, nx, ny", [(1.0, 1.0, 17, 9), (0.75, 2.0, 9, 33)])
+def test_rectangle_solves_match_sparse_direct_solve(a, b, nx, ny, dtype):
+    # Non-square grids with unequal spacings: a transposed eigenvalue axis
+    # or a swapped spacing would show here, not on square grids.
+    dom = Domain.rectangle(a, b, nx, ny)
+    rng = np.random.default_rng(nx * ny)
+    vals = rng.standard_normal(nx * ny)
+    if dtype is np.complex128:
+        vals = vals + 1j * rng.standard_normal(nx * ny)
+    vals = vals.astype(dtype)
+    u = GridFn(dom, vals)
+    cases = [
+        (solve_neumann_helmholtz, bvp._forms_rectangle_neumann,
+         BvpSpec(1, BoundaryKind.NEUMANN_LIKE, dom)),
+        (solve_dirichlet_poisson_2d, bvp._forms_rectangle_dirichlet,
+         BvpSpec(1, BoundaryKind.DIRICHLET, dom, NormChoice.SEMINORM_ONLY)),
+    ]
+    for solve, forms, spec in cases:
+        z = solve(u)
+        assert z.values.dtype == np.result_type(dtype, np.float64)
+        A, m_diag, active = forms(dom)
+        ref = np.zeros(nx * ny, dtype=np.complex128)
+        ref[active] = scipy.sparse.linalg.spsolve(
+            A.tocsc(), (m_diag * vals)[active].astype(np.complex128))
+        assert np.linalg.norm(z.values - ref) < 1e-10 * np.linalg.norm(ref)
+        assert variational_gap(z, u, spec) < 1e-12
 
 
 def test_variational_gap_solver_vs_perturbed():

@@ -26,19 +26,10 @@ def test_zero_image_gives_zero_sinogram():
     assert np.max(np.abs(sino.values)) == 0.0
 
 
-def test_named_geometries_and_functional_wrappers():
-    from sobolev_adjoint.radon import radon_adjoint, radon_forward
-
+def test_named_geometries():
     assert RadonGeometry.full_scale() == RadonGeometry(201, 300, 180)
     geom = RadonGeometry.desk_scale()
     assert (geom.n_pixels, geom.n_offsets, geom.n_angles) == (64, 100, 60)
-    small = RadonGeometry(8, 12, 6)
-    u = GridFn(small.image_domain, np.random.default_rng(7).standard_normal(64))
-    sino = radon_forward(u, small)
-    assert np.max(np.abs(sino.values
-                         - RadonOperator(small).forward(u).values)) == 0.0
-    back = radon_adjoint(sino, small)
-    assert back.values.shape == (64,)
 
 
 def _trace_ray(origin, direction, edges):

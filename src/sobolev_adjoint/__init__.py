@@ -16,7 +16,6 @@ from .core import (
     Domain,
     DomainKind,
     GridFn,
-    InnerProductSpec,
     LinOp,
     SpectralField,
     check_adjoint,
@@ -49,7 +48,6 @@ __all__ = [
     "Domain",
     "DomainKind",
     "GridFn",
-    "InnerProductSpec",
     "LinOp",
     "SpectralField",
     "NormVariant",

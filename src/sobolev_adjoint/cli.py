@@ -16,16 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from . import bvp, discrete, kernel, multiplier, radon, spectral, wavelet
-from .core import Domain, GridFn, InnerProductSpec, check_adjoint, l2_norm
+from .core import Domain, GridFn, check_adjoint, l2_norm
 from .inverse import (
     DiscrepancyStop,
     InverseProblem,
     StoppingRuleNotMet,
     add_noise,
     landweber,
-    tikhonov,
 )
-from .multiplier import NormVariant, SobolevSpec
+from .multiplier import NormVariant, SobolevSpec, sobolev_inner
 
 EXPERIMENTS = ("CrossCheck1D", "AdjointSmoothing2D", "RadonRecon",
                "NormEquivalence", "KernelAsymptotics")
@@ -159,7 +158,7 @@ def _crosscheck_table(n: int, s: float, seed: int):
     svd = spectral.svd_from_multiplier(spec, dom, 2 * 16 + 1)
     results["svd"] = GridFn(dom, svd.apply_adjoint(u).values.real)
     fns, _ = discrete.fourier_mode_basis(dom, 16)
-    setting = discrete.assemble(fns, fns, InnerProductSpec.sobolev_spec(spec))
+    setting = discrete.assemble(fns, fns, lambda a, b: sobolev_inner(a, b, spec))
     _, gram_fn = discrete.projected_adjoint(setting, u)
     results["discrete"] = GridFn(dom, gram_fn.values.real)
     ref = results["multiplier"]

@@ -1,4 +1,4 @@
-"""Grids, sampled functions, inner products, FFT and the linear-operator abstraction.
+"""Grids, sampled functions, L2 inner product, FFT and the linear-operator abstraction.
 
 Conventions used throughout the package:
 
@@ -10,6 +10,9 @@ Conventions used throughout the package:
   (DFT sum times ``h**N``).  The Nyquist mode is labelled ``+points/2``.
 * All quadrature is the rectangle rule at grid resolution with weight
   ``h**N`` per node (pixel area on masked disks).
+* An inner product is a plain function ``(u, v) -> complex``, conjugate-linear
+  in ``v``.  :func:`inner` is the L2 one; the Sobolev ones live with their
+  backends (e.g. ``multiplier.sobolev_inner``).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "Domain",
     "GridFn",
     "SpectralField",
-    "InnerProductSpec",
     "LinOp",
     "fft_forward",
     "fft_inverse",
@@ -293,46 +295,14 @@ def fft_inverse(c: SpectralField) -> GridFn:
     return GridFn(dom, vals.ravel())
 
 
-@dataclass(frozen=True)
-class InnerProductSpec:
-    """Inner product selector: plain L2, a Sobolev inner product, or a custom form."""
-
-    kind: str
-    sobolev: Any = None
-    fn: Optional[Callable[[Any, Any], complex]] = None
-
-    @staticmethod
-    def l2() -> "InnerProductSpec":
-        return InnerProductSpec("l2")
-
-    @staticmethod
-    def sobolev_spec(spec) -> "InnerProductSpec":
-        return InnerProductSpec("sobolev", sobolev=spec)
-
-    @staticmethod
-    def custom(fn: Callable[[Any, Any], complex]) -> "InnerProductSpec":
-        return InnerProductSpec("custom", fn=fn)
-
-    def __call__(self, u, v) -> complex:
-        return inner(u, v, self)
-
-
-def inner(u, v, spec: InnerProductSpec = InnerProductSpec("l2")) -> complex:
-    """Sesquilinear inner product <u, v> (conjugation on the second argument)."""
-    if spec.kind == "custom":
-        return spec.fn(u, v)
+def inner(u, v) -> complex:
+    """L2 inner product <u, v> (conjugation on the second argument)."""
     _same_domain(u, v)
-    if spec.kind == "l2":
-        return quad_weight(u.domain) * complex(np.vdot(v.values, u.values))
-    if spec.kind == "sobolev":
-        from . import multiplier
-
-        return multiplier.sobolev_inner(u, v, spec.sobolev)
-    raise ValueError(f"unknown inner product kind {spec.kind!r}")
+    return quad_weight(u.domain) * complex(np.vdot(v.values, u.values))
 
 
 def l2_norm(u) -> float:
-    """L2 norm with the object's natural quadrature weight."""
+    """L2 norm of a GridFn, or of any object with ``values`` and ``quad_weight``."""
     if isinstance(u, GridFn):
         w = quad_weight(u.domain)
     else:
@@ -380,8 +350,7 @@ def check_adjoint(op: LinOp, trials: int = 20, seed: int = 0) -> float:
     return worst
 
 
-def identity_linop(template, inner_spec: InnerProductSpec | None = None) -> LinOp:
-    ip = inner_spec if inner_spec is not None else InnerProductSpec.l2()
+def identity_linop(template, ip: Callable[[Any, Any], complex] = inner) -> LinOp:
     return LinOp(apply=lambda u: u, apply_adjoint=lambda u: u,
                  domain_inner=ip, codomain_inner=ip,
                  domain_template=template, codomain_template=template)

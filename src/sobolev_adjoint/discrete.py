@@ -14,21 +14,23 @@ against the multiplier route) and 1D piecewise-linear hats (H^1 Gram =
 trapezoid mass + difference-quotient stiffness, second-order against the
 BVP route).
 
-For repeated applies it pays to smooth each L2 basis function once up
-front (or to pick the smoothness basis as exactly those smoothed
-functions, which turns the cross Gram into H_X); the assembly here
-recomputes per call for clarity and is not that optimized path.
+Inner products are plain functions ``(u, v) -> complex``.  ``assemble``
+builds the three Gram matrices and Cholesky-factors H_X and H_Y once; every
+apply reuses those factors, so a call costs the inner products with the
+input plus two triangular solves.  Each Gram entry is still one
+inner-product call.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .core import Domain, DomainKind, GridFn, InnerProductSpec
+from .core import Domain, DomainKind, GridFn, inner
 
 __all__ = [
     "DiscreteSetting",
@@ -50,6 +52,8 @@ class DiscreteSetting:
     h_x: np.ndarray
     h_y: np.ndarray
     cross: np.ndarray
+    chol_x: tuple[np.ndarray, bool]
+    chol_y: tuple[np.ndarray, bool]
 
     @property
     def dim_x(self) -> int:
@@ -79,30 +83,28 @@ def _spd_cholesky(mat: np.ndarray, name: str):
 
 
 def assemble(basis_x: Sequence[GridFn], basis_y: Sequence[GridFn],
-             inner_x: InnerProductSpec | Callable[[GridFn, GridFn], complex],
-             inner_y: InnerProductSpec | Callable[[GridFn, GridFn], complex]
-             | None = None) -> DiscreteSetting:
-    """Build the Gram matrices; Cholesky verifies positive definiteness."""
+             inner_x: Callable[[GridFn, GridFn], complex],
+             inner_y: Callable[[GridFn, GridFn], complex] = inner
+             ) -> DiscreteSetting:
+    """Build the Gram matrices; Cholesky-factoring H_X, H_Y verifies definiteness."""
     if not basis_x or not basis_y:
         raise ValueError("bases must be nonempty")
     dom = basis_x[0].domain
     if any(f.domain != dom for f in basis_x) or any(f.domain != dom for f in basis_y):
         raise ValueError("all basis functions must share one domain")
-    ip_x = inner_x
-    ip_y = inner_y if inner_y is not None else InnerProductSpec.l2()
-    h_x = _gram(basis_x, basis_x, ip_x)
-    h_y = _gram(basis_y, basis_y, ip_y)
-    cross = _gram(basis_x, basis_y, ip_y)
-    _spd_cholesky(h_x, "smoothness-space")
-    _spd_cholesky(h_y, "L2-space")
-    return DiscreteSetting(tuple(basis_x), tuple(basis_y), ip_x, ip_y,
-                           h_x, h_y, cross)
+    h_x = _gram(basis_x, basis_x, inner_x)
+    h_y = _gram(basis_y, basis_y, inner_y)
+    cross = _gram(basis_x, basis_y, inner_y)
+    return DiscreteSetting(tuple(basis_x), tuple(basis_y), inner_x, inner_y,
+                           h_x, h_y, cross,
+                           _spd_cholesky(h_x, "smoothness-space"),
+                           _spd_cholesky(h_y, "L2-space"))
 
 
-def _solve_and_expand(gram: np.ndarray, name: str, rhs: np.ndarray,
+def _solve_and_expand(chol: tuple[np.ndarray, bool], rhs: np.ndarray,
                       basis: tuple[GridFn, ...]) -> tuple[np.ndarray, GridFn]:
-    # coefficients c = gram^{-1} rhs and the function sum_k c_k basis_k
-    c = scipy.linalg.cho_solve(_spd_cholesky(gram, name), rhs)
+    # coefficients c = gram^{-1} rhs from its Cholesky factor, and sum_k c_k basis_k
+    c = scipy.linalg.cho_solve(chol, rhs)
     vals = np.zeros(basis[0].values.size, dtype=np.complex128)
     for ck, fn in zip(c, basis):
         vals += ck * fn.values
@@ -115,22 +117,20 @@ def projected_adjoint(setting: DiscreteSetting, u: GridFn
     if u.domain != setting.basis_x[0].domain:
         raise ValueError("domain mismatch")
     u_vec = np.array([setting.inner_y(u, psi) for psi in setting.basis_y])
-    v = scipy.linalg.cho_solve(_spd_cholesky(setting.h_y, "L2-space"), u_vec)
-    return _solve_and_expand(setting.h_x, "smoothness-space", setting.cross @ v,
-                             setting.basis_x)
+    v = scipy.linalg.cho_solve(setting.chol_y, u_vec)
+    return _solve_and_expand(setting.chol_x, setting.cross @ v, setting.basis_x)
 
 
 def project_onto_x(setting: DiscreteSetting, v: GridFn) -> GridFn:
     """Orthogonal projection onto span(phi) in the smoothness inner product."""
     rhs = np.array([setting.inner_x(v, phi) for phi in setting.basis_x])
-    return _solve_and_expand(setting.h_x, "smoothness-space", rhs,
-                             setting.basis_x)[1]
+    return _solve_and_expand(setting.chol_x, rhs, setting.basis_x)[1]
 
 
 def project_onto_y(setting: DiscreteSetting, v: GridFn) -> GridFn:
     """Orthogonal projection onto span(psi) in L2."""
     rhs = np.array([setting.inner_y(v, psi) for psi in setting.basis_y])
-    return _solve_and_expand(setting.h_y, "L2-space", rhs, setting.basis_y)[1]
+    return _solve_and_expand(setting.chol_y, rhs, setting.basis_y)[1]
 
 
 def fourier_mode_basis(domain: Domain, kmax: int) -> tuple[list[GridFn], list]:
@@ -138,14 +138,8 @@ def fourier_mode_basis(domain: Domain, kmax: int) -> tuple[list[GridFn], list]:
     if domain.kind is not DomainKind.TORUS:
         raise ValueError("Fourier mode basis lives on torus domains")
     coords = np.meshgrid(*domain.axes(), indexing="ij")
-    rng = range(-kmax, kmax + 1)
-    kvecs = [(0,) * domain.ndim]
-    for kv in np.stack(np.meshgrid(*([list(rng)] * domain.ndim),
-                                   indexing="ij"), axis=-1).reshape(-1, domain.ndim):
-        tup = tuple(int(c) for c in kv)
-        if tup != (0,) * domain.ndim:
-            kvecs.append(tup)
-    kvecs.sort(key=lambda kv: (sum(c**2 for c in kv), kv))
+    kvecs = sorted(itertools.product(range(-kmax, kmax + 1), repeat=domain.ndim),
+                   key=lambda kv: (sum(c**2 for c in kv), kv))
     fns = []
     for kv in kvecs:
         phase = sum(kk * xx for kk, xx in zip(kv, coords))

@@ -111,12 +111,6 @@ class IterationLog:
     errors_sobolev: list[float] = field(default_factory=list)
 
 
-def _data_norm(y) -> float:
-    if hasattr(y, "norm"):
-        return y.norm()
-    return l2_norm(y)
-
-
 def add_noise(y, rel: float, seed: int):
     """Additive uniform noise rescaled to an exact relative data-norm level.
 
@@ -126,13 +120,13 @@ def add_noise(y, rel: float, seed: int):
         raise ValueError("relative noise level must be >= 0")
     if rel == 0.0:
         return y, 0.0
-    y_norm = _data_norm(y)
+    y_norm = l2_norm(y)
     if y_norm == 0.0:
         raise ValueError("cannot scale noise relative to zero data")
     rng = np.random.default_rng(seed)
     eta = rng.uniform(-1.0, 1.0, size=y.values.shape)
     noisy = y.with_values(y.values + eta * (rel * y_norm
-                                            / _data_norm(y.with_values(eta))))
+                                            / l2_norm(y.with_values(eta))))
     return noisy, rel * y_norm
 
 
@@ -162,7 +156,7 @@ def _landweber_loop(problem: InverseProblem, gradient, step, max_iter, stop,
     log = IterationLog()
 
     def record(r):
-        log.residuals.append(_data_norm(r))
+        log.residuals.append(l2_norm(r))
         if ground_truth is not None:
             diff = u - ground_truth
             log.errors_l2.append(l2_norm(diff))

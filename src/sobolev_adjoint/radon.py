@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse
 
-from .core import Domain, GridFn, InnerProductSpec, LinOp
+from .core import Domain, GridFn, LinOp, inner
 
 __all__ = [
     "RadonGeometry",
@@ -121,9 +121,6 @@ class Sinogram:
 
     def inner(self, other: "Sinogram") -> complex:
         return self.quad_weight * complex(np.vdot(other.values, self.values))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.quad_weight) * np.linalg.norm(self.values))
 
     def __sub__(self, other: "Sinogram") -> "Sinogram":
         return Sinogram(self.geometry, self.values - other.values)
@@ -218,8 +215,8 @@ class RadonOperator:
         return LinOp(
             apply=self.forward,
             apply_adjoint=self.adjoint,
-            domain_inner=InnerProductSpec.l2(),
-            codomain_inner=lambda a, b: a.inner(b),
+            domain_inner=inner,
+            codomain_inner=Sinogram.inner,
             domain_template=img_template,
             codomain_template=sino_template,
         )

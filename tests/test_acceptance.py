@@ -6,12 +6,10 @@ them on a green run).
 import time
 
 import numpy as np
-import pytest
 
 from sobolev_adjoint.core import (
     Domain,
     GridFn,
-    InnerProductSpec,
     LinOp,
     check_adjoint,
     fft_forward,
@@ -34,7 +32,6 @@ from sobolev_adjoint.multiplier import (
     sobolev_inner,
     sobolev_norm,
     sobolev_weight,
-    weight_grid,
 )
 from sobolev_adjoint.radon import (
     RadonGeometry,
@@ -65,8 +62,7 @@ def diagonal_linop(domain, symbol):
                       np.fft.ifftn(fft_forward(u).coeffs * np.conj(symbol) / h).ravel())
 
     t = GridFn(domain, np.zeros(domain.grid_size))
-    return LinOp(apply, apply_adjoint, InnerProductSpec.l2(),
-                 InnerProductSpec.l2(), t, t)
+    return LinOp(apply, apply_adjoint, inner, inner, t, t)
 
 
 def test_criterion_01_cross_representation_agreement():
@@ -100,7 +96,7 @@ def test_criterion_01_cross_representation_agreement():
 
     # multiplier vs Fourier-mode Gram path
     fns, _ = discrete.fourier_mode_basis(dom, 16)
-    setting = discrete.assemble(fns, fns, InnerProductSpec.sobolev_spec(spec))
+    setting = discrete.assemble(fns, fns, lambda a, b: sobolev_inner(a, b, spec))
     _, gram_fn = discrete.projected_adjoint(setting, u)
     d_gram = l2_norm(GridFn(dom, gram_fn.values.real) - ref) / l2_norm(u)
     assert d_gram < 1e-12
@@ -139,7 +135,7 @@ def test_criterion_02_closed_form_kernels_and_asymptotics():
     assert devs["large"] < 0.05 and devs["s<N"] < 0.05 and devs["s=N"] < 0.10
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
-    print(f"\nACCEPTANCE 2 PASS: closed-vs-quadrature {worst:.2e} (<1e-7), "
+    print(f"\nACCEPTANCE 2 PASS: closed-vs-scipy.special {worst:.2e} (<1e-7), "
           f"asymptote deviations {devs['large']:.3f}/{devs['s<N']:.3f}/"
           f"{devs['s=N']:.3f}, {elapsed:.1f}s (<5s)")
 
@@ -174,7 +170,7 @@ def test_criterion_04_adjointness_everywhere():
     defects["multiplier"] = check_adjoint(LinOp(
         apply=lambda u: adjoint_embedding(u, spec),
         apply_adjoint=lambda u: u,
-        domain_inner=InnerProductSpec.l2(),
+        domain_inner=inner,
         codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
         domain_template=template, codomain_template=template), trials=20, seed=11)
 
@@ -183,18 +179,18 @@ def test_criterion_04_adjointness_everywhere():
         apply=lambda u: wavelet.adjoint_embedding_wavelet(u, s_w, wavelet.DB4,
                                                           levels),
         apply_adjoint=lambda u: u,
-        domain_inner=InnerProductSpec.l2(),
+        domain_inner=inner,
         codomain_inner=lambda a, b: wavelet.wavelet_sobolev_inner(
             a, b, s_w, wavelet.DB4, levels),
         domain_template=template, codomain_template=template), trials=20, seed=12)
 
     fns, _ = discrete.fourier_mode_basis(dom, 4)
-    setting = discrete.assemble(fns, fns, InnerProductSpec.sobolev_spec(spec))
+    setting = discrete.assemble(fns, fns, lambda a, b: sobolev_inner(a, b, spec))
     defects["discrete"] = check_adjoint(LinOp(
         apply=lambda u: discrete.projected_adjoint(setting, u)[1],
         apply_adjoint=lambda v: discrete.project_onto_y(
             setting, discrete.project_onto_x(setting, v)),
-        domain_inner=InnerProductSpec.l2(),
+        domain_inner=inner,
         codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
         domain_template=template, codomain_template=template), trials=20, seed=13)
 

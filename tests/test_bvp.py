@@ -229,3 +229,25 @@ def test_torus_solve_agrees_with_multiplier_at_order_h2():
         errs.append(l2_norm(zt - zm) / l2_norm(u))
     for a, b in zip(errs, errs[1:]):
         assert 3.5 < a / b < 4.5
+
+
+@pytest.mark.parametrize("n", [31, 32])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_torus_solve_inverts_periodic_stencil(n, m, dtype):
+    dom = Domain.torus(1, n)
+    h = dom.spacing[0]
+    rng = np.random.default_rng(100 * n + m)
+    u = rng.standard_normal(n).astype(dtype)
+    if dtype is np.complex128:
+        u += 1j * rng.standard_normal(n)
+    z = solve_torus_helmholtz(GridFn(dom, u), m).values
+    assert z.dtype == dtype
+    r = z
+    for _ in range(m):
+        r = r - (np.roll(r, 1) - 2.0 * r + np.roll(r, -1)) / h**2
+    # normwise backward error: rounding in z is amplified by the stencil,
+    # whose norm is at most (1 + 4/h^2)^m, so the residual is measured on
+    # that scale rather than against |u| alone
+    scale = (1.0 + 4.0 / h**2) ** m * np.linalg.norm(z) + np.linalg.norm(u)
+    assert np.linalg.norm(r - u) <= 1e-12 * scale

@@ -1,12 +1,10 @@
 import json
 
-import numpy as np
 import pytest
 
 from sobolev_adjoint import cli
 from sobolev_adjoint.cli import (
     ConfigError,
-    RunConfig,
     main,
     parse_config,
     run,

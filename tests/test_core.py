@@ -4,7 +4,6 @@ import pytest
 from sobolev_adjoint.core import (
     Domain,
     GridFn,
-    InnerProductSpec,
     SpectralField,
     check_adjoint,
     fft_forward,
@@ -189,7 +188,7 @@ def test_check_adjoint_identity_and_multiplier():
     op = LinOp(
         apply=lambda u: adjoint_embedding(u, spec),
         apply_adjoint=lambda u: u,
-        domain_inner=InnerProductSpec.l2(),
+        domain_inner=inner,
         codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
         domain_template=template,
         codomain_template=template,
@@ -207,7 +206,7 @@ def test_check_adjoint_deterministic():
     op = LinOp(
         apply=lambda u: adjoint_embedding(u, spec),
         apply_adjoint=lambda u: u,
-        domain_inner=InnerProductSpec.l2(),
+        domain_inner=inner,
         codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
         domain_template=template,
         codomain_template=template,

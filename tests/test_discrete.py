@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from sobolev_adjoint.core import Domain, GridFn, InnerProductSpec, inner, l2_norm
+from sobolev_adjoint.core import Domain, GridFn, inner, l2_norm
 from sobolev_adjoint.bvp import h1_inner, mass_inner, solve_neumann_helmholtz
 from sobolev_adjoint.discrete import (
     assemble,
@@ -25,7 +26,7 @@ SPEC = SobolevSpec(1.0, NormVariant.TORUS_S)
 def torus_setting(n=64, kmax=4):
     dom = Domain.torus(1, n)
     fns, kvecs = fourier_mode_basis(dom, kmax)
-    setting = assemble(fns, fns, InnerProductSpec.sobolev_spec(SPEC))
+    setting = assemble(fns, fns, lambda a, b: sobolev_inner(a, b, SPEC))
     return dom, fns, kvecs, setting
 
 
@@ -47,7 +48,7 @@ def test_duplicate_basis_vector_fails_spd():
     dom = Domain.torus(1, 64)
     fns, _ = fourier_mode_basis(dom, 2)
     with pytest.raises(ValueError):
-        assemble([fns[0], fns[0]], fns, InnerProductSpec.sobolev_spec(SPEC))
+        assemble([fns[0], fns[0]], fns, lambda a, b: sobolev_inner(a, b, SPEC))
 
 
 def test_projected_adjoint_orthogonal_input_is_zero():
@@ -133,7 +134,31 @@ def test_assemble_input_validation():
     dom = Domain.torus(1, 64)
     fns, _ = fourier_mode_basis(dom, 1)
     with pytest.raises(ValueError):
-        assemble([], fns, InnerProductSpec.sobolev_spec(SPEC))
+        assemble([], fns, lambda a, b: sobolev_inner(a, b, SPEC))
     other = GridFn(Domain.torus(1, 32), np.ones(32))
     with pytest.raises(ValueError):
-        assemble(fns, [other], InnerProductSpec.sobolev_spec(SPEC))
+        assemble(fns, [other], lambda a, b: sobolev_inner(a, b, SPEC))
+
+
+def test_fourier_mode_basis_order():
+    dom = Domain.torus(2, 8)
+    fns, kvecs = fourier_mode_basis(dom, 1)
+    assert kvecs == [(0, 0), (-1, 0), (0, -1), (0, 1), (1, 0),
+                     (-1, -1), (-1, 1), (1, -1), (1, 1)]
+    x, y = np.meshgrid(*dom.axes(), indexing="ij")
+    for f, (k1, k2) in zip(fns, kvecs):
+        assert np.allclose(f.values, np.exp(2j * np.pi * (k1 * x + k2 * y)).ravel(),
+                           rtol=0, atol=1e-14)
+
+
+def test_applies_reuse_the_assembled_factors(monkeypatch):
+    dom, _, _, setting = torus_setting()
+    u = GridFn(dom, np.cos(2 * np.pi * dom.axes()[0]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an apply factored a Gram matrix again")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+    projected_adjoint(setting, u)
+    project_onto_x(setting, u)
+    project_onto_y(setting, u)

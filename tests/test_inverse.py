@@ -4,7 +4,6 @@ import pytest
 from sobolev_adjoint.core import (
     Domain,
     GridFn,
-    InnerProductSpec,
     LinOp,
     fft_forward,
     inner,
@@ -26,7 +25,6 @@ from sobolev_adjoint.inverse import (
 from sobolev_adjoint.multiplier import (
     NormVariant,
     SobolevSpec,
-    adjoint_embedding,
     sobolev_norm,
     weight_grid,
 )
@@ -40,8 +38,7 @@ def grid_template(n=64):
 
 def identity_linop(n=64):
     t = grid_template(n)
-    return LinOp(lambda u: u, lambda u: u, InnerProductSpec.l2(),
-                 InnerProductSpec.l2(), t, t)
+    return LinOp(lambda u: u, lambda u: u, inner, inner, t, t)
 
 
 def diagonal_linop(domain, symbol):
@@ -57,8 +54,7 @@ def diagonal_linop(domain, symbol):
                                            / np.prod(domain.spacing)).ravel())
 
     t = GridFn(domain, np.zeros(domain.grid_size))
-    return LinOp(apply, apply_adjoint, InnerProductSpec.l2(),
-                 InnerProductSpec.l2(), t, t)
+    return LinOp(apply, apply_adjoint, inner, inner, t, t)
 
 
 def rand_fn(n, seed):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sobolev_adjoint.core import Domain, GridFn, fft_forward, inner, l2_norm
+from sobolev_adjoint.core import Domain, GridFn, inner, l2_norm
 from sobolev_adjoint.multiplier import (
     NormVariant,
     SobolevSpec,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from sobolev_adjoint.core import GridFn, check_adjoint, l2_norm
+from sobolev_adjoint.core import GridFn, check_adjoint
 from sobolev_adjoint.radon import (
     RadonGeometry,
     RadonOperator,

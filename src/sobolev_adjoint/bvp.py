@@ -7,29 +7,31 @@ stiffness forms, the solve ``A z = M u`` makes
     <z, v>_discrete-Sobolev  ==  <u, v>_discrete-L2
 
 hold for every nodal test vector ``v`` up to solver residual, which is the
-discrete counterpart of the defining adjoint identity.  Supported cases:
+discrete counterpart of the defining adjoint identity.  The boundary
+condition picks the inner product:
 
-* order 1, Neumann-like:  -Laplace(z) + z = u,  dz/dn = 0   (interval, rectangle)
-* order m in {1, 2}, 1D on an interval, natural or Dirichlet conditions;
-  the Dirichlet variant drops the +z term (seminorm inner product)
-* order 1, homogeneous Dirichlet Poisson problem on a rectangle
-* order m, 1D periodic (torus) Helmholtz power, used for cross-checks
-  against the Fourier-multiplier route
+* natural (Neumann-like) conditions pair with the full norm, so the equation
+  keeps the ``+z`` term: order 1 is ``-Laplace(z) + z = u``, ``dz/dn = 0``;
+* Dirichlet conditions pair with the seminorm and drop it: order 1 is
+  ``-Laplace(z) = u``, ``z = 0`` on the boundary.
 
-Second-order finite differences throughout; 1D interval systems go through
-banded Cholesky, and the torus solve divides DFT coefficients by the symbol
-of the periodic second difference.  On the rectangle the trapezoid-lumped
-mass turns ``M^{-1} A`` into a sum of per-axis second differences, which the
-DCT-I (reflecting boundary) and the DST-I (zero boundary) diagonalize, so
-the 2D solves are exact fast-Poisson solves (Buzbee, Golub & Nielson 1970).
+Order 1 runs on intervals and rectangles, order 2 (``D^4 z (+ z) = u``) on
+intervals; the order-m 1D periodic (torus) Helmholtz power serves cross-checks
+against the Fourier-multiplier route.
+
+Second-order finite differences throughout.  The trapezoid-lumped mass turns
+``M^{-1} A`` of order 1 into a sum of per-axis second differences, which the
+DCT-I (reflecting boundary) and the DST-I (zero boundary) diagonalize, so the
+order-1 solves are exact fast-Poisson solves (Buzbee, Golub & Nielson 1970).
+Order 2 goes through banded Cholesky, and the torus solve divides DFT
+coefficients by the symbol of the periodic second difference.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.linalg
@@ -39,8 +41,6 @@ from .core import Domain, DomainKind, GridFn
 
 __all__ = [
     "BoundaryKind",
-    "NormChoice",
-    "BcVariant",
     "BvpSpec",
     "solve_neumann_helmholtz",
     "solve_1d_order2m",
@@ -57,35 +57,27 @@ class BoundaryKind(enum.Enum):
     DIRICHLET = "dirichlet"
 
 
-class NormChoice(enum.Enum):
-    SIMPLE_PLUS_L2 = "simple_plus_l2"
-    SEMINORM_ONLY = "seminorm_only"
-
-
-class BcVariant(enum.Enum):
-    NATURAL_DJ = "natural_dj"
-    DIRICHLET_DJ = "dirichlet_dj"
+_MAX_ORDER = {DomainKind.INTERVAL: 2, DomainKind.RECTANGLE: 1}
 
 
 @dataclass(frozen=True)
 class BvpSpec:
+    """Order, boundary condition and grid; Dirichlet means the seminorm."""
+
     order_m: int
     bc: BoundaryKind
     domain: Domain
-    norm_choice: NormChoice = NormChoice.SIMPLE_PLUS_L2
 
     def __post_init__(self):
-        if self.order_m < 1:
-            raise ValueError("order_m must be >= 1")
-        if self.norm_choice is NormChoice.SEMINORM_ONLY \
-                and self.bc is not BoundaryKind.DIRICHLET:
-            raise ValueError("the seminorm inner product requires Dirichlet conditions")
-        if self.domain.kind not in (DomainKind.INTERVAL, DomainKind.RECTANGLE,
-                                    DomainKind.DISK_MASK, DomainKind.TORUS):
-            raise ValueError("unsupported domain for BVP solves")
+        max_order = _MAX_ORDER.get(self.domain.kind)
+        if max_order is None:
+            raise ValueError("BVP solves support interval and rectangle domains")
+        if not 1 <= self.order_m <= max_order:
+            raise ValueError(f"{self.domain.kind.value} solves support "
+                             f"order_m from 1 to {max_order}")
 
 
-# -- 1D discrete forms --------------------------------------------------------
+# -- discrete forms -------------------------------------------------------------
 
 def _mass_diag_1d(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
@@ -117,59 +109,33 @@ def _free_second_difference(n: int, h: float) -> scipy.sparse.csr_matrix:
                               shape=(n - 2, n)).tocsr()
 
 
-def _forms_interval(spec: BvpSpec):
-    """(A, mass_diag, active_index) with A z = M u the discrete problem."""
-    n = spec.domain.shape[0]
-    h = spec.domain.spacing[0]
-    m_diag = _mass_diag_1d(n, h)
-    if spec.order_m == 1:
-        K = _stiffness_1d(n, h)
-        if spec.bc is BoundaryKind.NEUMANN_LIKE:
-            A = K + scipy.sparse.diags(m_diag)
-            return A.tocsr(), m_diag, slice(None)
-        interior = slice(1, n - 1)
-        A = K[interior, interior]
-        if spec.norm_choice is not NormChoice.SEMINORM_ONLY:
-            A = A + scipy.sparse.diags(m_diag[interior])
-        return A.tocsr(), m_diag, interior
+def _interior(domain: Domain) -> np.ndarray:
+    mask = np.zeros(domain.shape, dtype=bool)
+    mask[(slice(1, -1),) * domain.ndim] = True
+    return mask.ravel()
+
+
+def _forms_for_spec(spec: BvpSpec):
+    """(A, mass_diag, active) with ``A z[active] = (M u)[active]`` the problem.
+
+    Order 1 is ``sum_d (M_1 x ... x K_d x ... x M_N)``, plus ``M`` for
+    natural conditions, restricted to the interior for Dirichlet ones.
+    """
+    dom, neumann = spec.domain, spec.bc is BoundaryKind.NEUMANN_LIKE
+    m_diag = _mass_weights(dom)
+    active = slice(None) if neumann else _interior(dom)
     if spec.order_m == 2:
-        if spec.bc is BoundaryKind.DIRICHLET:
-            if spec.norm_choice is not NormChoice.SEMINORM_ONLY:
-                raise ValueError("order-2 Dirichlet form shipped for the seminorm only")
-            interior = slice(1, n - 1)
-            return _clamped_biharmonic_1d(n - 2, h), m_diag, interior
+        (n,), (h,) = dom.shape, dom.spacing
+        if not neumann:
+            return _clamped_biharmonic_1d(n - 2, h), m_diag, active
         D2 = _free_second_difference(n, h)
-        A = h * (D2.T @ D2) + scipy.sparse.diags(m_diag)
-        return A.tocsr(), m_diag, slice(None)
-    raise ValueError("1D solves support order_m in {1, 2}")
-
-
-# -- 2D discrete forms (tensor products of the 1D pieces) ----------------------
-
-def _forms_rectangle_neumann(domain: Domain):
-    nx, ny = domain.shape
-    hx, hy = domain.spacing
-    mx, my = _mass_diag_1d(nx, hx), _mass_diag_1d(ny, hy)
-    kx, ky = _stiffness_1d(nx, hx), _stiffness_1d(ny, hy)
-    Mx, My = scipy.sparse.diags(mx), scipy.sparse.diags(my)
-    A = scipy.sparse.kron(kx, My) + scipy.sparse.kron(Mx, ky) \
-        + scipy.sparse.kron(Mx, My)
-    m_diag = np.kron(mx, my)
-    return A.tocsr(), m_diag, slice(None)
-
-
-def _forms_rectangle_dirichlet(domain: Domain):
-    nx, ny = domain.shape
-    hx, hy = domain.spacing
-    mx_int, my_int = np.full(nx - 2, hx), np.full(ny - 2, hy)
-    kx = _stiffness_1d(nx, hx)[1:nx - 1, 1:nx - 1]
-    ky = _stiffness_1d(ny, hy)[1:ny - 1, 1:ny - 1]
-    A = scipy.sparse.kron(kx, scipy.sparse.diags(my_int)) \
-        + scipy.sparse.kron(scipy.sparse.diags(mx_int), ky)
-    m_diag = np.kron(_mass_diag_1d(nx, hx), _mass_diag_1d(ny, hy))
-    mask = np.zeros((nx, ny), dtype=bool)
-    mask[1:nx - 1, 1:ny - 1] = True
-    return A.tocsr(), m_diag, mask.ravel()
+        return (h * (D2.T @ D2) + scipy.sparse.diags(m_diag)).tocsr(), m_diag, active
+    axes = list(zip(dom.shape, dom.spacing))
+    masses = [scipy.sparse.diags(_mass_diag_1d(n, h)) for n, h in axes]
+    A = sum(reduce(scipy.sparse.kron, masses[:d] + [_stiffness_1d(n, h)] + masses[d + 1:])
+            for d, (n, h) in enumerate(axes))
+    A = A + scipy.sparse.diags(m_diag) if neumann else A.tocsr()[active][:, active]
+    return A.tocsr(), m_diag, active
 
 
 def _solve_banded_spd(A: scipy.sparse.spmatrix, b: np.ndarray) -> np.ndarray:
@@ -192,90 +158,66 @@ def _second_difference_eigs(n: int, h: float, k: np.ndarray) -> np.ndarray:
     return (2.0 - 2.0 * np.cos(np.pi * k / (n - 1))) / h**2
 
 
-def _solve_rectangle(u: GridFn, spec: BvpSpec) -> np.ndarray:
-    """Exact solve of ``A z = M u`` on the rectangle, as nodal values.
+def _solve_order1(u: GridFn, spec: BvpSpec) -> np.ndarray:
+    """Exact order-1 solve of ``A z = M u``, as nodal values.
 
-    ``M^{-1} A`` is ``I + L_x + L_y`` (Neumann) or ``L_x + L_y`` on the
-    interior (Dirichlet), with ``L`` the per-axis second difference.
+    ``M^{-1} A`` is ``I + sum_d L_d`` (Neumann) or ``sum_d L_d`` on the
+    interior (Dirichlet), with ``L_d`` the second difference along axis d.
     """
     import scipy.fft  # deferred: the tomography path never needs it
-    (nx, ny), (hx, hy) = spec.domain.shape, spec.domain.spacing
-    # at least double precision, as the 1D path's mass product gives
-    vals = np.asarray(u.values, np.result_type(u.values, np.float64)).reshape(nx, ny)
-    if spec.bc is BoundaryKind.NEUMANN_LIKE:
-        lam = (1.0 + _second_difference_eigs(nx, hx, np.arange(nx))[:, None]
-               + _second_difference_eigs(ny, hy, np.arange(ny))[None, :])
-        return scipy.fft.idctn(scipy.fft.dctn(vals, type=1) / lam, type=1)
+    dom, neumann = spec.domain, spec.bc is BoundaryKind.NEUMANN_LIKE
+    # at least double precision, as the order-2 path's mass product gives
+    vals = np.asarray(u.values, np.result_type(u.values, np.float64)).reshape(dom.shape)
+    part = (slice(None) if neumann else slice(1, -1),) * dom.ndim
+    lam = 1.0 if neumann else 0.0
+    for d, (n, h) in enumerate(zip(dom.shape, dom.spacing)):
+        k = np.arange(n) if neumann else np.arange(1, n - 1)
+        axis_shape = [1] * dom.ndim
+        axis_shape[d] = k.size
+        lam = lam + _second_difference_eigs(n, h, k).reshape(axis_shape)
+    forward, inverse = ((scipy.fft.dctn, scipy.fft.idctn) if neumann
+                        else (scipy.fft.dstn, scipy.fft.idstn))
     z = np.zeros_like(vals)
-    if nx > 2 and ny > 2:
-        lam = (_second_difference_eigs(nx, hx, np.arange(1, nx - 1))[:, None]
-               + _second_difference_eigs(ny, hy, np.arange(1, ny - 1))[None, :])
-        z[1:-1, 1:-1] = scipy.fft.idstn(
-            scipy.fft.dstn(vals[1:-1, 1:-1], type=1) / lam, type=1)
+    if vals[part].size:
+        z[part] = inverse(forward(vals[part], type=1) / lam, type=1)
     return z
 
 
-def _forms_for_spec(spec: BvpSpec):
-    dom = spec.domain
-    if dom.kind is DomainKind.INTERVAL:
-        return _forms_interval(spec)
-    if dom.kind is DomainKind.RECTANGLE:
-        if spec.order_m != 1:
-            raise ValueError("rectangle solves support order 1")
-        if spec.bc is BoundaryKind.NEUMANN_LIKE:
-            return _forms_rectangle_neumann(dom)
-        return _forms_rectangle_dirichlet(dom)
-    raise ValueError("solver supports interval and rectangle domains")
-
-
 def _run_solve(u: GridFn, spec: BvpSpec) -> GridFn:
-    if spec.domain.kind is DomainKind.RECTANGLE:
-        return GridFn(spec.domain, _solve_rectangle(u, spec))
+    if spec.order_m == 1:
+        return GridFn(spec.domain, _solve_order1(u, spec))
     A, m_diag, active = _forms_for_spec(spec)
-    rhs = (m_diag * u.values)[active]
-    z_act = _solve_banded_spd(A, rhs)
-    z_full = np.zeros(u.values.size, dtype=z_act.dtype)
-    z_full[active] = z_act
-    return GridFn(spec.domain, z_full)
+    z = np.zeros(u.values.size, dtype=np.result_type(u.values, np.float64))
+    z[active] = _solve_banded_spd(A, (m_diag * u.values)[active])
+    return GridFn(spec.domain, z)
 
 
-def solve_neumann_helmholtz(u: GridFn, domain: Optional[Domain] = None) -> GridFn:
+def solve_neumann_helmholtz(u: GridFn) -> GridFn:
     """Unique solution of -Laplace(z) + z = u with a reflecting boundary.
 
     Realizes order-1 smoothing for the norm combining function values and
     first derivatives; second-order accurate.
     """
-    dom = domain if domain is not None else u.domain
-    spec = BvpSpec(1, BoundaryKind.NEUMANN_LIKE, dom)
-    return _run_solve(u, spec)
+    return _run_solve(u, BvpSpec(1, BoundaryKind.NEUMANN_LIKE, u.domain))
 
 
-def solve_1d_order2m(u: GridFn, m: int, bc_variant: BcVariant) -> GridFn:
+def solve_1d_order2m(u: GridFn, m: int, bc: BoundaryKind) -> GridFn:
     """1D solve of D^{2m} z (+ z) = u with natural or Dirichlet conditions.
 
-    The natural variant keeps the +z term (value-plus-top-derivative inner
-    product); the Dirichlet variant drops it (seminorm inner product) and
-    imposes D^j z = 0, j < m, at both ends.  m in {1, 2}.
+    Natural conditions keep the +z term (value-plus-top-derivative inner
+    product); Dirichlet conditions drop it (seminorm inner product) and
+    impose D^j z = 0, j < m, at both ends.  m in {1, 2}.
     """
     if u.domain.kind is not DomainKind.INTERVAL:
         raise ValueError("solve_1d_order2m runs on interval domains")
-    if m not in (1, 2):
-        raise ValueError("orders m in {1, 2} supported")
-    if bc_variant is BcVariant.NATURAL_DJ:
-        spec = BvpSpec(m, BoundaryKind.NEUMANN_LIKE, u.domain,
-                       NormChoice.SIMPLE_PLUS_L2)
-    else:
-        spec = BvpSpec(m, BoundaryKind.DIRICHLET, u.domain,
-                       NormChoice.SEMINORM_ONLY)
-    return _run_solve(u, spec)
+    return _run_solve(u, BvpSpec(m, bc, u.domain))
 
 
 def solve_dirichlet_poisson_2d(u: GridFn) -> GridFn:
     """-Laplace(z) = u with z = 0 on the rectangle boundary (seminorm case)."""
     if u.domain.kind is not DomainKind.RECTANGLE:
         raise ValueError("solve_dirichlet_poisson_2d runs on rectangle domains")
-    spec = BvpSpec(1, BoundaryKind.DIRICHLET, u.domain, NormChoice.SEMINORM_ONLY)
-    return _run_solve(u, spec)
+    return _run_solve(u, BvpSpec(1, BoundaryKind.DIRICHLET, u.domain))
 
 
 def solve_torus_helmholtz(u: GridFn, m: int = 1) -> GridFn:
@@ -308,23 +250,16 @@ def variational_gap(z: GridFn, u: GridFn, spec: BvpSpec) -> float:
 
 @lru_cache(maxsize=16)
 def _mass_weights(domain: Domain) -> np.ndarray:
-    if domain.kind is DomainKind.INTERVAL:
-        return _mass_diag_1d(domain.shape[0], domain.spacing[0])
-    if domain.kind is DomainKind.RECTANGLE:
-        return np.kron(_mass_diag_1d(domain.shape[0], domain.spacing[0]),
-                       _mass_diag_1d(domain.shape[1], domain.spacing[1]))
-    raise ValueError("trapezoid mass supports interval and rectangle domains")
+    if domain.kind not in _MAX_ORDER:
+        raise ValueError("trapezoid mass supports interval and rectangle domains")
+    w = reduce(np.kron, map(_mass_diag_1d, domain.shape, domain.spacing))
+    w.flags.writeable = False  # shared by every caller through the cache
+    return w
 
 
 @lru_cache(maxsize=16)
 def _h1_form(domain: Domain) -> scipy.sparse.csr_matrix:
-    if domain.kind is DomainKind.INTERVAL:
-        A, _, _ = _forms_interval(BvpSpec(1, BoundaryKind.NEUMANN_LIKE, domain))
-        return A
-    if domain.kind is DomainKind.RECTANGLE:
-        A, _, _ = _forms_rectangle_neumann(domain)
-        return A
-    raise ValueError("discrete H^1 form supports interval and rectangle domains")
+    return _forms_for_spec(BvpSpec(1, BoundaryKind.NEUMANN_LIKE, domain))[0]
 
 
 def mass_inner(u: GridFn, v: GridFn) -> complex:

@@ -61,7 +61,6 @@ def bessel_k(nu: float, x: float) -> float:
 class EvalMode(enum.Enum):
     CLOSED_FORM = "closed_form"
     INTEGRAL_KNU = "integral_knu"
-    SPECTRAL_INVERSE = "spectral_inverse"
 
 
 @dataclass(frozen=True)
@@ -107,30 +106,8 @@ def _kernel_vec(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         if s == 2.0:
             return 0.5 * np.exp(-r)
         return 0.25 * np.exp(-r) * (r + 1.0)
-    if spec.eval_mode is EvalMode.SPECTRAL_INVERSE:
-        return _kernel_spectral_inverse(spec, r)
     pre = 1.0 / (2.0 ** ((n + s - 2.0) / 2.0) * np.pi ** (n / 2.0) * gamma_fn(s / 2.0))
     return pre * _bessel_k_vec((n - s) / 2.0, r) * r ** ((s - n) / 2.0)
-
-
-def _kernel_spectral_inverse(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    # Reads the kernel off a fine FFT inversion of the multiplier symbol;
-    # periodization window 2W = 120 and ~1e-4 interpolation accuracy.
-    # Diagnostic route, 1D only.
-    if spec.dim_N != 1:
-        raise ValueError("spectral-inverse evaluation implemented for N=1 only")
-    n_fft = 1 << 17
-    width = 60.0
-    h = 2.0 * width / n_fft
-    k = np.fft.fftfreq(n_fft, 1.0 / n_fft)
-    xi = k / (2.0 * width)
-    symbol = (1.0 + 4.0 * np.pi**2 * xi**2) ** (-spec.order_s / 2.0)
-    vals = np.fft.ifft(symbol).real / h
-    grid_r = h * np.arange(n_fft // 2 + 1)
-    table = np.concatenate([vals[: n_fft // 2], [vals[n_fft // 2]]])
-    if np.any(r > width):
-        raise ValueError("spectral-inverse table covers |x| <= 60")
-    return np.interp(r, grid_r, table)
 
 
 def kernel_eval(spec: KernelSpec, x) -> float:

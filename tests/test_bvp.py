@@ -5,10 +5,8 @@ import scipy.sparse.linalg
 from sobolev_adjoint import bvp
 from sobolev_adjoint.core import Domain, GridFn, l2_norm
 from sobolev_adjoint.bvp import (
-    BcVariant,
     BoundaryKind,
     BvpSpec,
-    NormChoice,
     h1_inner,
     mass_inner,
     solve_1d_order2m,
@@ -60,7 +58,7 @@ def test_order2m_m1_dirichlet_analytic():
     # -z'' = 1, z(0) = z(1) = 0  ->  z = x(1-x)/2, exact for quadratics
     dom = Domain.interval(0.0, 1.0, 129)
     x = dom.axes()[0]
-    z = solve_1d_order2m(GridFn(dom, np.ones(129)), 1, BcVariant.DIRICHLET_DJ)
+    z = solve_1d_order2m(GridFn(dom, np.ones(129)), 1, BoundaryKind.DIRICHLET)
     assert np.max(np.abs(z.values - x * (1 - x) / 2)) < 1e-12
 
 
@@ -68,7 +66,7 @@ def test_order2m_m1_natural_matches_neumann():
     dom = Domain.interval(0.0, 1.0, 129)
     rng = np.random.default_rng(0)
     u = GridFn(dom, rng.standard_normal(129))
-    a = solve_1d_order2m(u, 1, BcVariant.NATURAL_DJ)
+    a = solve_1d_order2m(u, 1, BoundaryKind.NEUMANN_LIKE)
     b = solve_neumann_helmholtz(u)
     assert np.max(np.abs(a.values - b.values)) < 1e-10
 
@@ -79,7 +77,7 @@ def test_order2m_m2_dirichlet_analytic_second_order():
     for n in (65, 129, 257):
         dom = Domain.interval(0.0, 1.0, n)
         x = dom.axes()[0]
-        z = solve_1d_order2m(GridFn(dom, np.ones(n)), 2, BcVariant.DIRICHLET_DJ)
+        z = solve_1d_order2m(GridFn(dom, np.ones(n)), 2, BoundaryKind.DIRICHLET)
         errs.append(np.max(np.abs(z.values - x**2 * (1 - x) ** 2 / 24)))
     assert errs[-1] < 1e-6
     for a, b in zip(errs, errs[1:]):
@@ -89,10 +87,10 @@ def test_order2m_m2_dirichlet_analytic_second_order():
 def test_order2m_m2_natural_variant():
     dom = Domain.interval(0.0, 1.0, 129)
     u = GridFn(dom, np.random.default_rng(4).standard_normal(129))
-    z = solve_1d_order2m(u, 2, BcVariant.NATURAL_DJ)
-    spec = BvpSpec(2, BoundaryKind.NEUMANN_LIKE, dom, NormChoice.SIMPLE_PLUS_L2)
+    z = solve_1d_order2m(u, 2, BoundaryKind.NEUMANN_LIKE)
+    spec = BvpSpec(2, BoundaryKind.NEUMANN_LIKE, dom)
     assert variational_gap(z, u, spec) < 1e-9
-    zc = solve_1d_order2m(GridFn(dom, 2.0 * np.ones(129)), 2, BcVariant.NATURAL_DJ)
+    zc = solve_1d_order2m(GridFn(dom, 2.0 * np.ones(129)), 2, BoundaryKind.NEUMANN_LIKE)
     assert np.max(np.abs(zc.values - 2.0)) < 1e-6  # direct solve at cond ~ 1/h^3
 
 
@@ -100,10 +98,10 @@ def test_order2m_rejects_unsupported():
     dom = Domain.interval(0.0, 1.0, 33)
     u = GridFn(dom, np.ones(33))
     with pytest.raises(ValueError):
-        solve_1d_order2m(u, 3, BcVariant.DIRICHLET_DJ)
+        solve_1d_order2m(u, 3, BoundaryKind.DIRICHLET)
     with pytest.raises(ValueError):
         solve_1d_order2m(GridFn(Domain.torus(1, 32), np.ones(32)), 1,
-                         BcVariant.DIRICHLET_DJ)
+                         BoundaryKind.DIRICHLET)
 
 
 def test_dirichlet_poisson_2d_analytic():
@@ -119,29 +117,37 @@ def test_dirichlet_poisson_2d_analytic():
     assert errs[1] < 5e-4
 
 
+def _order1_solve(u, bc):
+    if bc is BoundaryKind.NEUMANN_LIKE:
+        return solve_neumann_helmholtz(u)
+    if u.domain.ndim == 1:
+        return solve_1d_order2m(u, 1, bc)
+    return solve_dirichlet_poisson_2d(u)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32])
-@pytest.mark.parametrize("a, b, nx, ny", [(1.0, 1.0, 17, 9), (0.75, 2.0, 9, 33)])
-def test_rectangle_solves_match_sparse_direct_solve(a, b, nx, ny, dtype):
+@pytest.mark.parametrize("dom", [
+    pytest.param(Domain.rectangle(1.0, 1.0, 17, 9), id="rectangle-17x9"),
+    pytest.param(Domain.rectangle(0.75, 2.0, 9, 33), id="rectangle-9x33"),
+    pytest.param(Domain.interval(0.0, 1.0, 33), id="interval-33"),
+    pytest.param(Domain.interval(-0.5, 1.5, 64), id="interval-64"),
+])
+def test_order1_solves_match_sparse_direct_solve(dom, dtype):
     # Non-square grids with unequal spacings: a transposed eigenvalue axis
-    # or a swapped spacing would show here, not on square grids.
-    dom = Domain.rectangle(a, b, nx, ny)
-    rng = np.random.default_rng(nx * ny)
-    vals = rng.standard_normal(nx * ny)
+    # or a swapped spacing would show here, not on square grids.  The
+    # intervals (odd and even n, shifted origin) run the same path in 1D.
+    rng = np.random.default_rng(dom.grid_size)
+    vals = rng.standard_normal(dom.grid_size)
     if dtype is np.complex128:
-        vals = vals + 1j * rng.standard_normal(nx * ny)
+        vals = vals + 1j * rng.standard_normal(dom.grid_size)
     vals = vals.astype(dtype)
     u = GridFn(dom, vals)
-    cases = [
-        (solve_neumann_helmholtz, bvp._forms_rectangle_neumann,
-         BvpSpec(1, BoundaryKind.NEUMANN_LIKE, dom)),
-        (solve_dirichlet_poisson_2d, bvp._forms_rectangle_dirichlet,
-         BvpSpec(1, BoundaryKind.DIRICHLET, dom, NormChoice.SEMINORM_ONLY)),
-    ]
-    for solve, forms, spec in cases:
-        z = solve(u)
+    for bc in BoundaryKind:
+        spec = BvpSpec(1, bc, dom)
+        z = _order1_solve(u, bc)
         assert z.values.dtype == np.result_type(dtype, np.float64)
-        A, m_diag, active = forms(dom)
-        ref = np.zeros(nx * ny, dtype=np.complex128)
+        A, m_diag, active = bvp._forms_for_spec(spec)
+        ref = np.zeros(dom.grid_size, dtype=np.complex128)
         ref[active] = scipy.sparse.linalg.spsolve(
             A.tocsc(), (m_diag * vals)[active].astype(np.complex128))
         assert np.linalg.norm(z.values - ref) < 1e-10 * np.linalg.norm(ref)
@@ -165,20 +171,31 @@ def test_variational_gap_other_specs():
     dom = Domain.interval(0.0, 1.0, 65)
     rng = np.random.default_rng(2)
     u = GridFn(dom, rng.standard_normal(65))
-    z1 = solve_1d_order2m(u, 1, BcVariant.DIRICHLET_DJ)
-    spec1 = BvpSpec(1, BoundaryKind.DIRICHLET, dom, NormChoice.SEMINORM_ONLY)
+    z1 = solve_1d_order2m(u, 1, BoundaryKind.DIRICHLET)
+    spec1 = BvpSpec(1, BoundaryKind.DIRICHLET, dom)
     assert variational_gap(z1, u, spec1) < 1e-9
-    z2 = solve_1d_order2m(u, 2, BcVariant.DIRICHLET_DJ)
-    spec2 = BvpSpec(2, BoundaryKind.DIRICHLET, dom, NormChoice.SEMINORM_ONLY)
+    z2 = solve_1d_order2m(u, 2, BoundaryKind.DIRICHLET)
+    spec2 = BvpSpec(2, BoundaryKind.DIRICHLET, dom)
     assert variational_gap(z2, u, spec2) < 1e-9
 
 
 def test_bvpspec_invariants():
     dom = Domain.interval(0.0, 1.0, 33)
     with pytest.raises(ValueError):
-        BvpSpec(1, BoundaryKind.NEUMANN_LIKE, dom, NormChoice.SEMINORM_ONLY)
-    with pytest.raises(ValueError):
         BvpSpec(0, BoundaryKind.DIRICHLET, dom)
+    with pytest.raises(ValueError):
+        BvpSpec(3, BoundaryKind.DIRICHLET, dom)
+    with pytest.raises(ValueError):
+        BvpSpec(2, BoundaryKind.NEUMANN_LIKE, Domain.rectangle(1.0, 1.0, 9, 9))
+    for other in (Domain.torus(1, 32), Domain.disk_mask(1.0, 16)):
+        for bc in BoundaryKind:
+            with pytest.raises(ValueError):
+                BvpSpec(1, bc, other)
+    torus = GridFn(Domain.torus(1, 32), np.ones(32))
+    with pytest.raises(ValueError):
+        mass_inner(torus, torus)
+    with pytest.raises(ValueError):
+        h1_inner(torus, torus)
 
 
 def test_discrete_adjoint_identity():

@@ -167,6 +167,16 @@ def test_main_exit_codes(tmp_path, capsys):
             assert f"backend {backend!r}" in capsys.readouterr().err
             assert not out.exists()
 
+    # no other experiment selects its smoother by backend either
+    for experiment in ("CrossCheck1D", "AdjointSmoothing2D"):
+        cfg.write_text(f"experiment={experiment}\nn=33\n")
+        for backend in ("kernel", ""):
+            out = tmp_path / f"{experiment}_{backend}"
+            assert main(["run", "--config", str(cfg), "--backend", backend,
+                         "--out", str(out)]) == 2
+            assert f"backend {backend!r}" in capsys.readouterr().err
+            assert not out.exists()
+
 
 def test_main_selftest():
     assert main(["selftest"]) == 0

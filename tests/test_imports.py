@@ -1,4 +1,5 @@
-"""Every imported name is used: a small stand-in for a linter's unused-import check."""
+"""Every imported name is used and every exported name is bound: a small
+stand-in for a linter's unused-import and undefined-export checks."""
 
 import ast
 from pathlib import Path
@@ -6,8 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for p in (ROOT / "src" / "sobolev_adjoint").glob("*.py")
-               if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "sobolev_adjoint").glob("*.py"))
+FILES = [p for p in MODULES if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,6 +25,22 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unbound_exports(source: str) -> list[str]:
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+            bound |= names
+    return [name for name in exported if name not in bound]
+
+
 def test_scan_flags_an_unused_import():
     assert unused_imports("import os\nimport numpy as np\nnp.zeros(1)\n") == ["line 1: os"]
 
@@ -31,3 +48,12 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_an_unbound_export():
+    assert unbound_exports("__all__ = ['f', 'g']\ndef f():\n    pass\n") == ["g"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_exports_are_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []

@@ -105,13 +105,6 @@ def test_closed_form_vs_integral_knu():
             assert abs(a - b) < 1e-7 * a
 
 
-def test_spectral_inverse_mode():
-    si = KernelSpec(2.0, 1, EvalMode.SPECTRAL_INVERSE)
-    cf = KernelSpec(2.0, 1, EvalMode.CLOSED_FORM)
-    for x in (0.5, 1.0, 3.0):
-        assert abs(kernel_eval(si, x) - kernel_eval(cf, x)) < 1e-4 * kernel_eval(cf, x)
-
-
 def test_kernel_singularity_and_mode_errors():
     with pytest.raises(ValueError):
         kernel_eval(KernelSpec(1.0, 2), 0.0)  # s <= N singular at origin

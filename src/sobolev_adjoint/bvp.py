@@ -75,6 +75,10 @@ class BvpSpec:
         if not 1 <= self.order_m <= max_order:
             raise ValueError(f"{self.domain.kind.value} solves support "
                              f"order_m from 1 to {max_order}")
+        n = self.domain.shape[0]
+        if self.order_m == 2 and self.bc is BoundaryKind.DIRICHLET and n < 4:
+            raise ValueError(f"order-2 Dirichlet solves need at least 4 grid "
+                             f"points to clamp both ends, got {n}")
 
 
 # -- discrete forms -------------------------------------------------------------

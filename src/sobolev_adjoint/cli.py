@@ -91,12 +91,16 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("noise_rel must be >= 0")
     if cfg.s < 0:
         raise ConfigError("s must be >= 0")
-    if cfg.n < 2 or cfg.n_offsets < 1 or cfg.n_angles < 1:
-        raise ConfigError("grid sizes must be positive (n >= 2)")
+    for key, least in (("n", 2), ("n_offsets", 1), ("n_angles", 1)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{key}={getattr(cfg, key)} must be >= {least}")
     if cfg.experiment == "RadonRecon":
         if cfg.n < 16:
             raise ConfigError(f"n={cfg.n} is too small for RadonRecon: "
                               "the phantoms need n >= 16")
+        if cfg.noise_rel == 0:
+            raise ConfigError("noise_rel=0 leaves RadonRecon's discrepancy "
+                              "stopping without a noise level: use noise_rel > 0")
     if cfg.max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
     if cfg.step < 0:

@@ -55,14 +55,6 @@ class DiscreteSetting:
     chol_x: tuple[np.ndarray, bool]
     chol_y: tuple[np.ndarray, bool]
 
-    @property
-    def dim_x(self) -> int:
-        return len(self.basis_x)
-
-    @property
-    def dim_y(self) -> int:
-        return len(self.basis_y)
-
 
 def _gram(basis_a: Sequence[GridFn], basis_b: Sequence[GridFn],
           ip: Callable[[GridFn, GridFn], complex]) -> np.ndarray:

@@ -7,9 +7,12 @@ backend (the spectral multiplier by default).  Landweber then iterates
 
     u_{k+1} = u_k + step * smooth(G*(y - G u_k)),      u_0 = 0,
 
-the Hilbert-scale variant inserts an extra spectral factor w(k)^a (a = 0
-reproduces the embedded iteration, a = 1 the plain L2 iteration), and the
-Tikhonov normal equation
+and the Hilbert-scale variant is the same loop with the smoother w(k)^(a-1)
+in place of w(k)^(-1) (a = 0 reproduces the embedded iteration, a = 1 the
+plain L2 iteration).  The default step 0.9 / ||A||^2 is estimated for the
+operator A = smooth(G* G .) actually iterated, so for the Hilbert-scale
+variant it is sized for the preconditioned operator.  The Tikhonov normal
+equation
 
     smooth(G* G u) + alpha u = smooth(G* y)
 
@@ -20,7 +23,7 @@ of the smoothing operator: u = (1/alpha) smooth(G* y - G* G u).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -40,7 +43,6 @@ __all__ = [
     "landweber",
     "landweber_hilbert_scale",
     "tikhonov",
-    "discrepancy_stop",
 ]
 
 
@@ -55,7 +57,7 @@ class DivergenceError(RuntimeError):
 class StoppingRuleNotMet(RuntimeError):
     """The discrepancy threshold was never reached within the iteration budget."""
 
-    def __init__(self, message: str, log: Optional["IterationLog"] = None):
+    def __init__(self, message: str, log: "IterationLog"):
         super().__init__(message)
         self.log = log
 
@@ -107,8 +109,6 @@ class InverseProblem:
 @dataclass
 class IterationLog:
     residuals: list[float] = field(default_factory=list)
-    errors_l2: list[float] = field(default_factory=list)
-    errors_sobolev: list[float] = field(default_factory=list)
 
 
 def add_noise(y, rel: float, seed: int):
@@ -130,53 +130,49 @@ def add_noise(y, rel: float, seed: int):
     return noisy, rel * y_norm
 
 
-def estimate_operator_norm(problem: InverseProblem, iters: int = 30,
-                           seed: int = 7071) -> float:
+_POWER_ITERS = 30
+_POWER_SEED = 7071
+
+
+def estimate_operator_norm(problem: InverseProblem) -> float:
     """Power iteration on the normal operator smooth(G* G .); returns ||A||."""
     template = problem.forward.domain_template
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = template.with_values(rng.standard_normal(template.values.size))
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = problem.smooth(problem.forward.apply_adjoint(problem.forward.apply(v)))
         lam = l2_norm(w) / l2_norm(v)
         v = w * (1.0 / l2_norm(w))
     return float(np.sqrt(lam))
 
 
-def _default_step(problem: InverseProblem) -> float:
-    return 0.9 / estimate_operator_norm(problem) ** 2
+def landweber(problem: InverseProblem, step: Optional[float] = None,
+              max_iter: int = 100, stop: Optional[DiscrepancyStop] = None):
+    """Gradient descent on the residual, smoothing the gradient each step.
 
-
-def _landweber_loop(problem: InverseProblem, gradient, step, max_iter, stop,
-                    ground_truth):
-    y = problem.data
-    template = problem.forward.domain_template
-    u = template.with_values(np.zeros(template.values.size))
-    log = IterationLog()
-
-    def record(r):
-        log.residuals.append(l2_norm(r))
-        if ground_truth is not None:
-            diff = u - ground_truth
-            log.errors_l2.append(l2_norm(diff))
-            if problem.embedding is not None:
-                log.errors_sobolev.append(
-                    float(np.sqrt(problem.solution_inner(diff, diff).real)))
-
-    r = y - problem.forward.apply(u)
-    record(r)
+    The step defaults to 0.9 / ||A||^2 for the iterated operator
+    A = smooth(G* G .), with the norm estimated by 30 power iterations from
+    a seed-fixed start; for linear forward maps the residual decreases
+    monotonically for any step below 2 / ||A||^2.
+    """
     threshold = None
     if stop is not None:
         if problem.noise_level <= 0:
             raise ValueError("discrepancy stopping needs a positive noise level")
         threshold = stop.tau * problem.noise_level
-        if log.residuals[0] <= threshold:
-            return u, log
+    if step is None:
+        step = 0.9 / estimate_operator_norm(problem) ** 2
+    fw, y = problem.forward, problem.data
+    u = fw.domain_template.with_values(np.zeros(fw.domain_template.values.size))
+    r = y - fw.apply(u)
+    log = IterationLog([l2_norm(r)])
+    if threshold is not None and log.residuals[0] <= threshold:
+        return u, log
     for _ in range(max_iter):
-        u = u + step * gradient(r)
-        r = y - problem.forward.apply(u)
-        record(r)
+        u = u + step * problem.smooth(fw.apply_adjoint(r))
+        r = y - fw.apply(u)
+        log.residuals.append(l2_norm(r))
         if log.residuals[-1] > 10.0 * log.residuals[0]:
             raise DivergenceError("landweber residual grew tenfold", log)
         if threshold is not None and log.residuals[-1] <= threshold:
@@ -187,50 +183,26 @@ def _landweber_loop(problem: InverseProblem, gradient, step, max_iter, stop,
     return u, log
 
 
-def landweber(problem: InverseProblem, step: Optional[float] = None,
-              max_iter: int = 100, stop: Optional[DiscrepancyStop] = None,
-              ground_truth: Optional[GridFn] = None):
-    """Gradient descent on the residual, smoothing the gradient each step.
-
-    The step defaults to 0.9 / ||A||^2 with the norm estimated by 30 power
-    iterations from a seed-fixed start; for linear forward maps the residual
-    decreases monotonically for any step below 2 / ||A||^2.
-    """
-    if step is None:
-        step = _default_step(problem)
-
-    def gradient(r):
-        return problem.smooth(problem.forward.apply_adjoint(r))
-
-    return _landweber_loop(problem, gradient, step, max_iter, stop, ground_truth)
-
-
 def landweber_hilbert_scale(problem: InverseProblem, a: float,
                             step: Optional[float] = None, max_iter: int = 100,
-                            stop: Optional[DiscrepancyStop] = None,
-                            ground_truth: Optional[GridFn] = None):
+                            stop: Optional[DiscrepancyStop] = None):
     """Landweber preconditioned along the smoothness scale.
 
-    The update gradient carries the spectral factor w(k)^(a-1): a = 0 is the
-    embedded iteration, a = 1 cancels the smoothing and recovers the plain
-    L2 iteration on G.
+    This is ``landweber`` with the smoother w(k)^(a-1) in place of the
+    adjoint embedding w(k)^(-1): a = 0 is the embedded iteration, a = 1
+    cancels the smoothing and recovers the plain L2 iteration on G.  The
+    default step is sized for the preconditioned operator that is iterated.
     """
     if problem.embedding is None:
         raise ValueError("hilbert-scale iteration needs an embedding order")
     if not -1.0 <= a <= 1.0:
         raise ValueError("scale exponent a must lie in [-1, 1]")
-    if step is None:
-        step = _default_step(problem)
     spec = problem.embedding
-
-    def gradient(r):
-        return hilbert_scale_apply(problem.forward.apply_adjoint(r), spec, a - 1.0)
-
-    return _landweber_loop(problem, gradient, step, max_iter, stop, ground_truth)
+    scaled = replace(problem, smoother=lambda v: hilbert_scale_apply(v, spec, a - 1.0))
+    return landweber(scaled, step, max_iter, stop)
 
 
-def tikhonov(problem: InverseProblem, alpha: float, tol: float = 1e-12,
-             max_iter: Optional[int] = None) -> GridFn:
+def tikhonov(problem: InverseProblem, alpha: float, tol: float = 1e-12) -> GridFn:
     """Solve smooth(G* G u) + alpha u = smooth(G* y) by conjugate gradients.
 
     The operator is symmetric positive definite in the order-s inner
@@ -247,7 +219,6 @@ def tikhonov(problem: InverseProblem, alpha: float, tol: float = 1e-12,
     b = problem.smooth(fw.apply_adjoint(problem.data))
     dot = lambda p, q: problem.solution_inner(p, q).real
     n = b.values.size
-    max_iter = max_iter if max_iter is not None else 10 * n
     x = b.with_values(np.zeros(n))
     r = b - op(x)
     p = r
@@ -255,7 +226,7 @@ def tikhonov(problem: InverseProblem, alpha: float, tol: float = 1e-12,
     b_norm = np.sqrt(dot(b, b))
     if b_norm == 0.0:
         return x
-    for _ in range(max_iter):
+    for _ in range(10 * n):
         if np.sqrt(rr) <= tol * b_norm:
             return x
         Ap = op(p)
@@ -267,16 +238,3 @@ def tikhonov(problem: InverseProblem, alpha: float, tol: float = 1e-12,
         rr = rr_new
     raise RuntimeError("conjugate gradients did not converge for the "
                        "regularized normal equation")
-
-
-def discrepancy_stop(log: IterationLog, delta: float, tau: float) -> int:
-    """First iteration index whose residual is at or below tau * delta."""
-    if tau <= 1.0:
-        raise ValueError("tau must exceed 1")
-    if delta <= 0.0:
-        raise ValueError("the discrepancy principle needs delta > 0")
-    for k, res in enumerate(log.residuals):
-        if res <= tau * delta:
-            return k
-    raise StoppingRuleNotMet(
-        f"no residual reached {tau * delta:.3e} within the log", log)

@@ -91,7 +91,8 @@ def weight_grid(domain: Domain, spec: SobolevSpec) -> np.ndarray:
     return _weight_from_sq(frequency_sq(domain), spec)
 
 
-def _apply_weight_power(u: GridFn, spec: SobolevSpec, power: float) -> GridFn:
+def hilbert_scale_apply(u: GridFn, spec: SobolevSpec, power: float) -> GridFn:
+    """Apply w(k)**power diagonally; power=-1 recovers the adjoint embedding."""
     w = weight_grid(u.domain, spec)
     c = fft_forward(u)
     res = fft_inverse(SpectralField(u.domain, c.coeffs * w**power))
@@ -102,24 +103,19 @@ def _apply_weight_power(u: GridFn, spec: SobolevSpec, power: float) -> GridFn:
 
 def adjoint_embedding(u: GridFn, spec: SobolevSpec) -> GridFn:
     """Smooth ``u`` by dividing each spectral coefficient by its weight."""
-    return _apply_weight_power(u, spec, -1.0)
+    return hilbert_scale_apply(u, spec, -1.0)
 
 
 def inv_sqrt_adjoint(u: GridFn, spec: SobolevSpec) -> GridFn:
     """Multiply coefficients by sqrt(w); maps the H^s norm onto the L2 norm."""
     if u.domain.kind is not DomainKind.TORUS:
         raise ValueError("inv_sqrt_adjoint is defined on torus domains")
-    return _apply_weight_power(u, spec, 0.5)
-
-
-def hilbert_scale_apply(u: GridFn, spec: SobolevSpec, power: float) -> GridFn:
-    """Apply w(k)**power diagonally; power=-1 recovers the adjoint embedding."""
-    return _apply_weight_power(u, spec, power)
+    return hilbert_scale_apply(u, spec, 0.5)
 
 
 def bessel_potential(u: GridFn, s: float) -> GridFn:
     """Multiplier (1 + 4*pi^2*|xi|^2)**(-s/2); negative s differentiates."""
-    return _apply_weight_power(u, SobolevSpec(1.0, NormVariant.BESSEL_V1), -s / 2.0)
+    return hilbert_scale_apply(u, SobolevSpec(1.0, NormVariant.BESSEL_V1), -s / 2.0)
 
 
 def _spectral_measure(domain: Domain) -> float:

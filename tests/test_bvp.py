@@ -198,6 +198,23 @@ def test_bvpspec_invariants():
         h1_inner(torus, torus)
 
 
+@pytest.mark.parametrize("bc", list(BoundaryKind), ids=lambda bc: bc.name)
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_small_interval_grids_solve_or_are_rejected(n, m, bc):
+    dom = Domain.interval(0.0, 1.0, n)
+    u = GridFn(dom, np.random.default_rng(n).standard_normal(n))
+    if m == 2 and bc is BoundaryKind.DIRICHLET and n < 4:
+        with pytest.raises(ValueError, match=f"got {n}"):
+            BvpSpec(m, bc, dom)
+        with pytest.raises(ValueError, match=f"got {n}"):
+            solve_1d_order2m(u, m, bc)
+        return
+    z = solve_1d_order2m(u, m, bc)
+    assert np.all(np.isfinite(z.values))
+    assert variational_gap(z, u, BvpSpec(m, bc, dom)) < 1e-9
+
+
 def test_discrete_adjoint_identity():
     # <z, v>_H1 == <u, v>_L2 with the matching discrete inner products
     dom = Domain.interval(0.0, 1.0, 129)

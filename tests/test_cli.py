@@ -155,6 +155,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(tiny), "--out", str(out)]) == 2
     assert "n=8" in capsys.readouterr().err
     assert not out.exists()
+    for text, key in (("noise_rel=0", "noise_rel"), ("n_angles=0", "n_angles")):
+        tiny.write_text(f"experiment=RadonRecon\nn=32\n{text}\n")
+        out = tmp_path / f"{key}_out"
+        assert main(["run", "--config", str(tiny), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     cfg = tmp_path / "radon.cfg"
     for s in ("0.5", "0"):

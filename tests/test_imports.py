@@ -1,7 +1,9 @@
-"""Every imported name is used and every exported name is bound: a small
-stand-in for a linter's unused-import and undefined-export checks."""
+"""Every imported name is used, every exported name is bound and every
+definition is referenced: a small stand-in for a linter's unused-import,
+undefined-export and dead-code checks."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,47 @@ def test_scan_flags_an_unbound_export():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_exports_are_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+def _references(node) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _definitions(tree):
+    # top-level functions and classes, plus the public methods of those classes
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unreferenced_definitions(sources: list[str], users: list[str]) -> list[str]:
+    """Definitions in ``sources`` that no name or attribute in ``sources`` or
+    ``users`` refers to, outside the definition itself (``__all__`` strings
+    are not references)."""
+    trees = [ast.parse(s) for s in sources]
+    refs = sum((_references(t) for t in trees + [ast.parse(s) for s in users]),
+               Counter())
+    return [label for tree in trees for label, node in _definitions(tree)
+            if refs[node.name] <= _references(node)[node.name]]
+
+
+def test_scan_flags_an_unreferenced_definition():
+    source = ("__all__ = ['dead', 'C']\n"
+              "def dead(k):\n    return dead(k - 1) if k else 0\n"
+              "def used():\n    pass\n"
+              "class C:\n    @property\n    def size(self):\n        return 1\n"
+              "    def _private(self):\n        pass\n"
+              "    def read(self):\n        return used()\n")
+    assert unreferenced_definitions([source], ["C().read()\n"]) == ["dead", "C.size"]
+
+
+def test_every_definition_is_referenced():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert unreferenced_definitions([p.read_text(encoding="utf-8") for p in MODULES],
+                                    [p.read_text(encoding="utf-8") for p in tests]) == []

@@ -13,10 +13,8 @@ from sobolev_adjoint.inverse import (
     DiscrepancyStop,
     DivergenceError,
     InverseProblem,
-    IterationLog,
     StoppingRuleNotMet,
     add_noise,
-    discrepancy_stop,
     estimate_operator_norm,
     landweber,
     landweber_hilbert_scale,
@@ -156,6 +154,19 @@ def test_landweber_discrepancy_stop_and_nontermination():
         landweber(problem, step=0.5, max_iter=2, stop=DiscrepancyStop(1.01))
 
 
+def test_discrepancy_rule_rejects_tau_at_most_one_and_clean_data():
+    for tau in (0.9, 1.0):
+        with pytest.raises(ValueError):
+            DiscrepancyStop(tau)
+    calls = []
+    t = grid_template(32)
+    op = LinOp(lambda u: calls.append(1) or u, lambda u: u, inner, inner, t, t)
+    problem = InverseProblem(op, rand_fn(32, 24))  # clean data: no noise level
+    with pytest.raises(ValueError, match="noise level"):
+        landweber(problem, max_iter=5, stop=DiscrepancyStop(1.01))
+    assert calls == []  # rejected before the step estimate touches G
+
+
 def test_landweber_smoother_backend_override():
     # convolution backend tracks the default multiplier backend closely
     from sobolev_adjoint.kernel import convolve_adjoint
@@ -215,6 +226,25 @@ def test_hilbert_scale_half_per_mode_oracle():
     y_hat = fft_forward(y).coeffs
     expect = (1 - (1 - factor) ** iters) * y_hat / symbol
     assert np.max(np.abs(fft_forward(u).coeffs - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+def test_hilbert_scale_default_step_sized_for_iterated_operator(a):
+    # symbol 1 except 0.2 on the constant mode: the embedded operator's norm
+    # sits on that mode, the preconditioned one's on the first nonzero modes
+    dom = Domain.torus(1, 64)
+    symbol = np.ones(64)
+    symbol[0] = 0.2
+    spec = SobolevSpec(1.0)
+    problem = InverseProblem(diagonal_linop(dom, symbol), rand_fn(64, 23),
+                             embedding=spec)
+    u, log = landweber_hilbert_scale(problem, a=a, max_iter=50)
+    assert len(log.residuals) == 51
+    assert all(r0 >= r1 - 1e-14 for r0, r1 in zip(log.residuals, log.residuals[1:]))
+    if a == 0.0:
+        u_emb, log_emb = landweber(problem, max_iter=50)
+        assert np.array_equal(u.values, u_emb.values)
+        assert log.residuals == log_emb.residuals
 
 
 def test_hilbert_scale_requires_embedding_and_range():
@@ -307,21 +337,3 @@ def test_tikhonov_continuity_in_alpha():
     pred = np.fft.ifft(pred_hat / dom.spacing[0])
     rel = np.max(np.abs(fd - pred)) / np.max(np.abs(pred))
     assert rel < 0.01
-
-
-# -- discrepancy rule --------------------------------------------------------------
-
-def test_discrepancy_stop_threshold_scan():
-    delta, tau = 0.5, 1.01
-    log = IterationLog(residuals=[3 * delta, 2 * delta, 1.005 * delta, 0.9 * delta])
-    assert discrepancy_stop(log, delta, tau) == 2
-
-
-def test_discrepancy_stop_errors():
-    log = IterationLog(residuals=[3.0, 2.0])
-    with pytest.raises(ValueError):
-        discrepancy_stop(log, 0.0, 1.01)  # clean data: rule inapplicable
-    with pytest.raises(ValueError):
-        discrepancy_stop(log, 1.0, 0.9)
-    with pytest.raises(StoppingRuleNotMet):
-        discrepancy_stop(log, 0.1, 1.01)

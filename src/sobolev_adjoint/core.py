@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Optional
@@ -142,7 +143,7 @@ class Domain:
     def grid_size(self) -> int:
         if self.kind is DomainKind.DISK_MASK:
             return int(self.active.sum())
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 def _require_at_least_two_points(points: int) -> None:
@@ -171,7 +172,7 @@ class GridFn:
         if vals.size != self.domain.grid_size:
             raise ValueError(
                 f"expected {self.domain.grid_size} samples, got {vals.size}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("GridFn values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -263,7 +264,7 @@ def frequency_sq(domain: Domain) -> np.ndarray:
 
 def quad_weight(domain: Domain) -> float:
     """Rectangle-rule quadrature weight per node (h^N; pixel area on disks)."""
-    return float(np.prod(domain.spacing))
+    return float(math.prod(domain.spacing))
 
 
 def _line_phase(domain: Domain) -> np.ndarray:

@@ -192,9 +192,15 @@ def landweber_hilbert_scale(problem: InverseProblem, a: float,
     adjoint embedding w(k)^(-1): a = 0 is the embedded iteration, a = 1
     cancels the smoothing and recovers the plain L2 iteration on G.  The
     default step is sized for the preconditioned operator that is iterated.
+    The scale is the multiplier's weight w(k), so a problem with a custom
+    ``smoother`` is rejected: its a = 0 iterate would not be the embedded
+    iteration of that backend.
     """
     if problem.embedding is None:
         raise ValueError("hilbert-scale iteration needs an embedding order")
+    if problem.smoother is not None:
+        raise ValueError("hilbert-scale iteration uses the multiplier weights; "
+                         "a custom smoother is not supported")
     if not -1.0 <= a <= 1.0:
         raise ValueError("scale exponent a must lie in [-1, 1]")
     spec = problem.embedding

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,11 +92,19 @@ def weight_grid(domain: Domain, spec: SobolevSpec) -> np.ndarray:
     return _weight_from_sq(frequency_sq(domain), spec)
 
 
+@lru_cache(maxsize=32)
+def _weight_power(domain: Domain, spec: SobolevSpec, power: float) -> np.ndarray:
+    """``weight_grid(domain, spec) ** power``, computed once and read-only."""
+    w = weight_grid(domain, spec) ** power
+    w.flags.writeable = False
+    return w
+
+
 def hilbert_scale_apply(u: GridFn, spec: SobolevSpec, power: float) -> GridFn:
     """Apply w(k)**power diagonally; power=-1 recovers the adjoint embedding."""
-    w = weight_grid(u.domain, spec)
     c = fft_forward(u)
-    res = fft_inverse(SpectralField(u.domain, c.coeffs * w**power))
+    res = fft_inverse(SpectralField(
+        u.domain, c.coeffs * _weight_power(u.domain, spec, float(power))))
     if u.is_real:
         return GridFn(u.domain, res.values.real)
     return res
@@ -127,7 +136,7 @@ def _spectral_measure(domain: Domain) -> float:
 def sobolev_inner(u: GridFn, v: GridFn, spec: SobolevSpec) -> complex:
     """Weighted spectral inner product; reduces to L2 for s = 0."""
     _same_domain(u, v)
-    w = weight_grid(u.domain, spec)
+    w = _weight_power(u.domain, spec, 1.0)
     cu = fft_forward(u).coeffs
     cv = fft_forward(v).coeffs
     return _spectral_measure(u.domain) * complex(np.sum(w * cu * np.conj(cv)))

@@ -6,9 +6,12 @@ samples over [-s_max, s_max]) and an angle (uniform in [0, pi)).  The
 forward map sums exact pixel-ray intersection lengths into a sparse
 matrix.  They are collected by a Siddon-style traversal that runs over all
 offsets of one angle at once and computes the same exact intersections,
-bit for bit, as tracing each ray on its own.  The adjoint is the exact
+bit for bit, as tracing each ray on its own.  Each angle becomes a small
+CSR block whose rows are copied straight into the preallocated matrix, so
+the build peaks at about twice the matrix's size.  The adjoint is the exact
 transpose of that matrix rescaled by the quadrature weights, so that the
-discrete adjoint identity holds to rounding.
+discrete adjoint identity holds to rounding; it runs on a transposed view
+that shares the matrix's arrays.
 
 Per-angle mass consistency (sum of ray sums times the offset spacing equals
 the pixel mass) is exact when the rays align with the pixel lattice
@@ -108,7 +111,7 @@ class Sinogram:
         if vals.dtype.kind not in "fc":
             vals = vals.astype(np.float64)
         vals = vals.reshape(g.n_offsets, g.n_angles)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("sinogram values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -139,16 +142,23 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
     whose crossings fall short of the full width are padded with the exit
     parameter, so the padding only adds zero-length segments that the
     length cut drops.
+
+    Each angle's rays become a small canonical (n_offsets x n^2) CSR block.
+    Matrix row ``o * n_angles + j`` is row ``o`` of angle ``j``'s block, so
+    the row counts of all blocks give ``indptr``, and each block's rows are
+    then copied into their interleaved place and the block dropped.  The
+    entries of a row, their order, and the per-row sort and duplicate sum
+    are those of one global COO-to-CSR conversion, so the result is bitwise
+    equal to it, while the build peaks at about twice the matrix.
     """
     n, n_angles = geom.n_pixels, geom.n_angles
     px = geom.pixel_size
     edges = -1.0 + px * np.arange(n + 1)
     offsets = geom.offsets
-    idx = (np.int32 if max(geom.n_offsets * n_angles, n * n) <= np.iinfo(np.int32).max
-           else np.int64)
-    ray_ids = np.arange(geom.n_offsets, dtype=idx) * n_angles
-    rows, cols, lens = [], [], []
-    for j, phi in enumerate(geom.angles):
+    n_rays = geom.n_offsets * n_angles
+    idx = np.int32 if max(n_rays, n * n) <= np.iinfo(np.int32).max else np.int64
+    blocks = []
+    for phi in geom.angles:
         perp = (-np.sin(phi), np.cos(phi))
         origin = (offsets * np.cos(phi), offsets * np.sin(phi))
         tmin = np.full(offsets.shape, -np.inf)
@@ -176,13 +186,34 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
         ix, iy = (np.clip(((o[hit, None] + tmid * d + 1.0) / px).astype(idx), 0, n - 1)
                   for d, o in zip(perp, origin))
         keep = seg > 1e-14
-        rows.append(np.broadcast_to((ray_ids[hit] + j)[:, None], seg.shape)[keep])
-        cols.append((ix * n + iy)[keep])
-        lens.append(seg[keep])
-    rows, cols, lens = map(np.concatenate, (rows, cols, lens))
-    mat = scipy.sparse.coo_matrix((lens, (rows, cols)),
-                                  shape=(geom.n_offsets * n_angles, n * n))
-    return mat.tocsr()
+        # entries come ray by ray, so this is the CSR layout that a COO-to-CSR
+        # conversion would produce; sum_duplicates finishes it the same way
+        per_ray = np.zeros(geom.n_offsets + 1, dtype=idx)
+        per_ray[1:][hit] = keep.sum(axis=1)
+        block = scipy.sparse.csr_matrix(
+            (seg[keep], (ix * n + iy)[keep], np.cumsum(per_ray, dtype=idx)),
+            shape=(geom.n_offsets, n * n))
+        block.sum_duplicates()
+        blocks.append(block)
+    counts = np.stack([np.diff(b.indptr) for b in blocks], axis=1).ravel()
+    nnz = int(counts.sum())
+    if nnz > np.iinfo(np.int32).max:
+        idx = np.int64
+    indptr = np.zeros(n_rays + 1, dtype=idx)
+    np.cumsum(counts, dtype=idx, out=indptr[1:])
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)
+    # free each block once copied: stacking the blocks and then reordering
+    # the rows is bitwise equal too, but the freed blocks stay in the heap
+    # and the peak RSS is three matrices, not two
+    for j in range(n_angles):
+        b, blocks[j] = blocks[j], None
+        starts = indptr[j:n_rays:n_angles] - b.indptr[:-1]
+        dest = np.repeat(starts, np.diff(b.indptr)) + np.arange(b.nnz)
+        indices[dest] = b.indices
+        data[dest] = b.data
+    return scipy.sparse.csr_matrix((data, indices, indptr),
+                                   shape=(n_rays, n * n))
 
 
 class RadonOperator:
@@ -191,23 +222,27 @@ class RadonOperator:
     def __init__(self, geometry: RadonGeometry):
         self.geometry = geometry
         self.matrix = _system_matrix(geometry)
-        h = geometry.image_domain.spacing[0]
+        # a CSC view sharing the matrix's arrays: a CSR copy of the transpose
+        # is ~15% faster per adjoint but holds the matrix a second time
+        self._transpose = self.matrix.T
+        self._domain = geometry.image_domain
+        h = self._domain.spacing[0]
         self._adjoint_scale = (geometry.offset_spacing * geometry.angle_spacing
                                / h**2)
 
     def forward(self, u: GridFn) -> Sinogram:
-        if u.domain != self.geometry.image_domain:
+        if u.domain != self._domain:
             raise ValueError("image grid does not match the radon geometry")
         return Sinogram(self.geometry, (self.matrix @ u.values))
 
     def adjoint(self, g: Sinogram) -> GridFn:
         if g.geometry != self.geometry:
             raise ValueError("sinogram geometry mismatch")
-        vals = self._adjoint_scale * (self.matrix.T @ g.values.ravel())
-        return GridFn(self.geometry.image_domain, vals)
+        vals = self._adjoint_scale * (self._transpose @ g.values.ravel())
+        return GridFn(self._domain, vals)
 
     def as_linop(self) -> LinOp:
-        dom = self.geometry.image_domain
+        dom = self._domain
         img_template = GridFn(dom, np.zeros(dom.grid_size))
         sino_template = Sinogram(self.geometry,
                                  np.zeros((self.geometry.n_offsets,

@@ -256,6 +256,22 @@ def test_hilbert_scale_requires_embedding_and_range():
         landweber_hilbert_scale(problem_s, a=1.5)
 
 
+def test_hilbert_scale_rejects_custom_smoother():
+    # the scale is the multiplier's: with the convolution backend, a = 0
+    # would iterate w^-1, not the problem's smoother, so it is refused
+    from sobolev_adjoint.kernel import convolve_adjoint
+
+    dom = Domain.torus(1, 256)
+    rng = np.random.default_rng(24)
+    problem = InverseProblem(diagonal_linop(dom, rng.uniform(0.4, 1.0, 256)),
+                             rand_fn(256, 25),
+                             embedding=SobolevSpec(1.0, NormVariant.BESSEL_V1),
+                             smoother=lambda u: convolve_adjoint(u, 1.0))
+    for a in (0.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match="smoother"):
+            landweber_hilbert_scale(problem, a=a, step=0.5, max_iter=5)
+
+
 # -- tikhonov ---------------------------------------------------------------------
 
 def test_tikhonov_identity_scalar():

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sobolev_adjoint.core import Domain, GridFn, inner, l2_norm
+from sobolev_adjoint.core import (
+    Domain,
+    GridFn,
+    SpectralField,
+    fft_forward,
+    fft_inverse,
+    inner,
+    l2_norm,
+)
 from sobolev_adjoint.multiplier import (
     NormVariant,
     SobolevSpec,
+    _spectral_measure,
+    _weight_power,
     adjoint_embedding,
     bessel_potential,
     hilbert_scale_apply,
@@ -12,6 +23,7 @@ from sobolev_adjoint.multiplier import (
     sobolev_inner,
     sobolev_norm,
     sobolev_weight,
+    weight_grid,
 )
 
 FOUR_PI_SQ = 4.0 * np.pi**2
@@ -187,3 +199,43 @@ def test_series_variant_restricted_to_torus():
     u = rand_fn(dom, 15)
     with pytest.raises(ValueError):
         adjoint_embedding(u, SobolevSpec(1.0, NormVariant.TORUS_S))
+
+
+_ORDERS = {
+    NormVariant.BESSEL_V1: (0.0, 0.5, 1.0, 2.5),
+    NormVariant.BESSEL_V2: (1.0, 1.5, 3.0),
+    NormVariant.SERIES_M: (0.0, 1.0, 2.0),
+    NormVariant.TORUS_S: (0.0, 0.75, 2.0),
+}
+
+
+@st.composite
+def _weighted_inputs(draw):
+    ndim = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(2, 48 if ndim == 1 else 12))  # odd and even sizes
+    variant = draw(st.sampled_from(list(NormVariant)))
+    spec = SobolevSpec(draw(st.sampled_from(_ORDERS[variant])), variant)
+    power = draw(st.sampled_from((-1.0, -0.5, 0.5, 1.0)))
+    dom = Domain.torus(ndim, n)
+    u = rand_fn(dom, draw(st.integers(0, 2**16)), real=draw(st.booleans()))
+    return u, spec, power
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(_weighted_inputs())
+def test_cached_weights_match_uncached_formula(case):
+    u, spec, power = case
+    dom = u.domain
+    w = weight_grid(dom, spec)
+    coeffs = fft_forward(u).coeffs
+    want = fft_inverse(SpectralField(dom, coeffs * w**power))
+    if u.is_real:
+        want = GridFn(dom, want.values.real)
+    got = hilbert_scale_apply(u, spec, power)
+    assert got.values.dtype == want.values.dtype
+    assert got.values.tobytes() == want.values.tobytes()
+    want_inner = _spectral_measure(dom) * complex(np.sum(w * coeffs * np.conj(coeffs)))
+    assert sobolev_inner(u, u, spec) == want_inner
+    cached = _weight_power(dom, spec, power)
+    with pytest.raises(ValueError):
+        cached[(0,) * dom.ndim] = 0.0

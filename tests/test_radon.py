@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -92,6 +94,7 @@ def _reference_matrix(geom):
     RadonGeometry(64, 128, 2),  # axis-aligned angles only
     RadonGeometry(16, 24, 1),  # a single angle
     RadonGeometry(12, 20, 5, s_max=1.5),  # outer rays miss the square
+    RadonGeometry(8, 2, 4, s_max=2.4),  # no ray of 0 or 90 degrees hits a pixel
 ], ids=lambda g: f"{g.n_pixels}-{g.n_offsets}-{g.n_angles}-{g.s_max:g}")
 def test_system_matrix_matches_ray_by_ray_traversal(geom):
     mat, ref = _system_matrix(geom), _reference_matrix(geom)
@@ -100,6 +103,37 @@ def test_system_matrix_matches_ray_by_ray_traversal(geom):
         got, want = getattr(mat, name), getattr(ref, name)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), name
+
+
+def _matrix_bytes(mat):
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_system_matrix_build_peak_memory():
+    # per-angle blocks scattered into preallocated CSR arrays: the build
+    # holds the blocks and the result, never a global COO copy
+    mat, peak = _traced_peak(_system_matrix.__wrapped__, RadonGeometry.desk_scale())
+    assert peak <= 2.3 * _matrix_bytes(mat)
+
+
+def test_operator_shares_the_cached_matrix():
+    geom = RadonGeometry.desk_scale()
+    mat = _system_matrix(geom)
+    op, peak = _traced_peak(RadonOperator, geom)
+    assert op.matrix is mat
+    assert peak < 0.1 * _matrix_bytes(mat)  # no transposed copy
+    r = Sinogram(geom, np.random.default_rng(4).standard_normal((100, 60)))
+    want = op._adjoint_scale * (mat.T @ r.values.ravel())
+    assert op.adjoint(r).values.tobytes() == want.tobytes()
 
 
 def test_single_pixel_matches_explicit_matrix_column():

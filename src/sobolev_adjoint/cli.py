@@ -85,6 +85,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
                           "is accepted")
     if cfg.phantom not in PHANTOMS:
         raise ConfigError(f"unknown phantom {cfg.phantom!r}")
+    for key, kind in _FIELD_TYPES.items():
+        if kind == "float" and not np.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key}={getattr(cfg, key)} must be finite")
     if cfg.tau <= 1.0:
         raise ConfigError("tau must exceed 1")
     if cfg.noise_rel < 0:

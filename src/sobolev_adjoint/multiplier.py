@@ -133,14 +133,19 @@ def _spectral_measure(domain: Domain) -> float:
     return float(np.prod([1.0 / length for length in domain.lengths]))
 
 
+def _weighted_sum(domain: Domain, spec: SobolevSpec, cu, cv) -> complex:
+    w = _weight_power(domain, spec, 1.0)
+    return _spectral_measure(domain) * complex(np.sum(w * cu * np.conj(cv)))
+
+
 def sobolev_inner(u: GridFn, v: GridFn, spec: SobolevSpec) -> complex:
     """Weighted spectral inner product; reduces to L2 for s = 0."""
     _same_domain(u, v)
-    w = _weight_power(u.domain, spec, 1.0)
-    cu = fft_forward(u).coeffs
-    cv = fft_forward(v).coeffs
-    return _spectral_measure(u.domain) * complex(np.sum(w * cu * np.conj(cv)))
+    return _weighted_sum(u.domain, spec, fft_forward(u).coeffs,
+                         fft_forward(v).coeffs)
 
 
 def sobolev_norm(u: GridFn, spec: SobolevSpec) -> float:
-    return float(np.sqrt(sobolev_inner(u, u, spec).real))
+    """``sqrt(sobolev_inner(u, u, spec).real)``, transforming ``u`` once."""
+    cu = fft_forward(u).coeffs
+    return float(np.sqrt(_weighted_sum(u.domain, spec, cu, cu).real))

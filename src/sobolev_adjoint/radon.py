@@ -6,12 +6,13 @@ samples over [-s_max, s_max]) and an angle (uniform in [0, pi)).  The
 forward map sums exact pixel-ray intersection lengths into a sparse
 matrix.  They are collected by a Siddon-style traversal that runs over all
 offsets of one angle at once and computes the same exact intersections,
-bit for bit, as tracing each ray on its own.  Each angle becomes a small
-CSR block whose rows are copied straight into the preallocated matrix, so
-the build peaks at about twice the matrix's size.  The adjoint is the exact
-transpose of that matrix rescaled by the quadrature weights, so that the
-discrete adjoint identity holds to rounding; it runs on a transposed view
-that shares the matrix's arrays.
+bit for bit, as tracing each ray on its own.  A first pass bounds each
+ray's entry count by its edge crossings; each angle then becomes a small
+CSR block whose rows are written into slots of that size, and the rows are
+compacted in place, so the build holds the matrix only once.  The adjoint
+is the exact transpose of that matrix rescaled by the quadrature weights,
+so that the discrete adjoint identity holds to rounding; it runs on a
+transposed view that shares the matrix's arrays.
 
 Per-angle mass consistency (sum of ray sums times the offset spacing equals
 the pixel mass) is exact when the rays align with the pixel lattice
@@ -132,6 +133,104 @@ class Sinogram:
         return Sinogram(self.geometry, self.values + other.values)
 
 
+def _clip_rays(phi: float, offsets: np.ndarray, edges: np.ndarray):
+    """Clip one angle's rays to the square and find their edge crossings.
+
+    Returns the ray direction and origins, the mask of rays that hit the
+    square, their entry and exit parameters ``lo``/``hi`` (columns), and for
+    each axis the rays cross, the crossing parameters with its pixel edges
+    and the mask of those strictly inside ``(lo, hi)``.
+    """
+    perp = (-np.sin(phi), np.cos(phi))
+    origin = (offsets * np.cos(phi), offsets * np.sin(phi))
+    tmin = np.full(offsets.shape, -np.inf)
+    tmax = np.full(offsets.shape, np.inf)
+    hit = np.ones(offsets.shape, dtype=bool)
+    crossing_axes = []
+    for d, o in zip(perp, origin):
+        if abs(d) < 1e-15:  # the rays run parallel to these edges
+            hit &= np.abs(o) < 1.0
+            continue
+        ta, tb = (-1.0 - o) / d, (1.0 - o) / d
+        tmin = np.maximum(tmin, np.minimum(ta, tb))
+        tmax = np.minimum(tmax, np.maximum(ta, tb))
+        crossing_axes.append((d, o))
+    hit &= tmin < tmax
+    lo, hi = tmin[hit, None], tmax[hit, None]
+    crossings = []
+    for d, o in crossing_axes:
+        tcross = (edges - o[hit, None]) / d
+        crossings.append((tcross, (tcross > lo + 1e-13) & (tcross < hi - 1e-13)))
+    return perp, origin, hit, lo, hi, crossings
+
+
+def _row_bounds(geom: RadonGeometry, edges: np.ndarray) -> np.ndarray:
+    """Upper bound on each ray's entry count, shaped (n_offsets, n_angles).
+
+    A ray's chord is cut into at most one more segment than it has edge
+    crossings strictly inside it, and merging segments that share a pixel
+    only lowers the count.
+    """
+    bounds = np.zeros((geom.n_offsets, geom.n_angles), dtype=np.int64)
+    offsets = geom.offsets
+    for j, phi in enumerate(geom.angles):
+        _, _, hit, _, _, crossings = _clip_rays(phi, offsets, edges)
+        bounds[hit, j] = 1 + sum(np.count_nonzero(inside, axis=1)
+                                 for _, inside in crossings)
+    return bounds
+
+
+def _angle_block(phi: float, offsets: np.ndarray, edges: np.ndarray,
+                 px: float, idx) -> scipy.sparse.csr_matrix:
+    """One angle's rays as a canonical (n_offsets x n^2) CSR block."""
+    n = len(edges) - 1
+    perp, origin, hit, lo, hi, crossings = _clip_rays(phi, offsets, edges)
+    t = [lo, hi] + [np.where(inside, tcross, hi) for tcross, inside in crossings]
+    t = np.sort(np.concatenate(t, axis=1), axis=1)
+    seg = t[:, 1:] - t[:, :-1]
+    tmid = 0.5 * (t[:, :-1] + t[:, 1:])
+    ix, iy = (np.clip(((o[hit, None] + tmid * d + 1.0) / px).astype(idx), 0, n - 1)
+              for d, o in zip(perp, origin))
+    keep = seg > 1e-14
+    # entries come ray by ray, so this is the CSR layout that a COO-to-CSR
+    # conversion would produce; sum_duplicates finishes it the same way
+    per_ray = np.zeros(len(offsets) + 1, dtype=idx)
+    per_ray[1:][hit] = keep.sum(axis=1)
+    block = scipy.sparse.csr_matrix(
+        (seg[keep], (ix * n + iy)[keep], np.cumsum(per_ray, dtype=idx)),
+        shape=(len(offsets), n * n))
+    block.sum_duplicates()
+    return block
+
+
+# rows are compacted in chunks of at most this many entries, so the moved
+# entries' temporary copy stays small next to the matrix
+_COMPACT_ENTRIES = 1 << 14
+
+
+def _compact(indices: np.ndarray, data: np.ndarray, slots: np.ndarray,
+             indptr: np.ndarray) -> None:
+    """Move every row left from its slot start ``slots`` to ``indptr``.
+
+    Rows up to the first one with slack are already in place.  Each row
+    moves left by the slack of the rows before it, so copying chunks in row
+    order never overwrites an entry that is still to be moved.
+    """
+    shift = slots - indptr
+    n_rows = len(indptr) - 1
+    r = int(np.searchsorted(shift, 0, side="right"))  # shift never falls
+    while r < n_rows:
+        stop = int(np.searchsorted(indptr, int(indptr[r]) + _COMPACT_ENTRIES,
+                                   side="right")) - 1
+        stop = min(max(stop, r + 1), n_rows)
+        dest = slice(indptr[r], indptr[stop])
+        src = (np.repeat(shift[r:stop], np.diff(indptr[r:stop + 1]))
+               + np.arange(indptr[r], indptr[stop]))
+        indices[dest] = indices[src]
+        data[dest] = data[src]
+        r = stop
+
+
 @lru_cache(maxsize=8)
 def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
     """Exact pixel-ray intersection lengths, one vectorized pass per angle.
@@ -143,75 +242,47 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
     parameter, so the padding only adds zero-length segments that the
     length cut drops.
 
-    Each angle's rays become a small canonical (n_offsets x n^2) CSR block.
-    Matrix row ``o * n_angles + j`` is row ``o`` of angle ``j``'s block, so
-    the row counts of all blocks give ``indptr``, and each block's rows are
-    then copied into their interleaved place and the block dropped.  The
-    entries of a row, their order, and the per-row sort and duplicate sum
-    are those of one global COO-to-CSR conversion, so the result is bitwise
-    equal to it, while the build peaks at about twice the matrix.
+    The matrix is held once.  A first pass bounds each ray's entry count by
+    its crossing count, without sorting, and ``indices``/``data`` are
+    allocated at the bounds' total.  Each angle's rays then become a small
+    canonical (n_offsets x n^2) CSR block whose row ``o`` is written into
+    the slot of matrix row ``o * n_angles + j``.  Finally the rows are moved
+    left over the slack and the arrays shrunk.  The entries of a row, their
+    order, and the per-row sort and duplicate sum are those of one global
+    COO-to-CSR conversion, so the result is bitwise equal to it.
     """
     n, n_angles = geom.n_pixels, geom.n_angles
     px = geom.pixel_size
     edges = -1.0 + px * np.arange(n + 1)
     offsets = geom.offsets
     n_rays = geom.n_offsets * n_angles
-    idx = np.int32 if max(n_rays, n * n) <= np.iinfo(np.int32).max else np.int64
-    blocks = []
-    for phi in geom.angles:
-        perp = (-np.sin(phi), np.cos(phi))
-        origin = (offsets * np.cos(phi), offsets * np.sin(phi))
-        tmin = np.full(offsets.shape, -np.inf)
-        tmax = np.full(offsets.shape, np.inf)
-        hit = np.ones(offsets.shape, dtype=bool)
-        crossing_axes = []
-        for d, o in zip(perp, origin):
-            if abs(d) < 1e-15:  # the rays run parallel to these edges
-                hit &= np.abs(o) < 1.0
-                continue
-            ta, tb = (-1.0 - o) / d, (1.0 - o) / d
-            tmin = np.maximum(tmin, np.minimum(ta, tb))
-            tmax = np.minimum(tmax, np.maximum(ta, tb))
-            crossing_axes.append((d, o))
-        hit &= tmin < tmax
-        lo, hi = tmin[hit, None], tmax[hit, None]
-        t = [lo, hi]
-        for d, o in crossing_axes:
-            tcross = (edges - o[hit, None]) / d
-            inside = (tcross > lo + 1e-13) & (tcross < hi - 1e-13)
-            t.append(np.where(inside, tcross, hi))
-        t = np.sort(np.concatenate(t, axis=1), axis=1)
-        seg = t[:, 1:] - t[:, :-1]
-        tmid = 0.5 * (t[:, :-1] + t[:, 1:])
-        ix, iy = (np.clip(((o[hit, None] + tmid * d + 1.0) / px).astype(idx), 0, n - 1)
-                  for d, o in zip(perp, origin))
-        keep = seg > 1e-14
-        # entries come ray by ray, so this is the CSR layout that a COO-to-CSR
-        # conversion would produce; sum_duplicates finishes it the same way
-        per_ray = np.zeros(geom.n_offsets + 1, dtype=idx)
-        per_ray[1:][hit] = keep.sum(axis=1)
-        block = scipy.sparse.csr_matrix(
-            (seg[keep], (ix * n + iy)[keep], np.cumsum(per_ray, dtype=idx)),
-            shape=(geom.n_offsets, n * n))
-        block.sum_duplicates()
-        blocks.append(block)
-    counts = np.stack([np.diff(b.indptr) for b in blocks], axis=1).ravel()
-    nnz = int(counts.sum())
-    if nnz > np.iinfo(np.int32).max:
-        idx = np.int64
+    bounds = _row_bounds(geom, edges)
+    total = int(bounds.sum())
+    idx = (np.int32 if max(n_rays, n * n, total) <= np.iinfo(np.int32).max
+           else np.int64)
+    slots = np.zeros(n_rays + 1, dtype=idx)
+    np.cumsum(bounds, dtype=idx, out=slots[1:])
+    indices = np.empty(total, dtype=idx)
+    data = np.empty(total)
+    counts = np.zeros_like(bounds)
+    for j, phi in enumerate(geom.angles):
+        block = _angle_block(phi, offsets, edges, px, idx)
+        counts[:, j] = np.diff(block.indptr)
+        if (counts[:, j] > bounds[:, j]).any():
+            raise RuntimeError(f"a ray at angle {j} has more entries than its "
+                               "bounded slot holds")
+        starts = slots[j:n_rays:n_angles] - block.indptr[:-1]
+        dest = np.repeat(starts, counts[:, j]) + np.arange(block.nnz)
+        indices[dest] = block.indices
+        data[dest] = block.data
     indptr = np.zeros(n_rays + 1, dtype=idx)
     np.cumsum(counts, dtype=idx, out=indptr[1:])
-    indices = np.empty(nnz, dtype=idx)
-    data = np.empty(nnz)
-    # free each block once copied: stacking the blocks and then reordering
-    # the rows is bitwise equal too, but the freed blocks stay in the heap
-    # and the peak RSS is three matrices, not two
-    for j in range(n_angles):
-        b, blocks[j] = blocks[j], None
-        starts = indptr[j:n_rays:n_angles] - b.indptr[:-1]
-        dest = np.repeat(starts, np.diff(b.indptr)) + np.arange(b.nnz)
-        indices[dest] = b.indices
-        data[dest] = b.data
+    _compact(indices, data, slots, indptr)
+    # shrink in place; no view of either array is alive here, and a
+    # refcount check would fail whenever a tracer holds the frame's locals
+    nnz = int(indptr[-1])
+    indices.resize(nnz, refcheck=False)
+    data.resize(nnz, refcheck=False)
     return scipy.sparse.csr_matrix((data, indices, indptr),
                                    shape=(n_rays, n * n))
 

@@ -161,6 +161,14 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["run", "--config", str(tiny), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+    # a non-finite float is a config error, not a silent L2 solve or a
+    # numerical failure after the compute
+    for text in ("s=nan", "s=inf", "tau=nan", "noise_rel=nan", "step=inf"):
+        tiny.write_text(f"experiment=RadonRecon\nn=32\n{text}\n")
+        out = tmp_path / f"{text.replace('=', '_')}_out"
+        assert main(["run", "--config", str(tiny), "--out", str(out)]) == 2
+        assert text in capsys.readouterr().err
+        assert not out.exists()
 
     cfg = tmp_path / "radon.cfg"
     for s in ("0.5", "0"):

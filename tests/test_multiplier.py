@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sobolev_adjoint import multiplier
 from sobolev_adjoint.core import (
     Domain,
     GridFn,
@@ -146,6 +147,25 @@ def test_sobolev_inner_examples():
     e1 = GridFn(dom, np.exp(2j * np.pi * x))
     val = sobolev_inner(e1, e1, SobolevSpec(1.0, NormVariant.TORUS_S))
     assert abs(val - (1.0 + FOUR_PI_SQ)) < 1e-11
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (1, 33), (2, 16), (2, 9)])
+@pytest.mark.parametrize("variant", [NormVariant.TORUS_S, NormVariant.BESSEL_V1])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_sobolev_norm_transforms_once(monkeypatch, dim, n, variant, s):
+    spec = SobolevSpec(s, variant)
+    u = rand_fn(Domain.torus(dim, n), seed=n + dim)
+    want = float(np.sqrt(sobolev_inner(u, u, spec).real))
+    calls = []
+
+    def counting_fft(v):
+        calls.append(v)
+        return fft_forward(v)
+
+    monkeypatch.setattr(multiplier, "fft_forward", counting_fft)
+    got = sobolev_norm(u, spec)
+    assert len(calls) == 1
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_inv_sqrt_adjoint():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from sobolev_adjoint import radon
 from sobolev_adjoint.core import GridFn, check_adjoint
 from sobolev_adjoint.radon import (
     RadonGeometry,
@@ -119,10 +120,27 @@ def _traced_peak(fn, *args):
 
 
 def test_system_matrix_build_peak_memory():
-    # per-angle blocks scattered into preallocated CSR arrays: the build
-    # holds the blocks and the result, never a global COO copy
+    # each angle's rows are written into slots sized by a bound pass and
+    # compacted in place: the build holds the matrix once, plus one angle
     mat, peak = _traced_peak(_system_matrix.__wrapped__, RadonGeometry.desk_scale())
-    assert peak <= 2.3 * _matrix_bytes(mat)
+    assert peak <= 1.3 * _matrix_bytes(mat)
+
+
+def test_undercounted_row_bound_raises(monkeypatch):
+    geom = RadonGeometry(8, 12, 6)
+    counts = np.diff(_system_matrix(geom).indptr).reshape(geom.n_offsets,
+                                                         geom.n_angles)
+    o, j = np.unravel_index(np.argmax(counts), counts.shape)
+    row_bounds = radon._row_bounds
+
+    def undercount(g, edges):
+        bounds = row_bounds(g, edges)
+        bounds[o, j] = counts[o, j] - 1
+        return bounds
+
+    monkeypatch.setattr(radon, "_row_bounds", undercount)
+    with pytest.raises(RuntimeError, match=f"angle {j} "):
+        _system_matrix.__wrapped__(geom)
 
 
 def test_operator_shares_the_cached_matrix():

@@ -225,11 +225,11 @@ def _run_radon(cfg: RunConfig, out: Path) -> int:
     linop = op.as_linop()
     ph = (radon.smooth_phantom(cfg.n, seed=cfg.seed) if cfg.phantom == "smooth"
           else radon.shepp_logan(cfg.n))
-    y = op.forward(ph.image)
+    y = op.forward(ph)
     ydelta, delta = add_noise(y, cfg.noise_rel, seed=cfg.seed)
     radon.write_pgm(out / "phantom.pgm", ph.to_array(),
                     comment=f"radon-recon: {cfg.phantom} ground truth")
-    radon.write_csv(out / "sinogram.csv", ydelta.values,
+    radon.write_csv(out / "sinogram.csv", ydelta.to_array(),
                     header="radon-recon: noisy sinogram (offsets x angles)")
     err_spec = SobolevSpec(cfg.s if cfg.s > 0 else 0.5, NormVariant.TORUS_S)
     report = {"delta": delta, "tau": cfg.tau}
@@ -242,10 +242,10 @@ def _run_radon(cfg: RunConfig, out: Path) -> int:
         u, log = landweber(problem, step=step, max_iter=cfg.max_iter,
                            stop=DiscrepancyStop(cfg.tau))
         rec = GridFn(u.domain, u.values.real)
-        diff = rec - ph.image
-        rel_l2 = l2_norm(diff) / l2_norm(ph.image)
+        diff = rec - ph
+        rel_l2 = l2_norm(diff) / l2_norm(ph)
         rel_hs = (multiplier.sobolev_norm(diff, err_spec)
-                  / multiplier.sobolev_norm(ph.image, err_spec))
+                  / multiplier.sobolev_norm(ph, err_spec))
         errors[s] = rel_hs
         radon.write_pgm(out / f"recon_{tag}.pgm", rec.to_array().real,
                         comment=f"radon-recon: landweber reconstruction, order {s:g}")

@@ -4,12 +4,14 @@ Conventions used throughout the package:
 
 * Torus domains are unit tori, one point row per dimension, spacing
   ``h = 1/points``; interval/rectangle grids include both endpoints,
-  spacing ``length/(points-1)``.
+  spacing ``length/(points-1)``; cell grids (masked disks, and boxes such
+  as the tomography data grid of offsets by angles) sample the midpoints
+  of equal cells, spacing ``length/points``.
 * Spectral coefficients are scaled so that the entry at frequency ``k``
   approximates the inner product of the function with ``exp(2*pi*i*k*x)``
   (DFT sum times ``h**N``).  The Nyquist mode is labelled ``+points/2``.
 * All quadrature is the rectangle rule at grid resolution with weight
-  ``h**N`` per node (pixel area on masked disks).
+  ``h**N`` per node (the cell area on cell grids).
 * An inner product is a plain function ``(u, v) -> complex``, conjugate-linear
   in ``v``.  :func:`inner` is the L2 one; the Sobolev ones live with their
   backends (e.g. ``multiplier.sobolev_inner``).
@@ -21,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,6 +48,11 @@ class DomainKind(enum.Enum):
     RECTANGLE = "rectangle"
     DISK_MASK = "disk_mask"
     REAL_LINE = "real_line"
+    CELLS = "cells"
+
+
+# grids that sample cell midpoints, spacing length/points
+_CELL_CENTERED = (DomainKind.DISK_MASK, DomainKind.CELLS)
 
 
 @lru_cache(maxsize=32)
@@ -59,7 +66,7 @@ def _disk_active(radius: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Domain:
-    """Uniform grid over a declared domain (torus, interval, rectangle, disk, truncated line)."""
+    """Uniform grid: torus, interval, rectangle, disk, truncated line or cell box."""
 
     kind: DomainKind
     shape: tuple[int, ...]
@@ -107,6 +114,19 @@ class Domain:
         return Domain(DomainKind.REAL_LINE, (points,), (2.0 * half_width,),
                       (-half_width,))
 
+    @staticmethod
+    def cells(lengths: tuple[float, ...], shape: tuple[int, ...],
+              origin: tuple[float, ...]) -> "Domain":
+        """Box of equal cells from ``origin``, sampled at the cell midpoints."""
+        if not len(lengths) == len(shape) == len(origin):
+            raise ValueError("cells needs one length, count and origin per dim")
+        if not all(0.0 < length < math.inf for length in lengths):
+            raise ValueError("cell box sides must be positive and finite")
+        if any(n < 1 for n in shape):
+            raise ValueError("cell box requires at least 1 cell per side")
+        return Domain(DomainKind.CELLS, tuple(shape), tuple(lengths),
+                      tuple(origin))
+
     # -- derived geometry -------------------------------------------------
 
     @property
@@ -119,15 +139,15 @@ class Domain:
 
     @property
     def spacing(self) -> tuple[float, ...]:
-        if self.periodic or self.kind is DomainKind.DISK_MASK:
+        if self.periodic or self.kind in _CELL_CENTERED:
             return tuple(length / n for length, n in zip(self.lengths, self.shape))
         return tuple(length / (n - 1) for length, n in zip(self.lengths, self.shape))
 
     def axes(self) -> list[np.ndarray]:
-        """Node coordinates per dimension (pixel centers on masked disks)."""
+        """Node coordinates per dimension (cell midpoints on cell grids)."""
         out = []
         for o, h, n in zip(self.origin, self.spacing, self.shape):
-            if self.kind is DomainKind.DISK_MASK:
+            if self.kind in _CELL_CENTERED:
                 out.append(o + h * (np.arange(n) + 0.5))
             else:
                 out.append(o + h * np.arange(n))
@@ -263,7 +283,7 @@ def frequency_sq(domain: Domain) -> np.ndarray:
 
 
 def quad_weight(domain: Domain) -> float:
-    """Rectangle-rule quadrature weight per node (h^N; pixel area on disks)."""
+    """Rectangle-rule quadrature weight per node (h^N; the cell area on cell grids)."""
     return float(math.prod(domain.spacing))
 
 
@@ -296,42 +316,33 @@ def fft_inverse(c: SpectralField) -> GridFn:
     return GridFn(dom, vals.ravel())
 
 
-def inner(u, v) -> complex:
+def inner(u: GridFn, v: GridFn) -> complex:
     """L2 inner product <u, v> (conjugation on the second argument)."""
     _same_domain(u, v)
     return quad_weight(u.domain) * complex(np.vdot(v.values, u.values))
 
 
-def l2_norm(u) -> float:
-    """L2 norm of a GridFn, or of any object with ``values`` and ``quad_weight``."""
-    if isinstance(u, GridFn):
-        w = quad_weight(u.domain)
-    else:
-        w = u.quad_weight  # duck-typed (e.g. sinograms)
-    return float(np.sqrt(w) * np.linalg.norm(u.values))
+def l2_norm(u: GridFn) -> float:
+    """L2 norm of a GridFn."""
+    return float(np.sqrt(quad_weight(u.domain)) * np.linalg.norm(u.values))
 
 
 @dataclass(frozen=True)
 class LinOp:
-    """Forward/adjoint pair with declared inner products on both sides.
+    """Forward/adjoint pair between grid functions on two domains, with the
+    inner products declared on both sides."""
 
-    ``domain_template``/``codomain_template`` are prototype elements used to
-    draw random test vectors; any object with ``values`` and ``with_values``
-    works (GridFn, Sinogram).
-    """
-
-    apply: Callable[[Any], Any]
-    apply_adjoint: Callable[[Any], Any]
-    domain_inner: Callable[[Any, Any], complex]
-    codomain_inner: Callable[[Any, Any], complex]
-    domain_template: Any
-    codomain_template: Any
+    apply: Callable[[GridFn], GridFn]
+    apply_adjoint: Callable[[GridFn], GridFn]
+    domain_inner: Callable[[GridFn, GridFn], complex]
+    codomain_inner: Callable[[GridFn, GridFn], complex]
+    domain: Domain
+    codomain: Domain
 
 
-def _random_like(template, rng: np.random.Generator):
-    n = template.values.size
-    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return template.with_values(vals)
+def _random_on(domain: Domain, rng: np.random.Generator) -> GridFn:
+    n = domain.grid_size
+    return GridFn(domain, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def check_adjoint(op: LinOp, trials: int = 20, seed: int = 0) -> float:
@@ -341,8 +352,8 @@ def check_adjoint(op: LinOp, trials: int = 20, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        v = _random_like(op.domain_template, rng)
-        u = _random_like(op.codomain_template, rng)
+        v = _random_on(op.domain, rng)
+        u = _random_on(op.codomain, rng)
         lhs = op.codomain_inner(u, op.apply(v))
         rhs = op.domain_inner(op.apply_adjoint(u), v)
         nu = np.sqrt(abs(op.codomain_inner(u, u)))
@@ -351,7 +362,8 @@ def check_adjoint(op: LinOp, trials: int = 20, seed: int = 0) -> float:
     return worst
 
 
-def identity_linop(template, ip: Callable[[Any, Any], complex] = inner) -> LinOp:
+def identity_linop(domain: Domain,
+                   ip: Callable[[GridFn, GridFn], complex] = inner) -> LinOp:
     return LinOp(apply=lambda u: u, apply_adjoint=lambda u: u,
                  domain_inner=ip, codomain_inner=ip,
-                 domain_template=template, codomain_template=template)
+                 domain=domain, codomain=domain)

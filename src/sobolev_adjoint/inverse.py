@@ -24,7 +24,7 @@ of the smoothing operator: u = (1/alpha) smooth(G* y - G* G u).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -77,14 +77,15 @@ class DiscrepancyStop:
 class InverseProblem:
     """Forward operator, noisy data, noise level and optional smoothness order.
 
-    ``forward`` maps image-space grid functions into the data space (its
-    L2 adjoint comes with it); ``embedding`` switches the solvers to the
-    order-s geometry; ``smoother`` overrides the default multiplier backend
-    with any callable realizing the adjoint embedding for that order.
+    ``forward`` maps grid functions on its domain to its codomain, where
+    ``data`` lives (its L2 adjoint comes with it); ``embedding`` switches the
+    solvers to the order-s geometry; ``smoother`` overrides the default
+    multiplier backend with any callable realizing the adjoint embedding
+    for that order.
     """
 
     forward: LinOp
-    data: Any
+    data: GridFn
     noise_level: float = 0.0
     embedding: Optional[SobolevSpec] = None
     smoother: Optional[Callable[[GridFn], GridFn]] = None
@@ -111,7 +112,7 @@ class IterationLog:
     residuals: list[float] = field(default_factory=list)
 
 
-def add_noise(y, rel: float, seed: int):
+def add_noise(y: GridFn, rel: float, seed: int):
     """Additive uniform noise rescaled to an exact relative data-norm level.
 
     Returns the perturbed data and the absolute noise level rel * ||y||.
@@ -136,9 +137,9 @@ _POWER_SEED = 7071
 
 def estimate_operator_norm(problem: InverseProblem) -> float:
     """Power iteration on the normal operator smooth(G* G .); returns ||A||."""
-    template = problem.forward.domain_template
+    dom = problem.forward.domain
     rng = np.random.default_rng(_POWER_SEED)
-    v = template.with_values(rng.standard_normal(template.values.size))
+    v = GridFn(dom, rng.standard_normal(dom.grid_size))
     lam = 0.0
     for _ in range(_POWER_ITERS):
         w = problem.smooth(problem.forward.apply_adjoint(problem.forward.apply(v)))
@@ -164,7 +165,7 @@ def landweber(problem: InverseProblem, step: Optional[float] = None,
     if step is None:
         step = 0.9 / estimate_operator_norm(problem) ** 2
     fw, y = problem.forward, problem.data
-    u = fw.domain_template.with_values(np.zeros(fw.domain_template.values.size))
+    u = GridFn(fw.domain, np.zeros(fw.domain.grid_size))
     r = y - fw.apply(u)
     log = IterationLog([l2_norm(r)])
     if threshold is not None and log.residuals[0] <= threshold:

@@ -64,8 +64,8 @@ class SobolevSpec:
     variant: NormVariant = NormVariant.TORUS_S
 
     def __post_init__(self):
-        if self.order_s < 0:
-            raise ValueError("order_s must be >= 0")
+        if not 0 <= self.order_s < np.inf:
+            raise ValueError(f"order_s={self.order_s} must be finite and >= 0")
         if self.variant is NormVariant.BESSEL_V2 and self.order_s < 1:
             raise ValueError("BESSEL_V2 norm equivalence requires s >= 1")
         if self.variant is NormVariant.SERIES_M and self.order_s != int(self.order_s):

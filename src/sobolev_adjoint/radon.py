@@ -19,27 +19,25 @@ the pixel mass) is exact when the rays align with the pixel lattice
 (axis-parallel angles, n_offsets an integer multiple of n_pixels); at
 oblique angles it converges at O(offset spacing^2).
 
-Images are carried as grid functions on the 2D unit torus so the spectral
-smoothing backends apply directly; sinograms and images serialize as CSV
-and 16-bit PGM (P2/P5).
+Images are grid functions on the 2D unit torus, so the spectral smoothing
+backends apply directly.  A sinogram is a grid function on the data grid,
+a box of (offset, angle) cells whose midpoints are the ray parameters, so
+the L2 inner product of ``core`` is the bin quadrature of the data space.
+Both serialize as CSV and 16-bit PGM (P2/P5).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
 
-from .core import Domain, GridFn, LinOp, inner
+from .core import Domain, GridFn, LinOp, inner, quad_weight
 
 __all__ = [
     "RadonGeometry",
-    "Sinogram",
-    "PhantomKind",
-    "Phantom",
     "RadonOperator",
     "shepp_logan",
     "smooth_phantom",
@@ -59,6 +57,8 @@ class RadonGeometry:
     def __post_init__(self):
         if self.n_pixels < 2 or self.n_offsets < 1 or self.n_angles < 1:
             raise ValueError("invalid radon geometry")
+        if not 0.0 < self.s_max < np.inf:
+            raise ValueError(f"s_max={self.s_max} must be positive and finite")
 
     @staticmethod
     def full_scale() -> "RadonGeometry":
@@ -94,43 +94,16 @@ class RadonGeometry:
     def image_domain(self) -> Domain:
         return Domain.torus(2, self.n_pixels)
 
+    @property
+    def data_domain(self) -> Domain:
+        """Offset-by-angle cells; the midpoints are ``offsets`` and ``angles``."""
+        return Domain.cells((2.0 * self.s_max, np.pi),
+                            (self.n_offsets, self.n_angles),
+                            (-self.s_max, -self.angle_spacing / 2))
+
     def pixel_centers(self) -> tuple[np.ndarray, np.ndarray]:
         c = -1.0 + self.pixel_size * (np.arange(self.n_pixels) + 0.5)
         return np.meshgrid(c, c, indexing="ij")
-
-
-@dataclass(frozen=True)
-class Sinogram:
-    """Ray sums indexed by (offset, angle) with uniform bin quadrature."""
-
-    geometry: RadonGeometry
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = self.geometry
-        vals = np.asarray(self.values)
-        if vals.dtype.kind not in "fc":
-            vals = vals.astype(np.float64)
-        vals = vals.reshape(g.n_offsets, g.n_angles)
-        if not np.isfinite(vals).all():
-            raise ValueError("sinogram values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def quad_weight(self) -> float:
-        return self.geometry.offset_spacing * self.geometry.angle_spacing
-
-    def with_values(self, values: np.ndarray) -> "Sinogram":
-        return Sinogram(self.geometry, values)
-
-    def inner(self, other: "Sinogram") -> complex:
-        return self.quad_weight * complex(np.vdot(other.values, self.values))
-
-    def __sub__(self, other: "Sinogram") -> "Sinogram":
-        return Sinogram(self.geometry, self.values - other.values)
-
-    def __add__(self, other: "Sinogram") -> "Sinogram":
-        return Sinogram(self.geometry, self.values + other.values)
 
 
 def _clip_rays(phi: float, offsets: np.ndarray, edges: np.ndarray):
@@ -297,52 +270,26 @@ class RadonOperator:
         # is ~15% faster per adjoint but holds the matrix a second time
         self._transpose = self.matrix.T
         self._domain = geometry.image_domain
-        h = self._domain.spacing[0]
-        self._adjoint_scale = (geometry.offset_spacing * geometry.angle_spacing
-                               / h**2)
+        self._data_domain = geometry.data_domain
+        self._adjoint_scale = quad_weight(self._data_domain) / quad_weight(self._domain)
 
-    def forward(self, u: GridFn) -> Sinogram:
+    def forward(self, u: GridFn) -> GridFn:
         if u.domain != self._domain:
             raise ValueError("image grid does not match the radon geometry")
-        return Sinogram(self.geometry, (self.matrix @ u.values))
+        return GridFn(self._data_domain, self.matrix @ u.values)
 
-    def adjoint(self, g: Sinogram) -> GridFn:
-        if g.geometry != self.geometry:
-            raise ValueError("sinogram geometry mismatch")
-        vals = self._adjoint_scale * (self._transpose @ g.values.ravel())
-        return GridFn(self._domain, vals)
+    def adjoint(self, g: GridFn) -> GridFn:
+        if g.domain != self._data_domain:
+            raise ValueError("sinogram grid does not match the radon geometry")
+        return GridFn(self._domain, self._adjoint_scale * (self._transpose @ g.values))
 
     def as_linop(self) -> LinOp:
-        dom = self._domain
-        img_template = GridFn(dom, np.zeros(dom.grid_size))
-        sino_template = Sinogram(self.geometry,
-                                 np.zeros((self.geometry.n_offsets,
-                                           self.geometry.n_angles)))
-        return LinOp(
-            apply=self.forward,
-            apply_adjoint=self.adjoint,
-            domain_inner=inner,
-            codomain_inner=Sinogram.inner,
-            domain_template=img_template,
-            codomain_template=sino_template,
-        )
+        return LinOp(apply=self.forward, apply_adjoint=self.adjoint,
+                     domain_inner=inner, codomain_inner=inner,
+                     domain=self._domain, codomain=self._data_domain)
 
 
 # -- phantoms -------------------------------------------------------------------
-
-class PhantomKind(enum.Enum):
-    SHEPP_LOGAN = "shepp_logan"
-    SMOOTH_BUMPS = "smooth_bumps"
-
-
-@dataclass(frozen=True)
-class Phantom:
-    kind: PhantomKind
-    image: GridFn
-
-    def to_array(self) -> np.ndarray:
-        return self.image.to_array().real
-
 
 # (value, semi-axis a, semi-axis b, x0, y0, rotation in degrees)
 _SHEPP_LOGAN_ELLIPSES = (
@@ -373,13 +320,12 @@ def render_ellipses(N: int, ellipses) -> np.ndarray:
     return img
 
 
-def shepp_logan(N: int) -> Phantom:
+def shepp_logan(N: int) -> GridFn:
     """Standard 10-ellipse head phantom at contrast levels within [0, 1]."""
     if N < 16:
         raise ValueError("phantom needs N >= 16")
-    img = render_ellipses(N, _SHEPP_LOGAN_ELLIPSES)
-    return Phantom(PhantomKind.SHEPP_LOGAN,
-                   GridFn.from_array(Domain.torus(2, N), img))
+    return GridFn.from_array(Domain.torus(2, N),
+                             render_ellipses(N, _SHEPP_LOGAN_ELLIPSES))
 
 
 _BUMP_CENTERS = np.array([[-0.25, 0.18], [0.30, -0.10], [-0.05, -0.38]])
@@ -387,7 +333,7 @@ _BUMP_SIGMAS = np.array([0.100, 0.095, 0.085])
 _BUMP_AMPS = np.array([0.90, 0.75, 0.60])
 
 
-def smooth_phantom(N: int, seed: int = 0) -> Phantom:
+def smooth_phantom(N: int, seed: int = 0) -> GridFn:
     """Sum of three Gaussians, peak normalized to 1.0, supported in the disk.
 
     The seed jitters the bump centers by up to +-0.04 while keeping the
@@ -402,8 +348,7 @@ def smooth_phantom(N: int, seed: int = 0) -> Phantom:
     for (cx, cy), sig, amp in zip(centers, _BUMP_SIGMAS, _BUMP_AMPS):
         img += amp * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * sig**2))
     img /= img.max()
-    return Phantom(PhantomKind.SMOOTH_BUMPS,
-                   GridFn.from_array(Domain.torus(2, N), img))
+    return GridFn.from_array(Domain.torus(2, N), img)
 
 
 # -- serialization ---------------------------------------------------------------

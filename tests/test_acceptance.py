@@ -61,8 +61,7 @@ def diagonal_linop(domain, symbol):
         return GridFn(domain,
                       np.fft.ifftn(fft_forward(u).coeffs * np.conj(symbol) / h).ravel())
 
-    t = GridFn(domain, np.zeros(domain.grid_size))
-    return LinOp(apply, apply_adjoint, inner, inner, t, t)
+    return LinOp(apply, apply_adjoint, inner, inner, domain, domain)
 
 
 def test_criterion_01_cross_representation_agreement():
@@ -165,14 +164,13 @@ def test_criterion_04_adjointness_everywhere():
     defects = {}
 
     dom = Domain.torus(1, 64)
-    template = GridFn(dom, np.zeros(64))
     spec = SobolevSpec(1.0, NormVariant.TORUS_S)
     defects["multiplier"] = check_adjoint(LinOp(
         apply=lambda u: adjoint_embedding(u, spec),
         apply_adjoint=lambda u: u,
         domain_inner=inner,
         codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
-        domain_template=template, codomain_template=template), trials=20, seed=11)
+        domain=dom, codomain=dom), trials=20, seed=11)
 
     s_w, levels = 0.75, 4
     defects["wavelet"] = check_adjoint(LinOp(
@@ -182,7 +180,7 @@ def test_criterion_04_adjointness_everywhere():
         domain_inner=inner,
         codomain_inner=lambda a, b: wavelet.wavelet_sobolev_inner(
             a, b, s_w, wavelet.DB4, levels),
-        domain_template=template, codomain_template=template), trials=20, seed=12)
+        domain=dom, codomain=dom), trials=20, seed=12)
 
     fns, _ = discrete.fourier_mode_basis(dom, 4)
     setting = discrete.assemble(fns, fns, lambda a, b: sobolev_inner(a, b, spec))
@@ -192,16 +190,15 @@ def test_criterion_04_adjointness_everywhere():
             setting, discrete.project_onto_x(setting, v)),
         domain_inner=inner,
         codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
-        domain_template=template, codomain_template=template), trials=20, seed=13)
+        domain=dom, codomain=dom), trials=20, seed=13)
 
     idom = Domain.interval(0.0, 1.0, 129)
-    itemplate = GridFn(idom, np.zeros(129))
     defects["bvp"] = check_adjoint(LinOp(
         apply=bvp.solve_neumann_helmholtz,
         apply_adjoint=lambda u: u,
         domain_inner=bvp.mass_inner,
         codomain_inner=bvp.h1_inner,
-        domain_template=itemplate, codomain_template=itemplate),
+        domain=idom, codomain=idom),
         trials=20, seed=14)
 
     assert defects["multiplier"] < 1e-10
@@ -262,7 +259,7 @@ def test_criterion_07_radon_experiment_desk_scale():
     errors = {}
     for name, ph in (("smooth", smooth_phantom(64, seed=0)),
                      ("shepp_logan", shepp_logan(64))):
-        y = op.forward(ph.image)
+        y = op.forward(ph)
         ydelta, delta = add_noise(y, 0.10, seed=42)
         for s in (0.0, 0.5):
             spec = SobolevSpec(s, NormVariant.TORUS_S) if s > 0 else None
@@ -270,9 +267,9 @@ def test_criterion_07_radon_experiment_desk_scale():
                                      embedding=spec)
             u, log = landweber(problem, max_iter=20000, stop=DiscrepancyStop(tau))
             assert log.residuals[-1] <= tau * delta  # (a) termination
-            diff = GridFn(u.domain, (u - ph.image).values.real)
+            diff = GridFn(u.domain, (u - ph).values.real)
             errors[(name, s)] = (sobolev_norm(diff, err_spec)
-                                 / sobolev_norm(ph.image, err_spec))
+                                 / sobolev_norm(ph, err_spec))
 
     # (b) smooth phantom: embedding strictly reduces the Sobolev error >= 10%
     reduction = (errors[("smooth", 0.0)] - errors[("smooth", 0.5)]) \
@@ -316,13 +313,13 @@ def test_criterion_08_tikhonov_range_property():
     geom = RadonGeometry(64, 100, 60)
     op = RadonOperator(geom)
     ph = smooth_phantom(64, seed=0)
-    ydelta, delta = add_noise(op.forward(ph.image), 0.10, seed=42)
+    ydelta, delta = add_noise(op.forward(ph), 0.10, seed=42)
     problem = InverseProblem(op.as_linop(), ydelta, noise_level=delta,
                              embedding=spec)
     best = None
     for alpha in np.geomspace(1e-3, 1e2, 10):
         u = tikhonov(problem, float(alpha), tol=1e-13)
-        diff = GridFn(u.domain, (u - ph.image).values.real)
+        diff = GridFn(u.domain, (u - ph).values.real)
         err = sobolev_norm(diff, spec)
         if best is None or err < best[1]:
             best = (float(alpha), err)

@@ -14,6 +14,7 @@ from sobolev_adjoint.core import (
     l2_norm,
     quad_weight,
 )
+from sobolev_adjoint import bvp
 from sobolev_adjoint.multiplier import NormVariant, SobolevSpec, adjoint_embedding
 
 
@@ -176,10 +177,43 @@ def test_disk_mask_geometry():
     assert abs(inner(u, u).real - np.pi) < 0.2
 
 
+def test_cell_box_geometry():
+    dom = Domain.cells((2.0, 3.0), (4, 3), (-1.0, 0.5))
+    assert dom.spacing == (0.5, 1.0)
+    x, y = dom.axes()
+    assert np.array_equal(x, [-0.75, -0.25, 0.25, 0.75])
+    assert np.array_equal(y, [1.0, 2.0, 3.0])
+    assert dom.grid_size == 12 and quad_weight(dom) == 0.5
+    u = GridFn(dom, np.ones(12))
+    assert inner(u, u).real == 6.0  # the box's area
+    assert Domain.cells((1.0,), (1,), (0.0,)).grid_size == 1
+    # neither periodic nor a boundary-value domain
+    assert not dom.periodic
+    with pytest.raises(ValueError):
+        fft_forward(u)
+    with pytest.raises(ValueError):
+        adjoint_embedding(u, SobolevSpec(1.0))
+    with pytest.raises(ValueError):
+        bvp.solve_neumann_helmholtz(u)
+
+
+@pytest.mark.parametrize("lengths, shape", [
+    ((0.0, 1.0), (2, 2)),
+    ((1.0, -1.0), (2, 2)),
+    ((np.nan, 1.0), (2, 2)),
+    ((1.0, np.inf), (2, 2)),
+    ((1.0, 1.0), (0, 2)),
+    ((1.0, 1.0), (2, -1)),
+    ((1.0, 1.0), (2,)),  # one count for two sides
+])
+def test_cell_box_rejects_bad_sides(lengths, shape):
+    with pytest.raises(ValueError):
+        Domain.cells(lengths, shape, (0.0, 0.0))
+
+
 def test_check_adjoint_identity_and_multiplier():
     dom = Domain.torus(1, 32)
-    template = GridFn(dom, np.zeros(32))
-    assert check_adjoint(identity_linop(template), trials=5, seed=0) == 0.0
+    assert check_adjoint(identity_linop(dom), trials=5, seed=0) == 0.0
 
     spec = SobolevSpec(1.0, NormVariant.TORUS_S)
     from sobolev_adjoint.core import LinOp
@@ -190,15 +224,14 @@ def test_check_adjoint_identity_and_multiplier():
         apply_adjoint=lambda u: u,
         domain_inner=inner,
         codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
-        domain_template=template,
-        codomain_template=template,
+        domain=dom,
+        codomain=dom,
     )
     assert check_adjoint(op, trials=10, seed=1) < 1e-12
 
 
 def test_check_adjoint_deterministic():
     dom = Domain.torus(1, 16)
-    template = GridFn(dom, np.zeros(16))
     spec = SobolevSpec(0.5)
     from sobolev_adjoint.core import LinOp
     from sobolev_adjoint.multiplier import sobolev_inner
@@ -208,7 +241,7 @@ def test_check_adjoint_deterministic():
         apply_adjoint=lambda u: u,
         domain_inner=inner,
         codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
-        domain_template=template,
-        codomain_template=template,
+        domain=dom,
+        codomain=dom,
     )
     assert check_adjoint(op, 7, seed=42) == check_adjoint(op, 7, seed=42)

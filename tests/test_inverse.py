@@ -30,13 +30,9 @@ from sobolev_adjoint.multiplier import (
 SPEC = SobolevSpec(1.0, NormVariant.TORUS_S)
 
 
-def grid_template(n=64):
-    return GridFn(Domain.torus(1, n), np.zeros(n))
-
-
 def identity_linop(n=64):
-    t = grid_template(n)
-    return LinOp(lambda u: u, lambda u: u, inner, inner, t, t)
+    dom = Domain.torus(1, n)
+    return LinOp(lambda u: u, lambda u: u, inner, inner, dom, dom)
 
 
 def diagonal_linop(domain, symbol):
@@ -51,8 +47,7 @@ def diagonal_linop(domain, symbol):
         return GridFn(domain, np.fft.ifftn(c.coeffs * np.conj(symbol)
                                            / np.prod(domain.spacing)).ravel())
 
-    t = GridFn(domain, np.zeros(domain.grid_size))
-    return LinOp(apply, apply_adjoint, inner, inner, t, t)
+    return LinOp(apply, apply_adjoint, inner, inner, domain, domain)
 
 
 def rand_fn(n, seed):
@@ -159,8 +154,8 @@ def test_discrepancy_rule_rejects_tau_at_most_one_and_clean_data():
         with pytest.raises(ValueError):
             DiscrepancyStop(tau)
     calls = []
-    t = grid_template(32)
-    op = LinOp(lambda u: calls.append(1) or u, lambda u: u, inner, inner, t, t)
+    dom = Domain.torus(1, 32)
+    op = LinOp(lambda u: calls.append(1) or u, lambda u: u, inner, inner, dom, dom)
     problem = InverseProblem(op, rand_fn(32, 24))  # clean data: no noise level
     with pytest.raises(ValueError, match="noise level"):
         landweber(problem, max_iter=5, stop=DiscrepancyStop(1.01))

@@ -65,6 +65,13 @@ def test_bessel_v2_requires_s_geq_1():
         SobolevSpec(0.5, NormVariant.BESSEL_V2)
 
 
+@pytest.mark.parametrize("order", [np.nan, np.inf])
+def test_non_finite_order_rejected(order):
+    # either would make every weight, norm and smoothing NaN or constant
+    with pytest.raises(ValueError, match="order_s"):
+        SobolevSpec(order)
+
+
 def test_adjoint_embedding_constant_and_identity():
     dom = Domain.torus(1, 64)
     c = GridFn(dom, 3.25 * np.ones(64))

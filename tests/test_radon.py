@@ -3,15 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from sobolev_adjoint import radon
-from sobolev_adjoint.core import GridFn, check_adjoint
+from sobolev_adjoint.core import GridFn, check_adjoint, quad_weight
 from sobolev_adjoint.radon import (
     RadonGeometry,
     RadonOperator,
     SHEPP_LOGAN_SYMMETRIC,
     _system_matrix,
-    Sinogram,
     _SHEPP_LOGAN_ELLIPSES,
     read_csv,
     render_ellipses,
@@ -33,6 +33,26 @@ def test_named_geometries():
     assert RadonGeometry.full_scale() == RadonGeometry(201, 300, 180)
     geom = RadonGeometry.desk_scale()
     assert (geom.n_pixels, geom.n_offsets, geom.n_angles) == (64, 100, 60)
+
+
+@pytest.mark.parametrize("s_max", [np.nan, np.inf, -1.0, 0.0])
+def test_geometry_rejects_bad_s_max(s_max):
+    # nan and inf would build an all-zero matrix, -1 and 0 non-positive
+    # quadrature weights
+    with pytest.raises(ValueError, match="s_max"):
+        RadonGeometry(8, 12, 6, s_max=s_max)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(n_pixels=st.integers(2, 12), n_offsets=st.integers(1, 16),
+       n_angles=st.integers(1, 12), s_max=st.floats(0.25, 2.0))
+def test_adjoint_identity_over_geometries(n_pixels, n_offsets, n_angles, s_max):
+    geom = RadonGeometry(n_pixels, n_offsets, n_angles, s_max)
+    op = RadonOperator(geom)
+    assert check_adjoint(op.as_linop(), seed=n_pixels) < 1e-10
+    u = GridFn(geom.image_domain, np.ones(n_pixels**2))
+    assert op.forward(u).domain == geom.data_domain
+    assert quad_weight(geom.data_domain) == geom.offset_spacing * geom.angle_spacing
 
 
 def _trace_ray(origin, direction, edges):
@@ -149,7 +169,7 @@ def test_operator_shares_the_cached_matrix():
     op, peak = _traced_peak(RadonOperator, geom)
     assert op.matrix is mat
     assert peak < 0.1 * _matrix_bytes(mat)  # no transposed copy
-    r = Sinogram(geom, np.random.default_rng(4).standard_normal((100, 60)))
+    r = GridFn(geom.data_domain, np.random.default_rng(4).standard_normal((100, 60)))
     want = op._adjoint_scale * (mat.T @ r.values.ravel())
     assert op.adjoint(r).values.tobytes() == want.tobytes()
 
@@ -169,11 +189,11 @@ def test_adjoint_is_exact_transpose():
     geom = RadonGeometry(8, 12, 6)
     op = RadonOperator(geom)
     dense = op.matrix.toarray()
-    g = Sinogram(geom, np.random.default_rng(0).standard_normal((12, 6)))
+    g = GridFn(geom.data_domain, np.random.default_rng(0).standard_normal((12, 6)))
     ref = op._adjoint_scale * dense.T @ g.values.ravel()
     assert np.max(np.abs(op.adjoint(g).values - ref)) < 1e-13
     assert check_adjoint(op.as_linop(), trials=10, seed=1) < 1e-10
-    zero = op.adjoint(Sinogram(geom, np.zeros((12, 6))))
+    zero = op.adjoint(GridFn(geom.data_domain, np.zeros((12, 6))))
     assert np.max(np.abs(zero.values)) == 0.0
 
 
@@ -182,7 +202,7 @@ def test_single_bin_backprojects_one_strip():
     op = RadonOperator(geom)
     g = np.zeros((16, 4))
     g[8, 0] = 1.0  # one ray at angle 0
-    img = op.adjoint(Sinogram(geom, g)).to_array().real
+    img = op.adjoint(GridFn(geom.data_domain, g)).to_array().real
     hit_cols = np.nonzero(np.abs(img).sum(axis=1))[0]
     assert hit_cols.size == 1  # a vertical ray touches exactly one pixel column
 
@@ -194,7 +214,7 @@ def test_chord_length_through_center():
     disk = GridFn.from_array(geom.image_domain, (X**2 + Y**2 <= 1.0).astype(float))
     sino = op.forward(disk)
     i_center = int(np.argmin(np.abs(geom.offsets)))
-    assert abs(sino.values[i_center, 0] - 2.0) <= 2 * geom.pixel_size
+    assert abs(sino.to_array()[i_center, 0] - 2.0) <= 2 * geom.pixel_size
 
 
 def test_linearity_and_exact_scaling():
@@ -215,10 +235,10 @@ def test_mass_consistency_aligned_angles_exact():
     geom = RadonGeometry(64, 128, 2)  # angles 0 and pi/2
     op = RadonOperator(geom)
     ph = shepp_logan(64)
-    sino = op.forward(ph.image)
+    sino = op.forward(ph)
     pixel_mass = float(np.sum(ph.to_array())) * geom.pixel_size**2
     for j in range(2):
-        ray_mass = float(np.sum(sino.values[:, j])) * geom.offset_spacing
+        ray_mass = float(np.sum(sino.to_array()[:, j])) * geom.offset_spacing
         assert abs(ray_mass - pixel_mass) < 1e-8
 
 
@@ -226,9 +246,9 @@ def test_mass_consistency_oblique_directional():
     geom = RadonGeometry(64, 100, 60)
     op = RadonOperator(geom)
     ph = shepp_logan(64)
-    sino = op.forward(ph.image)
+    sino = op.forward(ph)
     pixel_mass = float(np.sum(ph.to_array())) * geom.pixel_size**2
-    rels = [abs(float(np.sum(sino.values[:, j])) * geom.offset_spacing - pixel_mass)
+    rels = [abs(float(np.sum(sino.to_array()[:, j])) * geom.offset_spacing - pixel_mass)
             / pixel_mass for j in range(geom.n_angles)]
     assert max(rels) < 0.02  # O(offset spacing^2) at oblique angles
 
@@ -242,8 +262,8 @@ def test_rotation_by_quarter_turn_permutes_angles():
     u = GridFn.from_array(geom.image_domain, arr)
     rot = np.array([[arr[iy, 31 - ix] for iy in range(32)] for ix in range(32)])
     ur = GridFn.from_array(geom.image_domain, rot)
-    s = op.forward(u).values
-    sr = op.forward(ur).values
+    s = op.forward(u).to_array()
+    sr = op.forward(ur).to_array()
     half = geom.n_angles // 2
     mapped = np.concatenate([s[::-1, half:], s[:, :half]], axis=1)
     assert np.max(np.abs(sr - mapped)) < 1e-12
@@ -256,7 +276,9 @@ def test_geometry_mismatch_errors():
     with pytest.raises(ValueError):
         op.forward(GridFn(RadonGeometry(8, 24, 8).image_domain, np.zeros(64)))
     with pytest.raises(ValueError):
-        op.adjoint(Sinogram(other, np.zeros((24, 4))))
+        op.adjoint(GridFn(other.data_domain, np.zeros((24, 4))))
+    with pytest.raises(ValueError):
+        op.adjoint(GridFn(geom.image_domain, np.zeros(256)))
 
 
 def test_shepp_logan_range_and_background():
@@ -292,9 +314,9 @@ def test_csv_round_trip(tmp_path):
     u = GridFn(geom.image_domain, np.random.default_rng(2).standard_normal(256))
     sino = op.forward(u)
     path = tmp_path / "sino.csv"
-    write_csv(path, sino.values, header="offsets x angles")
+    write_csv(path, sino.to_array(), header="offsets x angles")
     back = read_csv(path)
-    assert np.max(np.abs(back - sino.values)) < 1e-15
+    assert np.max(np.abs(back - sino.to_array())) < 1e-15
 
 
 def test_pgm_writers(tmp_path):

@@ -37,7 +37,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .core import Domain, DomainKind, GridFn
+from .core import Domain, DomainKind, GridFn, LinOp, inner
+from .multiplier import weighted_inner
 
 __all__ = [
     "BoundaryKind",
@@ -49,6 +50,7 @@ __all__ = [
     "variational_gap",
     "mass_inner",
     "h1_inner",
+    "adjoint_linop",
 ]
 
 
@@ -224,16 +226,19 @@ def solve_dirichlet_poisson_2d(u: GridFn) -> GridFn:
     return _run_solve(u, BvpSpec(1, BoundaryKind.DIRICHLET, u.domain))
 
 
-def solve_torus_helmholtz(u: GridFn, m: int = 1) -> GridFn:
-    """Periodic FD solve of (I - Laplace_h)^m z = u on the 1D unit torus, by DFT."""
-    dom = u.domain
+def _torus_symbol(dom: Domain) -> np.ndarray:
+    """DFT symbol of I - Laplace_h on the 1D unit torus."""
     if dom.kind is not DomainKind.TORUS or dom.ndim != 1:
         raise ValueError("torus solve implemented for the 1D unit torus")
     n = dom.shape[0]
     h = dom.spacing[0]
-    lam = 1.0 + (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / h**2
-    z = np.fft.ifft(np.fft.fft(u.values) / lam**m)
-    return GridFn(dom, z.real if u.is_real else z)
+    return 1.0 + (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / h**2
+
+
+def solve_torus_helmholtz(u: GridFn, m: int = 1) -> GridFn:
+    """Periodic FD solve of (I - Laplace_h)^m z = u on the 1D unit torus, by DFT."""
+    z = np.fft.ifft(np.fft.fft(u.values) / _torus_symbol(u.domain)**m)
+    return GridFn(u.domain, z.real if u.is_real else z)
 
 
 def variational_gap(z: GridFn, u: GridFn, spec: BvpSpec) -> float:
@@ -278,3 +283,16 @@ def h1_inner(u: GridFn, v: GridFn) -> complex:
     if u.domain != v.domain:
         raise ValueError("domain mismatch")
     return complex(np.sum((_h1_form(u.domain) @ u.values) * np.conj(v.values)))
+
+
+def adjoint_linop(domain: Domain, order_m: int) -> LinOp:
+    """E^*: the 1D torus solve, or the order-1 Neumann solve elsewhere."""
+    if domain.kind is DomainKind.TORUS:
+        weight = _torus_symbol(domain) ** order_m
+        return LinOp(lambda u: solve_torus_helmholtz(u, order_m), lambda u: u,
+                     inner, lambda u, v: weighted_inner(u, v, weight), domain, domain)
+    if order_m != 1 or domain.kind not in _MAX_ORDER:
+        raise ValueError("BVP embeddings: any order on the 1D torus, else order 1 "
+                         "on intervals and rectangles")
+    return LinOp(solve_neumann_helmholtz, lambda u: u, mass_inner, h1_inner,
+                 domain, domain)

@@ -24,7 +24,7 @@ from .inverse import (
     add_noise,
     landweber,
 )
-from .multiplier import NormVariant, SobolevSpec, sobolev_inner
+from .multiplier import NormVariant, SobolevSpec
 
 EXPERIMENTS = ("CrossCheck1D", "AdjointSmoothing2D", "RadonRecon",
                "NormEquivalence", "KernelAsymptotics")
@@ -156,24 +156,19 @@ def _crosscheck_table(n: int, s: float, seed: int):
     dom = Domain.torus(1, n)
     spec = SobolevSpec(s, NormVariant.BESSEL_V1)
     u = _bandlimited(dom, 16, seed)
-    results = {"multiplier": multiplier.adjoint_embedding(u, spec)}
-    results["kernel"] = kernel.convolve_adjoint(u, s)
+    ops = {"multiplier": multiplier.adjoint_linop(dom, spec),
+           "kernel": kernel.adjoint_linop(dom, s)}
     if s == int(s) and int(s) in (1, 2):
-        results["bvp"] = bvp.solve_torus_helmholtz(u, int(s))
-    svd = spectral.svd_from_multiplier(spec, dom, 2 * 16 + 1)
-    results["svd"] = GridFn(dom, svd.apply_adjoint(u).values.real)
+        ops["bvp"] = bvp.adjoint_linop(dom, int(s))
+    ops["svd"] = spectral.svd_from_multiplier(spec, dom, 2 * 16 + 1).adjoint_linop()
     fns, _ = discrete.fourier_mode_basis(dom, 16)
-    setting = discrete.assemble(fns, fns, lambda a, b: sobolev_inner(a, b, spec))
-    _, gram_fn = discrete.projected_adjoint(setting, u)
-    results["discrete"] = GridFn(dom, gram_fn.values.real)
-    ref = results["multiplier"]
+    ops["discrete"] = discrete.adjoint_linop(
+        discrete.assemble(fns, fns, ops["multiplier"].codomain_inner))
+    results = {name: GridFn(dom, op.apply(u).values.real) for name, op in ops.items()}
     scale = l2_norm(u)
-    rows = []
     names = list(results)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            rel = l2_norm(results[a] - results[b]) / scale
-            rows.append((a, b, rel))
+    rows = [(a, b, l2_norm(results[a] - results[b]) / scale)
+            for i, a in enumerate(names) for b in names[i + 1:]]
     gates = {("multiplier", "kernel"): 1e-3,
              ("multiplier", "svd"): 1e-10,
              ("multiplier", "discrete"): 1e-12,
@@ -236,8 +231,8 @@ def _run_radon(cfg: RunConfig, out: Path) -> int:
     errors = {}
     for s in dict.fromkeys((0.0, cfg.s)):  # s=0 needs one solve, not two
         tag = f"s{s:g}".replace(".", "p")
-        spec = SobolevSpec(s, NormVariant.TORUS_S) if s > 0 else None
-        problem = InverseProblem(linop, ydelta, noise_level=delta, embedding=spec)
+        emb = multiplier.adjoint_linop(linop.domain, SobolevSpec(s)) if s > 0 else None
+        problem = InverseProblem(linop, ydelta, noise_level=delta, embedding=emb)
         step = cfg.step if cfg.step > 0 else None
         u, log = landweber(problem, step=step, max_iter=cfg.max_iter,
                            stop=DiscrepancyStop(cfg.tau))
@@ -370,10 +365,7 @@ def selftest() -> int:
     checks.append(("wavelet atom eigenvalues", atom_ok))
 
     idom = Domain.interval(0.0, 1.0, 129)
-    u = GridFn(idom, np.random.default_rng(0).standard_normal(129))
-    z = bvp.solve_neumann_helmholtz(u)
-    v = GridFn(idom, np.random.default_rng(1).standard_normal(129))
-    gap = abs(bvp.h1_inner(z, v) - bvp.mass_inner(u, v))
+    gap = check_adjoint(bvp.adjoint_linop(idom, 1), trials=1, seed=0)
     checks.append(("bvp adjoint identity", gap < 1e-9))
 
     geom = radon.RadonGeometry(16, 24, 8)

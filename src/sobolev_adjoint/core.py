@@ -82,6 +82,8 @@ class Domain:
 
     @staticmethod
     def interval(a: float, b: float, points: int) -> "Domain":
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"interval endpoints a={a}, b={b} must be finite")
         if not b > a:
             raise ValueError("interval requires b > a")
         if points < 2:
@@ -90,16 +92,14 @@ class Domain:
 
     @staticmethod
     def rectangle(a: float, b: float, nx: int, ny: int) -> "Domain":
-        if a <= 0 or b <= 0:
-            raise ValueError("rectangle sides must be positive")
+        _require_positive_finite(a=a, b=b)
         if nx < 2 or ny < 2:
             raise ValueError("rectangle requires at least 2 points per side")
         return Domain(DomainKind.RECTANGLE, (nx, ny), (a, b), (0.0, 0.0))
 
     @staticmethod
     def disk_mask(radius: float, n_pixels_per_side: int) -> "Domain":
-        if radius <= 0:
-            raise ValueError("disk radius must be positive")
+        _require_positive_finite(radius=radius)
         n = n_pixels_per_side
         if n < 2:
             raise ValueError("disk mask requires at least 2 pixels per side")
@@ -108,8 +108,7 @@ class Domain:
 
     @staticmethod
     def real_line(half_width: float, points: int) -> "Domain":
-        if half_width <= 0:
-            raise ValueError("half_width must be positive")
+        _require_positive_finite(half_width=half_width)
         _require_at_least_two_points(points)
         return Domain(DomainKind.REAL_LINE, (points,), (2.0 * half_width,),
                       (-half_width,))
@@ -164,6 +163,12 @@ class Domain:
         if self.kind is DomainKind.DISK_MASK:
             return int(self.active.sum())
         return math.prod(self.shape)
+
+
+def _require_positive_finite(**sizes: float) -> None:
+    for name, size in sizes.items():
+        if not 0.0 < size < math.inf:
+            raise ValueError(f"{name}={size} must be positive and finite")
 
 
 def _require_at_least_two_points(points: int) -> None:

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .core import Domain, DomainKind, GridFn, inner
+from .core import Domain, DomainKind, GridFn, LinOp, inner
 
 __all__ = [
     "DiscreteSetting",
@@ -38,6 +38,7 @@ __all__ = [
     "projected_adjoint",
     "project_onto_x",
     "project_onto_y",
+    "adjoint_linop",
     "fourier_mode_basis",
     "hat_basis",
 ]
@@ -123,6 +124,14 @@ def project_onto_y(setting: DiscreteSetting, v: GridFn) -> GridFn:
     """Orthogonal projection onto span(psi) in L2."""
     rhs = np.array([setting.inner_y(v, psi) for psi in setting.basis_y])
     return _solve_and_expand(setting.chol_y, rhs, setting.basis_y)[1]
+
+
+def adjoint_linop(setting: DiscreteSetting) -> LinOp:
+    """Projected E^* from ``inner_y`` to ``inner_x``; adjoint Q_psi P_phi."""
+    dom = setting.basis_x[0].domain
+    return LinOp(lambda u: projected_adjoint(setting, u)[1],
+                 lambda v: project_onto_y(setting, project_onto_x(setting, v)),
+                 setting.inner_y, setting.inner_x, dom, dom)
 
 
 def fourier_mode_basis(domain: Domain, kmax: int) -> tuple[list[GridFn], list]:

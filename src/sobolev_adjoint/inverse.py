@@ -1,9 +1,9 @@
 """Iterative and variational regularization built on the smoothing adjoint.
 
-A linear problem couples a forward map G on L2 with an optional smoothness
-order s: seeking the solution in the order-s space replaces the L2 adjoint
-G* by smooth(G*(.)), where smooth is the adjoint embedding realized by any
-backend (the spectral multiplier by default).  Landweber then iterates
+A linear problem couples a forward map G on L2 with an optional embedding,
+any backend's ``adjoint_linop``: its ``apply`` is the smoother E^* and its
+``codomain_inner`` the inner product of the space E^* maps into.  Seeking
+the solution there replaces G* by smooth(G*(.)), and Landweber iterates
 
     u_{k+1} = u_k + step * smooth(G*(y - G u_k)),      u_0 = 0,
 
@@ -16,21 +16,20 @@ equation
 
     smooth(G* G u) + alpha u = smooth(G* y)
 
-is solved by conjugate gradients in the order-s inner product, in which the
-operator is symmetric positive definite.  Its minimizer lies in the range
-of the smoothing operator: u = (1/alpha) smooth(G* y - G* G u).
+is solved by conjugate gradients in the embedding's own inner product, in
+which the operator is symmetric positive definite.  Its minimizer lies in
+the range of the smoothing operator: u = (1/alpha) smooth(G* y - G* G u).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import GridFn, LinOp, inner, l2_norm
-from .multiplier import SobolevSpec, adjoint_embedding, hilbert_scale_apply, \
-    sobolev_inner
+from .multiplier import SobolevSpec, adjoint_linop
 
 __all__ = [
     "InverseProblem",
@@ -75,36 +74,28 @@ class DiscrepancyStop:
 
 @dataclass(frozen=True)
 class InverseProblem:
-    """Forward operator, noisy data, noise level and optional smoothness order.
+    """Forward operator, noisy data, noise level and optional embedding.
 
     ``forward`` maps grid functions on its domain to its codomain, where
-    ``data`` lives (its L2 adjoint comes with it); ``embedding`` switches the
-    solvers to the order-s geometry; ``smoother`` overrides the default
-    multiplier backend with any callable realizing the adjoint embedding
-    for that order.
+    ``data`` lives (its L2 adjoint comes with it); ``embedding``, E^* on that
+    domain, switches the solvers to its space (None keeps plain L2).
     """
 
     forward: LinOp
     data: GridFn
     noise_level: float = 0.0
-    embedding: Optional[SobolevSpec] = None
-    smoother: Optional[Callable[[GridFn], GridFn]] = None
+    embedding: Optional[LinOp] = None
 
     def __post_init__(self):
         if self.noise_level < 0:
             raise ValueError("noise level must be >= 0")
+        if self.embedding is not None and self.embedding.domain != self.forward.domain:
+            raise ValueError("the embedding must act on the forward map's domain")
 
     def smooth(self, u: GridFn) -> GridFn:
         if self.embedding is None:
             return u
-        if self.smoother is not None:
-            return self.smoother(u)
-        return adjoint_embedding(u, self.embedding)
-
-    def solution_inner(self, a: GridFn, b: GridFn) -> complex:
-        if self.embedding is None:
-            return inner(a, b)
-        return sobolev_inner(a, b, self.embedding)
+        return self.embedding.apply(u)
 
 
 @dataclass
@@ -184,37 +175,24 @@ def landweber(problem: InverseProblem, step: Optional[float] = None,
     return u, log
 
 
-def landweber_hilbert_scale(problem: InverseProblem, a: float,
+def landweber_hilbert_scale(problem: InverseProblem, spec: SobolevSpec, a: float,
                             step: Optional[float] = None, max_iter: int = 100,
                             stop: Optional[DiscrepancyStop] = None):
-    """Landweber preconditioned along the smoothness scale.
-
-    This is ``landweber`` with the smoother w(k)^(a-1) in place of the
-    adjoint embedding w(k)^(-1): a = 0 is the embedded iteration, a = 1
-    cancels the smoothing and recovers the plain L2 iteration on G.  The
-    default step is sized for the preconditioned operator that is iterated.
-    The scale is the multiplier's weight w(k), so a problem with a custom
-    ``smoother`` is rejected: its a = 0 iterate would not be the embedded
-    iteration of that backend.
-    """
-    if problem.embedding is None:
-        raise ValueError("hilbert-scale iteration needs an embedding order")
-    if problem.smoother is not None:
-        raise ValueError("hilbert-scale iteration uses the multiplier weights; "
-                         "a custom smoother is not supported")
+    """``landweber`` with the multiplier smoother w(k)^(a-1) of ``spec`` in place
+    of the problem's embedding: a = 0 is the embedded iteration, a = 1 the
+    plain L2 one.  The default step is sized for the operator iterated."""
     if not -1.0 <= a <= 1.0:
         raise ValueError("scale exponent a must lie in [-1, 1]")
-    spec = problem.embedding
-    scaled = replace(problem, smoother=lambda v: hilbert_scale_apply(v, spec, a - 1.0))
-    return landweber(scaled, step, max_iter, stop)
+    emb = adjoint_linop(problem.forward.domain, spec, 1.0 - a)
+    return landweber(replace(problem, embedding=emb), step, max_iter, stop)
 
 
 def tikhonov(problem: InverseProblem, alpha: float, tol: float = 1e-12) -> GridFn:
     """Solve smooth(G* G u) + alpha u = smooth(G* y) by conjugate gradients.
 
-    The operator is symmetric positive definite in the order-s inner
-    product, in which CG runs; the returned minimizer satisfies the stated
-    equation to a relative residual below 1e-10.
+    The operator is symmetric positive definite in the embedding's codomain
+    inner product, in which CG runs; the returned minimizer satisfies the
+    stated equation to a relative residual below 1e-10.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -224,7 +202,8 @@ def tikhonov(problem: InverseProblem, alpha: float, tol: float = 1e-12) -> GridF
         return problem.smooth(fw.apply_adjoint(fw.apply(v))) + alpha * v
 
     b = problem.smooth(fw.apply_adjoint(problem.data))
-    dot = lambda p, q: problem.solution_inner(p, q).real
+    ip = inner if problem.embedding is None else problem.embedding.codomain_inner
+    dot = lambda p, q: ip(p, q).real
     n = b.values.size
     x = b.with_values(np.zeros(n))
     r = b - op(x)

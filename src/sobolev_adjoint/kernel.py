@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import Domain, DomainKind, GridFn
+from .core import Domain, DomainKind, GridFn, LinOp, _same_domain, inner
 
 __all__ = [
     "EvalMode",
@@ -34,6 +35,8 @@ __all__ = [
     "kernel_asymptotics_check",
     "kernel_lattice",
     "convolve_adjoint",
+    "kernel_inner",
+    "adjoint_linop",
 ]
 
 
@@ -226,6 +229,20 @@ def periodized_kernel_samples(spec: KernelSpec, domain: Domain) -> np.ndarray:
     return folded
 
 
+@lru_cache(maxsize=16)
+def _convolution_samples(dom: Domain, s: float) -> np.ndarray:
+    """Periodized G_{2s} on ``dom``, computed once and read-only."""
+    if dom.kind not in (DomainKind.TORUS, DomainKind.REAL_LINE) or dom.ndim != 1:
+        raise ValueError("convolution route supports 1D periodic domains only")
+    if s <= 0:
+        raise ValueError("convolution route requires s > 0 (s=0 is the identity)")
+    order = 2.0 * s
+    mode = EvalMode.CLOSED_FORM if order in (2.0, 4.0) else EvalMode.INTEGRAL_KNU
+    g = periodized_kernel_samples(KernelSpec(order, dom.ndim, mode), dom)
+    g.flags.writeable = False
+    return g
+
+
 def convolve_adjoint(u: GridFn, s: float) -> GridFn:
     """Smooth ``u`` by order ``s`` via circular convolution with G_{2s}.
 
@@ -234,17 +251,28 @@ def convolve_adjoint(u: GridFn, s: float) -> GridFn:
     1e-12.
     """
     dom = u.domain
-    if dom.kind not in (DomainKind.TORUS, DomainKind.REAL_LINE) or dom.ndim != 1:
-        raise ValueError("convolution route supports 1D periodic domains only")
-    if s <= 0:
-        raise ValueError("convolution route requires s > 0 (s=0 is the identity)")
-    order = 2.0 * s
-    mode = EvalMode.CLOSED_FORM if (dom.ndim == 1 and order in (2.0, 4.0)) \
-        else EvalMode.INTEGRAL_KNU
-    spec = KernelSpec(order, dom.ndim, mode)
-    g = periodized_kernel_samples(spec, dom)
+    g = _convolution_samples(dom, s)
     h = dom.spacing[0]
     out = np.fft.ifft(np.fft.fft(g) * np.fft.fft(u.values)) * h
     if u.is_real:
         out = out.real
     return GridFn(dom, out)
+
+
+def kernel_inner(u: GridFn, v: GridFn, s: float) -> complex:
+    """The inner product in which ``convolve_adjoint`` is E^*: each Fourier mode
+    over its convolution eigenvalue, which must be positive."""
+    _same_domain(u, v)
+    n, h = u.domain.shape[0], u.domain.spacing[0]
+    lam = h * np.fft.fft(_convolution_samples(u.domain, s)).real
+    if not lam.min() > 0.0:
+        raise ValueError(f"convolution eigenvalue {lam.min():.1e} <= 0 at n={n}, s={s}")
+    cu, cv = np.fft.fft(u.values), np.fft.fft(v.values)
+    return h / n * complex(np.sum(cu * np.conj(cv) / lam))
+
+
+def adjoint_linop(domain: Domain, s: float) -> LinOp:
+    """E^* as convolution with G_{2s}, paired with :func:`kernel_inner`."""
+    _convolution_samples(domain, s)  # validates the grid and the order
+    return LinOp(lambda u: convolve_adjoint(u, s), lambda u: u, inner,
+                 lambda u, v: kernel_inner(u, v, s), domain, domain)

@@ -25,11 +25,13 @@ from .core import (
     Domain,
     DomainKind,
     GridFn,
+    LinOp,
     SpectralField,
     _same_domain,
     fft_forward,
     fft_inverse,
     frequency_sq,
+    inner,
 )
 
 __all__ = [
@@ -39,10 +41,12 @@ __all__ = [
     "weight_grid",
     "adjoint_embedding",
     "bessel_potential",
+    "weighted_inner",
     "sobolev_inner",
     "sobolev_norm",
     "inv_sqrt_adjoint",
     "hilbert_scale_apply",
+    "adjoint_linop",
 ]
 
 
@@ -133,19 +137,34 @@ def _spectral_measure(domain: Domain) -> float:
     return float(np.prod([1.0 / length for length in domain.lengths]))
 
 
-def _weighted_sum(domain: Domain, spec: SobolevSpec, cu, cv) -> complex:
-    w = _weight_power(domain, spec, 1.0)
-    return _spectral_measure(domain) * complex(np.sum(w * cu * np.conj(cv)))
+def _weighted_sum(domain: Domain, weight: np.ndarray, cu, cv) -> complex:
+    return _spectral_measure(domain) * complex(np.sum(weight * cu * np.conj(cv)))
+
+
+def weighted_inner(u: GridFn, v: GridFn, weight: np.ndarray) -> complex:
+    """Spectral inner product with ``weight`` on the FFT grid; L2 for weight 1."""
+    _same_domain(u, v)
+    return _weighted_sum(u.domain, weight, fft_forward(u).coeffs,
+                         fft_forward(v).coeffs)
 
 
 def sobolev_inner(u: GridFn, v: GridFn, spec: SobolevSpec) -> complex:
     """Weighted spectral inner product; reduces to L2 for s = 0."""
-    _same_domain(u, v)
-    return _weighted_sum(u.domain, spec, fft_forward(u).coeffs,
-                         fft_forward(v).coeffs)
+    return weighted_inner(u, v, _weight_power(u.domain, spec, 1.0))
 
 
 def sobolev_norm(u: GridFn, spec: SobolevSpec) -> float:
     """``sqrt(sobolev_inner(u, u, spec).real)``, transforming ``u`` once."""
     cu = fft_forward(u).coeffs
-    return float(np.sqrt(_weighted_sum(u.domain, spec, cu, cu).real))
+    return float(np.sqrt(_weighted_sum(u.domain, _weight_power(u.domain, spec, 1.0),
+                                       cu, cu).real))
+
+
+def adjoint_linop(domain: Domain, spec: SobolevSpec, scale: float = 1.0) -> LinOp:
+    """E^* from L2 onto the space weighted by ``w(k)**scale``."""
+    weight = _weight_power(domain, spec, float(scale))  # validates the grid
+    if scale == 1.0:
+        return LinOp(lambda u: adjoint_embedding(u, spec), lambda u: u, inner,
+                     lambda u, v: sobolev_inner(u, v, spec), domain, domain)
+    return LinOp(lambda u: hilbert_scale_apply(u, spec, -scale), lambda u: u,
+                 inner, lambda u, v: weighted_inner(u, v, weight), domain, domain)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Domain, DomainKind, GridFn, inner, quad_weight
+from .core import Domain, DomainKind, GridFn, LinOp, frequency_axes, inner, quad_weight
 from .multiplier import SobolevSpec, sobolev_inner, weight_grid
-from .core import frequency_axes
 
 __all__ = [
     "EigenSystem",
@@ -174,6 +173,11 @@ class SingularSystem:
         for sig, vk, uk in zip(self.sigmas, self.v_fns, self.u_fns):
             out += sig * inner(u, uk) * vk.values
         return GridFn(u.domain, out)
+
+    def adjoint_linop(self) -> LinOp:
+        ip = lambda u, v: sobolev_inner(u, v, self.spec)
+        return LinOp(self.apply_adjoint, self.apply_embedding, inner, ip,
+                     self.domain, self.domain)
 
 
 def svd_from_multiplier(spec: SobolevSpec, domain: Domain, K: int) -> SingularSystem:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Domain, DomainKind, GridFn, quad_weight
+from .core import Domain, DomainKind, GridFn, LinOp, inner, quad_weight
 
 __all__ = [
     "WaveletBasis",
@@ -35,6 +35,7 @@ __all__ = [
     "adjoint_embedding_wavelet",
     "wavelet_sobolev_inner",
     "wavelet_sobolev_norm",
+    "adjoint_linop",
 ]
 
 
@@ -91,12 +92,12 @@ class WaveletDecomposition:
                      + sum(np.sum(np.abs(d) ** 2) for d in self.details))
 
 
-def _check_wavelet_domain(u: GridFn, levels: int) -> None:
-    if u.domain.kind is not DomainKind.TORUS or u.domain.ndim != 1:
+def _check_wavelet_domain(domain: Domain, levels: int) -> None:
+    if domain.kind is not DomainKind.TORUS or domain.ndim != 1:
         raise ValueError("wavelet transform runs on 1D torus grids")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    n = u.domain.shape[0]
+    n = domain.shape[0]
     if n % (1 << levels) != 0:
         raise ValueError(f"grid length {n} not divisible by 2^{levels}")
 
@@ -121,7 +122,7 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray, basis: WaveletBasis)
 
 def fwt(u: GridFn, basis: WaveletBasis, levels: int) -> WaveletDecomposition:
     """Fast periodic wavelet analysis of the sample vector."""
-    _check_wavelet_domain(u, levels)
+    _check_wavelet_domain(u.domain, levels)
     a = u.values.copy()
     fine_to_coarse = []
     for _ in range(levels):
@@ -177,3 +178,12 @@ def wavelet_sobolev_inner(u: GridFn, v: GridFn, s: float, basis: WaveletBasis,
 def wavelet_sobolev_norm(u: GridFn, s: float, basis: WaveletBasis,
                          levels: int) -> float:
     return float(np.sqrt(wavelet_sobolev_inner(u, u, s, basis, levels).real))
+
+
+def adjoint_linop(domain: Domain, s: float, basis: WaveletBasis,
+                  levels: int) -> LinOp:
+    """E^* as wavelet-detail scaling, paired with :func:`wavelet_sobolev_inner`."""
+    _check_wavelet_domain(domain, levels)
+    return LinOp(lambda u: adjoint_embedding_wavelet(u, s, basis, levels), lambda u: u,
+                 inner, lambda u, v: wavelet_sobolev_inner(u, v, s, basis, levels),
+                 domain, domain)

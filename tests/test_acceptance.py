@@ -16,7 +16,7 @@ from sobolev_adjoint.core import (
     inner,
     l2_norm,
 )
-from sobolev_adjoint import bvp, discrete, kernel, spectral, wavelet
+from sobolev_adjoint import bvp, discrete, kernel, multiplier, spectral, wavelet
 from sobolev_adjoint.inverse import (
     DiscrepancyStop,
     InverseProblem,
@@ -29,7 +29,6 @@ from sobolev_adjoint.multiplier import (
     NormVariant,
     SobolevSpec,
     adjoint_embedding,
-    sobolev_inner,
     sobolev_norm,
     sobolev_weight,
 )
@@ -52,16 +51,12 @@ def bandlimited(dom, kmax, seed):
 
 
 def diagonal_linop(domain, symbol):
-    h = np.prod(domain.spacing)
+    """Spectral multiplier operator with the given FFT-layout symbol."""
+    def times(sym):
+        return lambda u: GridFn(domain, np.fft.ifftn(
+            fft_forward(u).coeffs * sym / np.prod(domain.spacing)).ravel())
 
-    def apply(u):
-        return GridFn(domain, np.fft.ifftn(fft_forward(u).coeffs * symbol / h).ravel())
-
-    def apply_adjoint(u):
-        return GridFn(domain,
-                      np.fft.ifftn(fft_forward(u).coeffs * np.conj(symbol) / h).ravel())
-
-    return LinOp(apply, apply_adjoint, inner, inner, domain, domain)
+    return LinOp(times(symbol), times(np.conj(symbol)), inner, inner, domain, domain)
 
 
 def test_criterion_01_cross_representation_agreement():
@@ -70,12 +65,18 @@ def test_criterion_01_cross_representation_agreement():
     spec = SobolevSpec(s, NormVariant.BESSEL_V1)
     dom = Domain.torus(1, 1024)
     u = bandlimited(dom, 16, seed=101)
-    ref = adjoint_embedding(u, spec)
-
-    # multiplier vs kernel convolution
-    conv = kernel.convolve_adjoint(u, s)
-    d_kernel = l2_norm(conv - ref) / l2_norm(u)
-    assert d_kernel < 1e-3
+    mult = multiplier.adjoint_linop(dom, spec)
+    fns, _ = discrete.fourier_mode_basis(dom, 16)
+    gram = discrete.assemble(fns, fns, mult.codomain_inner)
+    ops = {"kernel": kernel.adjoint_linop(dom, s),
+           "svd": spectral.svd_from_multiplier(spec, dom, 33).adjoint_linop(),
+           "gram": discrete.adjoint_linop(gram)}
+    ref = mult.apply(u)
+    d_kernel, d_svd, d_gram = (l2_norm(GridFn(dom, op.apply(u).values.real) - ref)
+                               / l2_norm(u) for op in ops.values())
+    assert d_kernel < 1e-3  # multiplier vs kernel convolution
+    assert d_svd < 1e-10  # multiplier vs SVD reconstruction
+    assert d_gram < 1e-12  # multiplier vs Fourier-mode Gram path
 
     # multiplier vs finite-difference solve: O(h^2) with Richardson ratio 3.5-4.5
     fd_err = []
@@ -87,18 +88,6 @@ def test_criterion_01_cross_representation_agreement():
         fd_err.append(l2_norm(zn - rn) / l2_norm(un))
     ratios = [a / b for a, b in zip(fd_err, fd_err[1:])]
     assert all(3.5 < r < 4.5 for r in ratios)
-
-    # multiplier vs SVD reconstruction
-    svd = spectral.svd_from_multiplier(spec, dom, 33)
-    d_svd = l2_norm(GridFn(dom, svd.apply_adjoint(u).values.real) - ref) / l2_norm(u)
-    assert d_svd < 1e-10
-
-    # multiplier vs Fourier-mode Gram path
-    fns, _ = discrete.fourier_mode_basis(dom, 16)
-    setting = discrete.assemble(fns, fns, lambda a, b: sobolev_inner(a, b, spec))
-    _, gram_fn = discrete.projected_adjoint(setting, u)
-    d_gram = l2_norm(GridFn(dom, gram_fn.values.real) - ref) / l2_norm(u)
-    assert d_gram < 1e-12
 
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
@@ -161,45 +150,18 @@ def test_criterion_03_norm_equivalence_sandwich():
 
 
 def test_criterion_04_adjointness_everywhere():
-    defects = {}
-
     dom = Domain.torus(1, 64)
-    spec = SobolevSpec(1.0, NormVariant.TORUS_S)
-    defects["multiplier"] = check_adjoint(LinOp(
-        apply=lambda u: adjoint_embedding(u, spec),
-        apply_adjoint=lambda u: u,
-        domain_inner=inner,
-        codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
-        domain=dom, codomain=dom), trials=20, seed=11)
-
-    s_w, levels = 0.75, 4
-    defects["wavelet"] = check_adjoint(LinOp(
-        apply=lambda u: wavelet.adjoint_embedding_wavelet(u, s_w, wavelet.DB4,
-                                                          levels),
-        apply_adjoint=lambda u: u,
-        domain_inner=inner,
-        codomain_inner=lambda a, b: wavelet.wavelet_sobolev_inner(
-            a, b, s_w, wavelet.DB4, levels),
-        domain=dom, codomain=dom), trials=20, seed=12)
-
+    mult = multiplier.adjoint_linop(dom, SobolevSpec(1.0, NormVariant.TORUS_S))
     fns, _ = discrete.fourier_mode_basis(dom, 4)
-    setting = discrete.assemble(fns, fns, lambda a, b: sobolev_inner(a, b, spec))
-    defects["discrete"] = check_adjoint(LinOp(
-        apply=lambda u: discrete.projected_adjoint(setting, u)[1],
-        apply_adjoint=lambda v: discrete.project_onto_y(
-            setting, discrete.project_onto_x(setting, v)),
-        domain_inner=inner,
-        codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
-        domain=dom, codomain=dom), trials=20, seed=13)
-
-    idom = Domain.interval(0.0, 1.0, 129)
-    defects["bvp"] = check_adjoint(LinOp(
-        apply=bvp.solve_neumann_helmholtz,
-        apply_adjoint=lambda u: u,
-        domain_inner=bvp.mass_inner,
-        codomain_inner=bvp.h1_inner,
-        domain=idom, codomain=idom),
-        trials=20, seed=14)
+    ops = {
+        "multiplier": (mult, 11),
+        "wavelet": (wavelet.adjoint_linop(dom, 0.75, wavelet.DB4, 4), 12),
+        "discrete": (discrete.adjoint_linop(
+            discrete.assemble(fns, fns, mult.codomain_inner)), 13),
+        "bvp": (bvp.adjoint_linop(Domain.interval(0.0, 1.0, 129), 1), 14),
+    }
+    defects = {name: check_adjoint(op, trials=20, seed=seed)
+               for name, (op, seed) in ops.items()}
 
     assert defects["multiplier"] < 1e-10
     assert defects["wavelet"] < 1e-10
@@ -232,15 +194,16 @@ def test_criterion_06_hilbert_scale_reductions():
     symbol = rng.uniform(0.3, 1.0, 64)
     y = GridFn(dom, rng.standard_normal(64))
     spec = SobolevSpec(1.0, NormVariant.TORUS_S)
-    embedded = InverseProblem(diagonal_linop(dom, symbol), y, embedding=spec)
     plain = InverseProblem(diagonal_linop(dom, symbol), y)
+    embedded = InverseProblem(plain.forward, y,
+                              embedding=multiplier.adjoint_linop(dom, spec))
     step = 0.5
     worst_a0 = worst_a1 = 0.0
     for k in range(1, 51):
-        u_a0, _ = landweber_hilbert_scale(embedded, a=0.0, step=step, max_iter=k)
+        u_a0, _ = landweber_hilbert_scale(plain, spec, a=0.0, step=step, max_iter=k)
         u_emb, _ = landweber(embedded, step=step, max_iter=k)
         worst_a0 = max(worst_a0, float(np.max(np.abs(u_a0.values - u_emb.values))))
-        u_a1, _ = landweber_hilbert_scale(embedded, a=1.0, step=step, max_iter=k)
+        u_a1, _ = landweber_hilbert_scale(plain, spec, a=1.0, step=step, max_iter=k)
         u_l2, _ = landweber(plain, step=step, max_iter=k)
         worst_a1 = max(worst_a1, float(np.max(np.abs(u_a1.values - u_l2.values))))
     assert worst_a0 < 1e-10
@@ -262,9 +225,9 @@ def test_criterion_07_radon_experiment_desk_scale():
         y = op.forward(ph)
         ydelta, delta = add_noise(y, 0.10, seed=42)
         for s in (0.0, 0.5):
-            spec = SobolevSpec(s, NormVariant.TORUS_S) if s > 0 else None
-            problem = InverseProblem(linop, ydelta, noise_level=delta,
-                                     embedding=spec)
+            emb = (multiplier.adjoint_linop(linop.domain, SobolevSpec(s))
+                   if s > 0 else None)
+            problem = InverseProblem(linop, ydelta, noise_level=delta, embedding=emb)
             u, log = landweber(problem, max_iter=20000, stop=DiscrepancyStop(tau))
             assert log.residuals[-1] <= tau * delta  # (a) termination
             diff = GridFn(u.domain, (u - ph).values.real)
@@ -305,7 +268,8 @@ def test_criterion_08_tikhonov_range_property():
     rng = np.random.default_rng(31)
     symbol = rng.uniform(0.2, 1.0, 64)
     diag = InverseProblem(diagonal_linop(dom, symbol),
-                          GridFn(dom, rng.standard_normal(64)), embedding=spec)
+                          GridFn(dom, rng.standard_normal(64)),
+                          embedding=multiplier.adjoint_linop(dom, spec))
     d_diag = max(range_defect(diag, float(a)) for a in np.geomspace(1e-3, 1.0, 10))
     assert d_diag < 1e-8
 
@@ -314,8 +278,8 @@ def test_criterion_08_tikhonov_range_property():
     op = RadonOperator(geom)
     ph = smooth_phantom(64, seed=0)
     ydelta, delta = add_noise(op.forward(ph), 0.10, seed=42)
-    problem = InverseProblem(op.as_linop(), ydelta, noise_level=delta,
-                             embedding=spec)
+    emb = multiplier.adjoint_linop(geom.image_domain, spec)
+    problem = InverseProblem(op.as_linop(), ydelta, noise_level=delta, embedding=emb)
     best = None
     for alpha in np.geomspace(1e-3, 1e2, 10):
         u = tikhonov(problem, float(alpha), tol=1e-13)

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from sobolev_adjoint import cli
+from sobolev_adjoint import cli, kernel
+from sobolev_adjoint.core import Domain, GridFn
 from sobolev_adjoint.cli import (
     ConfigError,
     main,
@@ -61,6 +63,19 @@ def test_crosscheck_run_creates_artifacts(tmp_path):
     doc = json.loads((tmp_path / "summary.json").read_text())
     assert doc["results"]["failures"] == []
     assert doc["results"]["pairs"]["multiplier|kernel"] < 1e-3
+
+
+def test_crosscheck_runs_where_the_kernel_inner_product_does_not_exist(tmp_path):
+    # at n=1024, s=3 rounding makes a convolution eigenvalue negative
+    u = GridFn(Domain.torus(1, 1024), np.ones(1024))
+    with pytest.raises(ValueError, match="eigenvalue"):
+        kernel.kernel_inner(u, u, 3.0)
+    cfg = parse_config(f"experiment=CrossCheck1D\nn=1024\ns=3\nout_dir={tmp_path}")
+    assert run(cfg) == 0
+    rows = (tmp_path / "crosscheck.csv").read_text(encoding="ascii").splitlines()[2:]
+    assert [row.rsplit(",", 1)[0] for row in rows] == [
+        "multiplier,kernel", "multiplier,svd", "multiplier,discrete",
+        "kernel,svd", "kernel,discrete", "svd,discrete"]
 
 
 def test_norm_equivalence_and_kernel_asymptotics(tmp_path):

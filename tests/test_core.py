@@ -15,7 +15,12 @@ from sobolev_adjoint.core import (
     quad_weight,
 )
 from sobolev_adjoint import bvp
-from sobolev_adjoint.multiplier import NormVariant, SobolevSpec, adjoint_embedding
+from sobolev_adjoint.multiplier import (
+    NormVariant,
+    SobolevSpec,
+    adjoint_embedding,
+    adjoint_linop,
+)
 
 
 def dft_oracle(domain, values):
@@ -211,37 +216,39 @@ def test_cell_box_rejects_bad_sides(lengths, shape):
         Domain.cells(lengths, shape, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("size", [np.nan, np.inf])
+def test_rectangle_rejects_non_finite_sides(size):
+    for sides, name in (((size, 1.0), "a="), ((1.0, size), "b=")):
+        with pytest.raises(ValueError, match=name):
+            Domain.rectangle(*sides, 4, 4)
+
+
+@pytest.mark.parametrize("size", [np.nan, np.inf])
+def test_disk_mask_rejects_non_finite_radius(size):
+    with pytest.raises(ValueError, match="radius="):
+        Domain.disk_mask(size, 8)
+
+
+@pytest.mark.parametrize("size", [np.nan, np.inf])
+def test_real_line_rejects_non_finite_half_width(size):
+    with pytest.raises(ValueError, match="half_width="):
+        Domain.real_line(size, 8)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan),
+                                  (np.nan, 1.0)])
+def test_interval_rejects_non_finite_endpoints(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        Domain.interval(a, b, 8)
+
+
 def test_check_adjoint_identity_and_multiplier():
     dom = Domain.torus(1, 32)
     assert check_adjoint(identity_linop(dom), trials=5, seed=0) == 0.0
-
-    spec = SobolevSpec(1.0, NormVariant.TORUS_S)
-    from sobolev_adjoint.core import LinOp
-    from sobolev_adjoint.multiplier import sobolev_inner
-
-    op = LinOp(
-        apply=lambda u: adjoint_embedding(u, spec),
-        apply_adjoint=lambda u: u,
-        domain_inner=inner,
-        codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
-        domain=dom,
-        codomain=dom,
-    )
+    op = adjoint_linop(dom, SobolevSpec(1.0, NormVariant.TORUS_S))
     assert check_adjoint(op, trials=10, seed=1) < 1e-12
 
 
 def test_check_adjoint_deterministic():
-    dom = Domain.torus(1, 16)
-    spec = SobolevSpec(0.5)
-    from sobolev_adjoint.core import LinOp
-    from sobolev_adjoint.multiplier import sobolev_inner
-
-    op = LinOp(
-        apply=lambda u: adjoint_embedding(u, spec),
-        apply_adjoint=lambda u: u,
-        domain_inner=inner,
-        codomain_inner=lambda a, b: sobolev_inner(a, b, spec),
-        domain=dom,
-        codomain=dom,
-    )
+    op = adjoint_linop(Domain.torus(1, 16), SobolevSpec(0.5))
     assert check_adjoint(op, 7, seed=42) == check_adjoint(op, 7, seed=42)

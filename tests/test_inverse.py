@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from sobolev_adjoint.inverse import (
     landweber_hilbert_scale,
     tikhonov,
 )
+from sobolev_adjoint import kernel, multiplier, wavelet
 from sobolev_adjoint.multiplier import (
     NormVariant,
     SobolevSpec,
@@ -30,6 +33,10 @@ from sobolev_adjoint.multiplier import (
 SPEC = SobolevSpec(1.0, NormVariant.TORUS_S)
 
 
+def emb(dom=Domain.torus(1, 64), spec=SPEC):
+    return multiplier.adjoint_linop(dom, spec)
+
+
 def identity_linop(n=64):
     dom = Domain.torus(1, n)
     return LinOp(lambda u: u, lambda u: u, inner, inner, dom, dom)
@@ -37,17 +44,11 @@ def identity_linop(n=64):
 
 def diagonal_linop(domain, symbol):
     """Spectral multiplier operator with the given FFT-layout symbol."""
-    def apply(u):
-        c = fft_forward(u)
-        return GridFn(domain, np.fft.ifftn(c.coeffs * symbol /
-                                           np.prod(domain.spacing)).ravel())
+    def times(sym):
+        return lambda u: GridFn(domain, np.fft.ifftn(
+            fft_forward(u).coeffs * sym / np.prod(domain.spacing)).ravel())
 
-    def apply_adjoint(u):
-        c = fft_forward(u)
-        return GridFn(domain, np.fft.ifftn(c.coeffs * np.conj(symbol)
-                                           / np.prod(domain.spacing)).ravel())
-
-    return LinOp(apply, apply_adjoint, inner, inner, domain, domain)
+    return LinOp(times(symbol), times(np.conj(symbol)), inner, inner, domain, domain)
 
 
 def rand_fn(n, seed):
@@ -128,7 +129,7 @@ def test_landweber_embedded_iterates_in_smoother_range():
     dom = Domain.torus(1, 64)
     symbol = np.random.default_rng(6).uniform(0.5, 1.5, 64)
     y = rand_fn(64, 7)
-    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=SPEC)
+    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=emb())
     u1, _ = landweber(problem, step=0.3, max_iter=1)
     # first iterate from zero carries the inverse weight spectrally
     w = weight_grid(dom, SPEC)
@@ -163,9 +164,7 @@ def test_discrepancy_rule_rejects_tau_at_most_one_and_clean_data():
 
 
 def test_landweber_smoother_backend_override():
-    # convolution backend tracks the default multiplier backend closely
-    from sobolev_adjoint.kernel import convolve_adjoint
-
+    # convolution backend tracks the multiplier backend closely
     dom = Domain.torus(1, 256)
     x = dom.axes()[0]
     vals = np.zeros(256)
@@ -176,9 +175,9 @@ def test_landweber_smoother_backend_override():
     y = GridFn(dom, vals)
     symbol = rng.uniform(0.4, 1.0, 256)
     spec = SobolevSpec(1.0, NormVariant.BESSEL_V1)
-    base = InverseProblem(diagonal_linop(dom, symbol), y, embedding=spec)
-    alt = InverseProblem(diagonal_linop(dom, symbol), y, embedding=spec,
-                         smoother=lambda u: convolve_adjoint(u, 1.0))
+    base = InverseProblem(diagonal_linop(dom, symbol), y, embedding=emb(dom, spec))
+    alt = InverseProblem(diagonal_linop(dom, symbol), y,
+                         embedding=kernel.adjoint_linop(dom, 1.0))
     u_mult, _ = landweber(base, step=0.5, max_iter=10)
     u_conv, _ = landweber(alt, step=0.5, max_iter=10)
     assert l2_norm(u_conv - u_mult) / l2_norm(u_mult) < 1e-3
@@ -190,8 +189,9 @@ def test_hilbert_scale_a0_matches_embedded():
     dom = Domain.torus(1, 64)
     symbol = np.random.default_rng(10).uniform(0.3, 1.0, 64)
     y = rand_fn(64, 11)
-    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=SPEC)
-    u_a0, log_a0 = landweber_hilbert_scale(problem, a=0.0, step=0.5, max_iter=25)
+    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=emb())
+    u_a0, log_a0 = landweber_hilbert_scale(problem, SPEC, a=0.0, step=0.5,
+                                           max_iter=25)
     u_emb, log_emb = landweber(problem, step=0.5, max_iter=25)
     assert np.max(np.abs(u_a0.values - u_emb.values)) < 1e-13
     assert np.allclose(log_a0.residuals, log_emb.residuals, rtol=0, atol=1e-13)
@@ -201,9 +201,8 @@ def test_hilbert_scale_a1_matches_plain_l2():
     dom = Domain.torus(1, 64)
     symbol = np.random.default_rng(12).uniform(0.3, 1.0, 64)
     y = rand_fn(64, 13)
-    embedded = InverseProblem(diagonal_linop(dom, symbol), y, embedding=SPEC)
     plain = InverseProblem(diagonal_linop(dom, symbol), y)
-    u_a1, _ = landweber_hilbert_scale(embedded, a=1.0, step=0.5, max_iter=50)
+    u_a1, _ = landweber_hilbert_scale(plain, SPEC, a=1.0, step=0.5, max_iter=50)
     u_l2, _ = landweber(plain, step=0.5, max_iter=50)
     assert np.max(np.abs(u_a1.values - u_l2.values)) < 1e-10
 
@@ -213,9 +212,9 @@ def test_hilbert_scale_half_per_mode_oracle():
     rng = np.random.default_rng(14)
     symbol = rng.uniform(0.3, 1.0, 32)
     y = GridFn(dom, rng.standard_normal(32))
-    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=SPEC)
+    problem = InverseProblem(diagonal_linop(dom, symbol), y)
     a, step, iters = 0.5, 0.6, 12
-    u, _ = landweber_hilbert_scale(problem, a=a, step=step, max_iter=iters)
+    u, _ = landweber_hilbert_scale(problem, SPEC, a=a, step=step, max_iter=iters)
     w = weight_grid(dom, SPEC)
     factor = step * w ** (a - 1.0) * symbol**2
     y_hat = fft_forward(y).coeffs
@@ -232,8 +231,8 @@ def test_hilbert_scale_default_step_sized_for_iterated_operator(a):
     symbol[0] = 0.2
     spec = SobolevSpec(1.0)
     problem = InverseProblem(diagonal_linop(dom, symbol), rand_fn(64, 23),
-                             embedding=spec)
-    u, log = landweber_hilbert_scale(problem, a=a, max_iter=50)
+                             embedding=emb(dom, spec))
+    u, log = landweber_hilbert_scale(problem, spec, a=a, max_iter=50)
     assert len(log.residuals) == 51
     assert all(r0 >= r1 - 1e-14 for r0, r1 in zip(log.residuals, log.residuals[1:]))
     if a == 0.0:
@@ -242,29 +241,15 @@ def test_hilbert_scale_default_step_sized_for_iterated_operator(a):
         assert log.residuals == log_emb.residuals
 
 
-def test_hilbert_scale_requires_embedding_and_range():
+def test_hilbert_scale_requires_range():
     problem = InverseProblem(identity_linop(), rand_fn(64, 15))
     with pytest.raises(ValueError):
-        landweber_hilbert_scale(problem, a=0.5)
-    problem_s = InverseProblem(identity_linop(), rand_fn(64, 15), embedding=SPEC)
-    with pytest.raises(ValueError):
-        landweber_hilbert_scale(problem_s, a=1.5)
+        landweber_hilbert_scale(problem, SPEC, a=1.5)
 
 
-def test_hilbert_scale_rejects_custom_smoother():
-    # the scale is the multiplier's: with the convolution backend, a = 0
-    # would iterate w^-1, not the problem's smoother, so it is refused
-    from sobolev_adjoint.kernel import convolve_adjoint
-
-    dom = Domain.torus(1, 256)
-    rng = np.random.default_rng(24)
-    problem = InverseProblem(diagonal_linop(dom, rng.uniform(0.4, 1.0, 256)),
-                             rand_fn(256, 25),
-                             embedding=SobolevSpec(1.0, NormVariant.BESSEL_V1),
-                             smoother=lambda u: convolve_adjoint(u, 1.0))
-    for a in (0.0, 0.5, 1.0):
-        with pytest.raises(ValueError, match="smoother"):
-            landweber_hilbert_scale(problem, a=a, step=0.5, max_iter=5)
+def test_problem_rejects_embedding_on_another_domain():
+    with pytest.raises(ValueError, match="domain"):
+        InverseProblem(identity_linop(32), rand_fn(32, 26), embedding=emb())
 
 
 # -- tikhonov ---------------------------------------------------------------------
@@ -281,7 +266,7 @@ def test_tikhonov_diagonal_per_mode_formula():
     symbol = rng.uniform(0.2, 1.0, 64)
     y = GridFn(dom, rng.standard_normal(64))
     alpha = 0.05
-    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=SPEC)
+    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=emb(dom))
     u = tikhonov(problem, alpha)
     w = weight_grid(dom, SPEC)
     expect = np.conj(symbol) * fft_forward(y).coeffs / (np.abs(symbol) ** 2
@@ -291,7 +276,7 @@ def test_tikhonov_diagonal_per_mode_formula():
 
 def test_tikhonov_overregularization_limit():
     y = rand_fn(64, 18)
-    problem = InverseProblem(identity_linop(), y, embedding=SPEC)
+    problem = InverseProblem(identity_linop(), y, embedding=emb())
     norms = [l2_norm(tikhonov(problem, alpha)) for alpha in (1.0, 10.0, 100.0)]
     assert norms[0] > norms[1] > norms[2]
     assert norms[-1] < 0.02 * l2_norm(y)
@@ -303,7 +288,7 @@ def test_tikhonov_minimizer_property():
     symbol = rng.uniform(0.2, 1.0, 32)
     y = GridFn(dom, rng.standard_normal(32))
     alpha = 0.1
-    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=SPEC)
+    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=emb(dom))
     u = tikhonov(problem, alpha)
 
     def functional(v):
@@ -323,12 +308,31 @@ def test_tikhonov_range_property():
     symbol = rng.uniform(0.2, 1.0, 64)
     y = GridFn(dom, rng.standard_normal(64))
     alpha = 0.07
-    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=SPEC)
+    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=emb(dom))
     u = tikhonov(problem, alpha)
     fw = problem.forward
     rhs = problem.smooth(fw.apply_adjoint(y) - fw.apply_adjoint(fw.apply(u)))
     recon = (1.0 / alpha) * rhs
     assert l2_norm(recon - u) < 1e-8 * l2_norm(u)
+
+
+@pytest.mark.parametrize("make", [
+    lambda dom: kernel.adjoint_linop(dom, 1.0),
+    lambda dom: wavelet.adjoint_linop(dom, 1.0, wavelet.DB4, 4),
+], ids=["kernel", "wavelet"])
+def test_tikhonov_runs_cg_in_the_embedding_inner_product(make):
+    dom = Domain.torus(1, 256)
+    rng = np.random.default_rng(27)
+    op, calls = make(dom), []
+    counted = replace(op, codomain_inner=lambda p, q: calls.append(1)
+                      or op.codomain_inner(p, q))
+    problem = InverseProblem(diagonal_linop(dom, rng.uniform(0.2, 1.0, 256)),
+                             GridFn(dom, rng.standard_normal(256)), embedding=counted)
+    alpha = 0.05
+    u = tikhonov(problem, alpha)
+    fw = problem.forward
+    rhs = problem.smooth(fw.apply_adjoint(problem.data) - fw.apply_adjoint(fw.apply(u)))
+    assert calls and l2_norm((1.0 / alpha) * rhs - u) < 1e-8 * l2_norm(u)
 
 
 def test_tikhonov_continuity_in_alpha():
@@ -337,7 +341,7 @@ def test_tikhonov_continuity_in_alpha():
     rng = np.random.default_rng(21)
     symbol = rng.uniform(0.3, 1.0, 32)
     y = GridFn(dom, rng.standard_normal(32))
-    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=SPEC)
+    problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=emb(dom))
     alpha, d_alpha = 0.1, 1e-4
     u0 = tikhonov(problem, alpha)
     u1 = tikhonov(problem, alpha + d_alpha)

@@ -1,0 +1,120 @@
+"""Properties shared by every backend's ``adjoint_linop``.
+
+Each one is E^* in its own pair of inner products, so over drawn grids,
+orders, norm variants and inputs it satisfies the adjoint identity
+``<E^* v, u>_codomain = <v, E u>_domain`` (``check_adjoint``), and ``apply``
+is self-adjoint and positive semidefinite in the domain inner product.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sobolev_adjoint import bvp, discrete, kernel, multiplier, spectral, wavelet
+from sobolev_adjoint.core import Domain, DomainKind, GridFn, check_adjoint
+from sobolev_adjoint.multiplier import NormVariant, SobolevSpec
+
+SIZES = st.integers(8, 48)
+
+
+@st.composite
+def specs(draw, torus=True):
+    variant = draw(st.sampled_from(list(NormVariant) if torus else
+                                   [NormVariant.BESSEL_V1, NormVariant.BESSEL_V2]))
+    if variant is NormVariant.SERIES_M:
+        return SobolevSpec(draw(st.integers(0, 3)), variant)
+    low = 1.0 if variant is NormVariant.BESSEL_V2 else 0.0
+    return SobolevSpec(draw(st.floats(low, 3.0)), variant)
+
+
+@st.composite
+def periodic_1d(draw):
+    n = draw(SIZES)
+    if draw(st.booleans()):
+        return Domain.torus(1, n)
+    return Domain.real_line(draw(st.floats(1.0, 10.0)), n)
+
+
+@st.composite
+def multiplier_ops(draw):
+    dom = draw(periodic_1d() | SIZES.map(lambda n: Domain.torus(2, n)))
+    spec = draw(specs(torus=dom.kind is DomainKind.TORUS))
+    # rounding grows with the largest weight: keep the effective order <= 3
+    top = min(2.0, 3.0 / max(spec.order_s, 1.0))
+    scale = draw(st.just(1.0) | st.floats(0.0, top))
+    return multiplier.adjoint_linop(dom, spec, scale), 1e-10
+
+
+@st.composite
+def kernel_ops(draw):
+    # s <= 1: at larger s * n rounding drives convolution eigenvalues negative
+    s = draw(st.floats(0.1, 1.0))
+    return kernel.adjoint_linop(draw(periodic_1d()), s), 1e-10
+
+
+@st.composite
+def bvp_ops(draw):
+    kind = draw(st.sampled_from(["interval", "rectangle", "torus"]))
+    if kind == "torus":
+        m = draw(st.integers(0, 3))
+        return bvp.adjoint_linop(Domain.torus(1, draw(SIZES)), m), 1e-10
+    if kind == "interval":
+        dom = Domain.interval(0.0, draw(st.floats(0.5, 4.0)), draw(SIZES))
+    else:
+        dom = Domain.rectangle(draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0)),
+                               draw(SIZES), draw(SIZES))
+    return bvp.adjoint_linop(dom, 1), 1e-9
+
+
+@st.composite
+def wavelet_ops(draw):
+    levels = draw(st.integers(1, 3))
+    blocks = draw(st.integers(-(-8 // 2**levels), 48 // 2**levels))
+    basis = draw(st.sampled_from([wavelet.HAAR, wavelet.DB4]))
+    dom = Domain.torus(1, blocks * 2**levels)
+    return wavelet.adjoint_linop(dom, draw(st.floats(0.0, 1.5)), basis, levels), 1e-10
+
+
+@st.composite
+def svd_ops(draw):
+    n = draw(SIZES)
+    svd = spectral.svd_from_multiplier(draw(specs()), Domain.torus(1, n),
+                                       draw(st.integers(1, n)))
+    return svd.adjoint_linop(), 1e-10
+
+
+@st.composite
+def gram_ops(draw):
+    n = draw(SIZES)
+    dom = Domain.torus(1, n)
+    kmax = draw(st.integers(0, min(6, (n - 1) // 2)))  # no aliased modes
+    fns, _ = discrete.fourier_mode_basis(dom, kmax)
+    ip = multiplier.adjoint_linop(dom, draw(specs())).codomain_inner
+    return discrete.adjoint_linop(discrete.assemble(fns, fns, ip)), 1e-10
+
+
+BACKENDS = {"multiplier": multiplier_ops(), "kernel": kernel_ops(), "bvp": bvp_ops(),
+            "wavelet": wavelet_ops(), "svd": svd_ops(), "discrete": gram_ops()}
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS))
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_adjoint_linop_is_the_adjoint_embedding(backend, data):
+    op, tol = data.draw(BACKENDS[backend])
+    assert check_adjoint(op, trials=3, seed=0) < tol
+
+    rng = np.random.default_rng(0)
+    n = op.domain.grid_size
+    complex_input = data.draw(st.booleans())
+
+    def random_fn():
+        vals = rng.standard_normal(n)
+        return GridFn(op.domain, vals + 1j * rng.standard_normal(n) if complex_input
+                      else vals)
+
+    u, v = random_fn(), random_fn()
+    uu, vv = op.domain_inner(u, u).real, op.domain_inner(v, v).real
+    defect = op.domain_inner(op.apply(u), v) - op.domain_inner(u, op.apply(v))
+    assert abs(defect) <= tol * np.sqrt(uu * vv)
+    assert op.domain_inner(op.apply(u), u).real >= -tol * uu

@@ -23,8 +23,9 @@ Second-order finite differences throughout.  The trapezoid-lumped mass turns
 ``M^{-1} A`` of order 1 into a sum of per-axis second differences, which the
 DCT-I (reflecting boundary) and the DST-I (zero boundary) diagonalize, so the
 order-1 solves are exact fast-Poisson solves (Buzbee, Golub & Nielson 1970).
-Order 2 goes through banded Cholesky, and the torus solve divides DFT
-coefficients by the symbol of the periodic second difference.
+Order 2 goes through banded Cholesky.  The torus solve and its inner product
+are ``multiplier.fourier_multiply`` and ``multiplier.weighted_inner`` with the
+symbol of ``I - Laplace_h`` to the powers -m and m.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .core import Domain, DomainKind, GridFn, LinOp, inner
-from .multiplier import weighted_inner
+from .multiplier import fourier_multiply, weighted_inner
 
 __all__ = [
     "BoundaryKind",
@@ -237,8 +238,7 @@ def _torus_symbol(dom: Domain) -> np.ndarray:
 
 def solve_torus_helmholtz(u: GridFn, m: int = 1) -> GridFn:
     """Periodic FD solve of (I - Laplace_h)^m z = u on the 1D unit torus, by DFT."""
-    z = np.fft.ifft(np.fft.fft(u.values) / _torus_symbol(u.domain)**m)
-    return GridFn(u.domain, z.real if u.is_real else z)
+    return fourier_multiply(u, _torus_symbol(u.domain) ** -m)
 
 
 def variational_gap(z: GridFn, u: GridFn, spec: BvpSpec) -> float:

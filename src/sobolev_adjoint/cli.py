@@ -62,6 +62,8 @@ _EXPERIMENT_DEFAULTS = {
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
+_CROSSCHECK_KMAX = 16  # CrossCheck1D's band |k| <= 16; its SVD and Gram span it
+
 
 def _convert(key: str, raw: str, line_no: int):
     kind = _FIELD_TYPES[key]
@@ -92,11 +94,13 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("tau must exceed 1")
     if cfg.noise_rel < 0:
         raise ConfigError("noise_rel must be >= 0")
-    if cfg.s < 0:
-        raise ConfigError("s must be >= 0")
-    for key, least in (("n", 2), ("n_offsets", 1), ("n_angles", 1)):
+    if cfg.s < 0 or (cfg.s == 0 and cfg.experiment == "CrossCheck1D"):
+        raise ConfigError(f"s={cfg.s} must be >= 0 (> 0 for CrossCheck1D's kernel route)")
+    for key, least in (("n", 2), ("n_offsets", 1), ("n_angles", 1), ("seed", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key}={getattr(cfg, key)} must be >= {least}")
+    if cfg.experiment == "CrossCheck1D" and cfg.n <= 2 * _CROSSCHECK_KMAX:
+        raise ConfigError(f"CrossCheck1D needs n > {2 * _CROSSCHECK_KMAX}, got n={cfg.n}")
     if cfg.experiment == "RadonRecon":
         if cfg.n < 16:
             raise ConfigError(f"n={cfg.n} is too small for RadonRecon: "
@@ -155,13 +159,14 @@ def _bandlimited(dom: Domain, kmax: int, seed: int) -> GridFn:
 def _crosscheck_table(n: int, s: float, seed: int):
     dom = Domain.torus(1, n)
     spec = SobolevSpec(s, NormVariant.BESSEL_V1)
-    u = _bandlimited(dom, 16, seed)
+    u = _bandlimited(dom, _CROSSCHECK_KMAX, seed)
     ops = {"multiplier": multiplier.adjoint_linop(dom, spec),
            "kernel": kernel.adjoint_linop(dom, s)}
     if s == int(s) and int(s) in (1, 2):
         ops["bvp"] = bvp.adjoint_linop(dom, int(s))
-    ops["svd"] = spectral.svd_from_multiplier(spec, dom, 2 * 16 + 1).adjoint_linop()
-    fns, _ = discrete.fourier_mode_basis(dom, 16)
+    svd = spectral.svd_from_multiplier(spec, dom, 2 * _CROSSCHECK_KMAX + 1)
+    ops["svd"] = svd.adjoint_linop()
+    fns, _ = discrete.fourier_mode_basis(dom, _CROSSCHECK_KMAX)
     ops["discrete"] = discrete.adjoint_linop(
         discrete.assemble(fns, fns, ops["multiplier"].codomain_inner))
     results = {name: GridFn(dom, op.apply(u).values.real) for name, op in ops.items()}

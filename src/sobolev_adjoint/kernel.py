@@ -9,7 +9,8 @@ positive, radially decreasing, integrable with unit mass, analytic away
 from the origin, exponentially decaying, and square-integrable iff
 ``s > N/2``.  Smoothing a function by order ``s`` convolves it with
 ``G_{2s}``, which reproduces the Fourier-multiplier route up to grid and
-truncation error.
+truncation error.  Its Fourier eigenvalues, computed once per grid and order,
+go through ``multiplier.fourier_multiply`` and ``multiplier.weighted_inner``.
 
 The Gamma function and K_nu come from ``scipy.special``; the wrappers
 here only reject arguments outside the domain the kernel formulas use.
@@ -23,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Domain, DomainKind, GridFn, LinOp, _same_domain, inner
+from .core import Domain, DomainKind, GridFn, LinOp, inner
+from .multiplier import fourier_multiply, weighted_inner
 
 __all__ = [
     "EvalMode",
@@ -230,8 +232,8 @@ def periodized_kernel_samples(spec: KernelSpec, domain: Domain) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _convolution_samples(dom: Domain, s: float) -> np.ndarray:
-    """Periodized G_{2s} on ``dom``, computed once and read-only."""
+def _convolution_eigenvalues(dom: Domain, s: float) -> np.ndarray:
+    """Eigenvalues ``h * Re DFT`` of the periodized G_{2s}; computed once, read-only."""
     if dom.kind not in (DomainKind.TORUS, DomainKind.REAL_LINE) or dom.ndim != 1:
         raise ValueError("convolution route supports 1D periodic domains only")
     if s <= 0:
@@ -239,8 +241,9 @@ def _convolution_samples(dom: Domain, s: float) -> np.ndarray:
     order = 2.0 * s
     mode = EvalMode.CLOSED_FORM if order in (2.0, 4.0) else EvalMode.INTEGRAL_KNU
     g = periodized_kernel_samples(KernelSpec(order, dom.ndim, mode), dom)
-    g.flags.writeable = False
-    return g
+    lam = dom.spacing[0] * np.fft.fft(g).real  # g is even: its DFT is real
+    lam.flags.writeable = False
+    return lam
 
 
 def convolve_adjoint(u: GridFn, s: float) -> GridFn:
@@ -248,31 +251,23 @@ def convolve_adjoint(u: GridFn, s: float) -> GridFn:
 
     1D periodic grids only (unit torus or truncated line); the kernel is
     periodized over the grid's period and truncated where it falls below
-    1e-12.
+    1e-12; the convolution is applied as its Fourier eigenvalues.
     """
-    dom = u.domain
-    g = _convolution_samples(dom, s)
-    h = dom.spacing[0]
-    out = np.fft.ifft(np.fft.fft(g) * np.fft.fft(u.values)) * h
-    if u.is_real:
-        out = out.real
-    return GridFn(dom, out)
+    return fourier_multiply(u, _convolution_eigenvalues(u.domain, s))
 
 
 def kernel_inner(u: GridFn, v: GridFn, s: float) -> complex:
     """The inner product in which ``convolve_adjoint`` is E^*: each Fourier mode
     over its convolution eigenvalue, which must be positive."""
-    _same_domain(u, v)
-    n, h = u.domain.shape[0], u.domain.spacing[0]
-    lam = h * np.fft.fft(_convolution_samples(u.domain, s)).real
+    lam = _convolution_eigenvalues(u.domain, s)
     if not lam.min() > 0.0:
-        raise ValueError(f"convolution eigenvalue {lam.min():.1e} <= 0 at n={n}, s={s}")
-    cu, cv = np.fft.fft(u.values), np.fft.fft(v.values)
-    return h / n * complex(np.sum(cu * np.conj(cv) / lam))
+        raise ValueError(f"convolution eigenvalue {lam.min():.1e} <= 0 at "
+                         f"n={lam.size}, s={s}")
+    return weighted_inner(u, v, 1.0 / lam)
 
 
 def adjoint_linop(domain: Domain, s: float) -> LinOp:
     """E^* as convolution with G_{2s}, paired with :func:`kernel_inner`."""
-    _convolution_samples(domain, s)  # validates the grid and the order
+    _convolution_eigenvalues(domain, s)  # validates the grid and the order
     return LinOp(lambda u: convolve_adjoint(u, s), lambda u: u, inner,
                  lambda u, v: kernel_inner(u, v, s), domain, domain)

@@ -10,7 +10,8 @@ All variants act diagonally on spectral coefficients with a weight
 
 The adjoint embedding divides coefficients by the weight, so that
 ``<adjoint_embedding(u), v>_{H^s} == <u, v>_{L2}`` holds exactly in the
-discrete spectral inner product.
+discrete spectral inner product.  :func:`fourier_multiply` and
+:func:`weighted_inner` serve the kernel and torus-BVP weights too.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "weight_grid",
     "adjoint_embedding",
     "bessel_potential",
+    "fourier_multiply",
     "weighted_inner",
     "sobolev_inner",
     "sobolev_norm",
@@ -104,14 +106,15 @@ def _weight_power(domain: Domain, spec: SobolevSpec, power: float) -> np.ndarray
     return w
 
 
+def fourier_multiply(u: GridFn, weight: np.ndarray) -> GridFn:
+    """Scale the Fourier coefficients of ``u`` by a real ``weight``; real stays real."""
+    res = fft_inverse(SpectralField(u.domain, fft_forward(u).coeffs * weight))
+    return GridFn(u.domain, res.values.real) if u.is_real else res
+
+
 def hilbert_scale_apply(u: GridFn, spec: SobolevSpec, power: float) -> GridFn:
     """Apply w(k)**power diagonally; power=-1 recovers the adjoint embedding."""
-    c = fft_forward(u)
-    res = fft_inverse(SpectralField(
-        u.domain, c.coeffs * _weight_power(u.domain, spec, float(power))))
-    if u.is_real:
-        return GridFn(u.domain, res.values.real)
-    return res
+    return fourier_multiply(u, _weight_power(u.domain, spec, float(power)))
 
 
 def adjoint_embedding(u: GridFn, spec: SobolevSpec) -> GridFn:
@@ -161,7 +164,9 @@ def sobolev_norm(u: GridFn, spec: SobolevSpec) -> float:
 
 
 def adjoint_linop(domain: Domain, spec: SobolevSpec, scale: float = 1.0) -> LinOp:
-    """E^* from L2 onto the space weighted by ``w(k)**scale``."""
+    """E^* from L2 onto the space weighted by ``w(k)**scale``; at ``scale != 1``
+    adjoint only to about ``eps * sqrt(max w**scale)``, as the codomain inner
+    product scales each transformed mode's rounding by ``w**scale``."""
     weight = _weight_power(domain, spec, float(scale))  # validates the grid
     if scale == 1.0:
         return LinOp(lambda u: adjoint_embedding(u, spec), lambda u: u, inner,

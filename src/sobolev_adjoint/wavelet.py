@@ -131,14 +131,13 @@ def fwt(u: GridFn, basis: WaveletBasis, levels: int) -> WaveletDecomposition:
     return WaveletDecomposition(u.domain, basis, a, tuple(fine_to_coarse[::-1]))
 
 
-def ifwt(d: WaveletDecomposition, basis: WaveletBasis | None = None) -> GridFn:
+def ifwt(d: WaveletDecomposition) -> GridFn:
     """Exact inverse of :func:`fwt`."""
-    basis = basis if basis is not None else d.basis
     a = d.approx
     for detail in d.details:
         if detail.size != a.size:
             raise ValueError("inconsistent block sizes in decomposition")
-        a = _synthesis_step(a, detail, basis)
+        a = _synthesis_step(a, detail, d.basis)
     if a.size != d.domain.grid_size:
         raise ValueError("decomposition does not match its domain")
     return GridFn(d.domain, a)
@@ -155,10 +154,7 @@ def adjoint_embedding_wavelet(u: GridFn, s: float, basis: WaveletBasis,
         raise ValueError("s must be >= 0")
     dec = fwt(u, basis, levels)
     scaled = tuple(d / w for d, w in zip(dec.details, _detail_weights(levels, s)))
-    out = ifwt(WaveletDecomposition(dec.domain, basis, dec.approx, scaled))
-    if u.is_real:
-        return GridFn(u.domain, out.values.real)
-    return out
+    return ifwt(WaveletDecomposition(dec.domain, basis, dec.approx, scaled))
 
 
 def wavelet_sobolev_inner(u: GridFn, v: GridFn, s: float, basis: WaveletBasis,

@@ -206,6 +206,23 @@ def test_main_exit_codes(tmp_path, capsys):
             assert f"backend {backend!r}" in capsys.readouterr().err
             assert not out.exists()
 
+    # configs the compute would reject (numpy's rng, the 33-mode SVD and Gram,
+    # the kernel route) fail as config errors, not as numerical failures
+    for experiment, text, key in (("RadonRecon", "n=32\nseed=-1", "seed=-1"),
+                                  ("CrossCheck1D", "seed=-1", "seed=-1"),
+                                  ("CrossCheck1D", "n=32", "n=32"),
+                                  ("CrossCheck1D", "s=0", "s=0")):
+        cfg.write_text(f"experiment={experiment}\n{text}\n")
+        out = tmp_path / f"{experiment}_{key}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+    cfg.write_text("experiment=AdjointSmoothing2D\nn=9\n")
+    out = tmp_path / "seed_override"
+    assert main(["run", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed=-1" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_main_selftest():
     assert main(["selftest"]) == 0

@@ -3,6 +3,7 @@ definition is referenced: a small stand-in for a linter's unused-import,
 undefined-export and dead-code checks."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -103,3 +104,27 @@ def test_every_definition_is_referenced():
     tests = sorted((ROOT / "tests").glob("*.py"))
     assert unreferenced_definitions([p.read_text(encoding="utf-8") for p in MODULES],
                                     [p.read_text(encoding="utf-8") for p in tests]) == []
+
+
+def _literal(path: Path, name: str):
+    """The literal assigned to the top-level ``name`` in ``path``."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def test_benchmark_hooks_exist():
+    # perfbench wraps these by getattr: a renamed one would only fail a traced run
+    bench = ROOT / "perfbench"
+    hooks = [(mod, attr) for mod, attr, _ in _literal(bench / "tracing.py", "FUNCTIONS")]
+    hooks += _literal(bench / "child.py", "ENTRY_POINTS")
+    missing = [f"{mod}.{attr}" for mod, attr in hooks
+               if not callable(getattr(importlib.import_module(f"sobolev_adjoint.{mod}"),
+                                       attr, None))]
+    for mod, cls, meth, _ in _literal(bench / "tracing.py", "METHODS"):
+        owner = getattr(importlib.import_module(f"sobolev_adjoint.{mod}"), cls, None)
+        if not callable(getattr(owner, meth, None)):
+            missing.append(f"{mod}.{cls}.{meth}")
+    assert hooks and missing == []

@@ -13,6 +13,7 @@ from sobolev_adjoint.kernel import (
     kernel_asymptotics_check,
     kernel_eval,
     kernel_lattice,
+    periodized_kernel_samples,
 )
 from sobolev_adjoint.multiplier import NormVariant, SobolevSpec, adjoint_embedding
 
@@ -202,6 +203,25 @@ def test_convolve_knu_path():
     a = convolve_adjoint(u, 1.5)
     b = adjoint_embedding(u, SobolevSpec(1.5, NormVariant.BESSEL_V1))
     assert l2_norm(a - b) / l2_norm(u) < 1e-3
+
+
+@pytest.mark.parametrize("dom", [Domain.torus(1, 63), Domain.torus(1, 64),
+                                 Domain.real_line(6.0, 127), Domain.real_line(6.0, 128)],
+                         ids=["torus-odd", "torus-even", "line-odd", "line-even"])
+@pytest.mark.parametrize("s", [1.0, 0.75], ids=["closed-form", "knu"])
+def test_convolve_equals_direct_circulant_product(dom, s):
+    # independent of any FFT: sum_j h * g[(i - j) mod n] * u[j] over the folded kernel
+    n, h = dom.shape[0], dom.spacing[0]
+    mode = EvalMode.CLOSED_FORM if s == 1.0 else EvalMode.INTEGRAL_KNU
+    g = periodized_kernel_samples(KernelSpec(2 * s, 1, mode), dom)
+    circulant = h * g[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    rng = np.random.default_rng(n)
+    for vals in (rng.standard_normal(n),
+                 rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        direct = circulant @ vals
+        out = convolve_adjoint(GridFn(dom, vals), s)
+        assert out.is_real == np.isrealobj(vals)
+        assert np.linalg.norm(out.values - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_convolve_rejects_unsupported_domains():

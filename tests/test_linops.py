@@ -3,7 +3,10 @@
 Each one is E^* in its own pair of inner products, so over drawn grids,
 orders, norm variants and inputs it satisfies the adjoint identity
 ``<E^* v, u>_codomain = <v, E u>_domain`` (``check_adjoint``), and ``apply``
-is self-adjoint and positive semidefinite in the domain inner product.
+is self-adjoint and positive semidefinite in the domain inner product.  At
+order 0 the multiplier and wavelet smoothers are the identity, and on
+band-limited input the Fourier-diagonal backends agree with the multiplier
+at the ``CrossCheck1D`` gates.
 """
 
 import numpy as np
@@ -118,3 +121,56 @@ def test_adjoint_linop_is_the_adjoint_embedding(backend, data):
     defect = op.domain_inner(op.apply(u), v) - op.domain_inner(u, op.apply(v))
     assert abs(defect) <= tol * np.sqrt(uu * vv)
     assert op.domain_inner(op.apply(u), u).real >= -tol * uu
+
+
+@st.composite
+def order0_ops(draw):
+    if draw(st.booleans()):
+        dom = draw(periodic_1d() | SIZES.map(lambda n: Domain.torus(2, n)))
+        variants = [NormVariant.BESSEL_V1]
+        if dom.kind is DomainKind.TORUS:
+            variants += [NormVariant.SERIES_M, NormVariant.TORUS_S]
+        spec = SobolevSpec(0, draw(st.sampled_from(variants)))
+        return multiplier.adjoint_linop(dom, spec, draw(st.floats(0.0, 2.0)))
+    levels = draw(st.integers(1, 3))
+    dom = Domain.torus(1, draw(st.integers(1, 48 // 2**levels)) * 2**levels)
+    basis = draw(st.sampled_from([wavelet.HAAR, wavelet.DB4]))
+    return wavelet.adjoint_linop(dom, 0.0, basis, levels)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(op=order0_ops(), complex_input=st.booleans())
+def test_order_zero_is_the_identity(op, complex_input):
+    rng = np.random.default_rng(0)
+    n = op.domain.grid_size
+    vals = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_input else 0)
+    out = op.apply(GridFn(op.domain, vals)).values
+    assert np.linalg.norm(out - vals) <= 1e-12 * np.linalg.norm(vals)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(64, 1024), s=st.sampled_from([1.0, 2.0]) | st.floats(0.5, 2.0),
+       data=st.data())
+def test_backends_agree_on_bandlimited_input(n, s, data):
+    # the CrossCheck1D backends at its gates, over grids, orders and bands
+    dom = Domain.torus(1, n)
+    kmax = data.draw(st.integers(1, min(8, n // 16)))
+    rng = np.random.default_rng(n)
+    modes = np.r_[0:kmax + 1, n - kmax:n]
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[modes] = rng.standard_normal(modes.size) + 1j * rng.standard_normal(modes.size)
+    vals = np.fft.ifft(coeffs) * n
+    u = GridFn(dom, vals if data.draw(st.booleans()) else vals.real)
+    spec = SobolevSpec(s, NormVariant.BESSEL_V1)
+    reference = multiplier.adjoint_linop(dom, spec)
+    fns, _ = discrete.fourier_mode_basis(dom, kmax)
+    gram = discrete.assemble(fns, fns, reference.codomain_inner)
+    gated = [(kernel.adjoint_linop(dom, s), 1e-3),
+             (spectral.svd_from_multiplier(spec, dom, modes.size).adjoint_linop(), 1e-10),
+             (discrete.adjoint_linop(gram), 1e-12)]
+    if s in (1.0, 2.0):
+        gated.append((bvp.adjoint_linop(dom, int(s)), 1e-3))
+    expected = reference.apply(u).values
+    for op, gate in gated:
+        assert np.linalg.norm(op.apply(u).values - expected) \
+            <= gate * np.linalg.norm(u.values)

@@ -3,9 +3,9 @@
 The operator that maps an L2 function back into an order-s smoothness
 space is realized through five interchangeable backends (Fourier
 multiplier, Bessel-kernel convolution, wavelet scaling, boundary-value
-solve, eigenexpansion) plus a finite-dimensional Gram-matrix form, and is
-applied inside Landweber/Tikhonov regularization, including a desk-scale
-Radon tomography experiment.
+solve, truncated singular system) plus a finite-dimensional Gram-matrix
+form, and is applied inside Landweber/Tikhonov regularization, including a
+desk-scale Radon tomography experiment.
 
 Submodules: ``core`` (grids, FFT, inner products, operators),
 ``multiplier``, ``kernel``, ``wavelet``, ``bvp``, ``spectral``,

@@ -178,7 +178,7 @@ def test_criterion_05_eigenexpansion_vs_bvp_oracle():
     u = GridFn(grid, np.ones(129 * 129))
     eigs = spectral.rectangle_dirichlet_eigs(1.0, 1.0, 10, 10, grid)
     assert eigs.count == 100
-    z_eig = spectral.adjoint_embedding_eigs(u, eigs)
+    z_eig = eigs.adjoint_linop().apply(u)
     z_fd = bvp.solve_dirichlet_poisson_2d(u)
     rel = l2_norm(z_eig - z_fd) / l2_norm(z_fd)
     elapsed = time.monotonic() - t0

@@ -78,6 +78,17 @@ def test_crosscheck_runs_where_the_kernel_inner_product_does_not_exist(tmp_path)
         "kernel,svd", "kernel,discrete", "svd,discrete"]
 
 
+def test_crosscheck_catches_a_kernel_of_the_wrong_order(monkeypatch):
+    # kernel eigenvalues to the power 1.01 are 2.5e-4 of ||u|| off the
+    # multiplier, inside the 1e-3 gate, but 3.9e-2 of ||E u||
+    assert cli._crosscheck_table(1024, 0.75, 7)[1] == []
+    eigenvalues = kernel._convolution_eigenvalues
+    monkeypatch.setattr(kernel, "_convolution_eigenvalues",
+                        lambda *args: eigenvalues(*args) ** 1.01)
+    _, failures = cli._crosscheck_table(1024, 0.75, 7)
+    assert [f.split(":")[0] for f in failures] == ["multiplier vs kernel"]
+
+
 def test_norm_equivalence_and_kernel_asymptotics(tmp_path):
     cfg = parse_config(f"experiment=NormEquivalence\nout_dir={tmp_path}/ne")
     assert run(cfg) == 0

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 import scipy.special
 
-from sobolev_adjoint.core import Domain, GridFn, inner, l2_norm
+from sobolev_adjoint.core import Domain, GridFn, inner, l2_norm, quad_weight
 from sobolev_adjoint.bvp import solve_dirichlet_poisson_2d
-from sobolev_adjoint.multiplier import NormVariant, SobolevSpec, adjoint_embedding
+from sobolev_adjoint.multiplier import (
+    NormVariant,
+    SobolevSpec,
+    adjoint_embedding,
+    sobolev_inner,
+)
 from sobolev_adjoint.spectral import (
-    adjoint_embedding_eigs,
     bessel_j,
     bessel_j_zero,
     disk_dirichlet_eigs,
@@ -41,20 +45,24 @@ def test_bessel_j_zero_table_against_oracle():
 def test_rectangle_eigs_values_and_orthonormality():
     grid = Domain.rectangle(1.0, 1.0, 129, 129)
     eigs = rectangle_dirichlet_eigs(1.0, 1.0, 4, 4, grid)
-    assert abs(eigs.entries[0][0] - 2 * np.pi**2) < 1e-12
-    lams = [lam for lam, _ in eigs.entries]
-    assert lams == sorted(lams)
-    K = eigs.count
-    gram = np.array([[inner(fi, fj).real for _, fj in eigs.entries]
-                     for _, fi in eigs.entries])
-    assert np.max(np.abs(gram - np.eye(K))) < 1e-8
+    assert abs(eigs.sigmas[0] ** -2 - 2 * np.pi**2) < 1e-12
+    assert np.all(np.diff(eigs.sigmas) <= 0)
+    gram = quad_weight(grid) * eigs.basis @ eigs.basis.T
+    assert np.max(np.abs(gram - np.eye(eigs.count))) < 1e-8
+
+
+def test_rectangle_eigs_reject_empty_systems():
+    grid = Domain.rectangle(1.0, 1.0, 9, 9)
+    for max_m, max_n, name in ((0, 3, "max_m"), (3, 0, "max_n")):
+        with pytest.raises(ValueError, match=name):
+            rectangle_dirichlet_eigs(1.0, 1.0, max_m, max_n, grid)
 
 
 def test_rectangle_eigs_satisfy_fd_laplacian():
     grid = Domain.rectangle(1.0, 1.0, 129, 129)
     eigs = rectangle_dirichlet_eigs(1.0, 1.0, 2, 2, grid)
-    lam, f = eigs.entries[0]
-    arr = f.to_array()
+    lam = eigs.sigmas[0] ** -2
+    arr = GridFn(grid, eigs.basis[0]).to_array()
     h = grid.spacing[0]
     lap = -(arr[2:, 1:-1] + arr[:-2, 1:-1] + arr[1:-1, 2:] + arr[1:-1, :-2]
             - 4 * arr[1:-1, 1:-1]) / h**2
@@ -66,42 +74,50 @@ def test_rectangle_eigs_satisfy_fd_laplacian():
 def test_disk_eigs():
     grid = Domain.disk_mask(1.0, 201)
     eigs = disk_dirichlet_eigs(1.0, 2, 2, grid)
-    assert abs(eigs.entries[0][0] - 5.783185962946785) < 1e-10
+    lams = eigs.sigmas ** -2
+    assert abs(lams[0] - 5.783185962946785) < 1e-10
     # boundary condition at grid tolerance
-    _, f0 = eigs.entries[0]
-    arr = f0.to_array()
+    arr = GridFn(grid, eigs.basis[0]).to_array()
     X, Y = np.meshgrid(*grid.axes(), indexing="ij")
     ring = (np.sqrt(X**2 + Y**2) > 0.98) & grid.active.reshape(grid.shape)
     assert np.max(np.abs(arr[ring])) < 0.05 * np.max(np.abs(arr))
     # coarse pixel quadrature orthonormality
-    K = eigs.count
-    gram = np.array([[inner(fi, fj).real for _, fj in eigs.entries]
-                     for _, fi in eigs.entries])
-    assert np.max(np.abs(gram - np.eye(K))) < 1e-2
+    gram = quad_weight(grid) * eigs.basis @ eigs.basis.T
+    assert np.max(np.abs(gram - np.eye(eigs.count))) < 1e-2
     # m=0 keeps only the cosine branch: eigenvalues appear once for m=0
-    lam0 = eigs.entries[0][0]
-    assert sum(1 for lam, _ in eigs.entries if abs(lam - lam0) < 1e-9) == 1
+    assert np.sum(np.abs(lams - lams[0]) < 1e-9) == 1
+    # (m, n) in {0, 1, 2} x {1, 2}, two branches for m > 0
+    assert eigs.count == 10 and np.all(np.diff(eigs.sigmas) <= 0)
+
+
+def test_disk_eigs_reject_empty_systems():
+    grid = Domain.disk_mask(1.0, 21)
+    assert disk_dirichlet_eigs(1.0, 0, 1, grid).count == 1
+    for max_m, max_n, name in ((-1, 2, "max_m"), (2, 0, "max_n")):
+        with pytest.raises(ValueError, match=name):
+            disk_dirichlet_eigs(1.0, max_m, max_n, grid)
 
 
 def test_adjoint_embedding_eigs_basics():
     grid = Domain.rectangle(1.0, 1.0, 65, 65)
     eigs = rectangle_dirichlet_eigs(1.0, 1.0, 3, 3, grid)
-    lam, f = eigs.entries[0]
-    out = adjoint_embedding_eigs(f, eigs)
-    assert np.max(np.abs(out.values - f.values / lam)) < 1e-12
+    smooth = eigs.adjoint_linop().apply
+    f = GridFn(grid, eigs.basis[0])
+    out = smooth(f)
+    assert out.is_real
+    assert np.max(np.abs(out.values - f.values * eigs.sigmas[0] ** 2)) < 1e-12
     X, Y = np.meshgrid(*grid.axes(), indexing="ij")
     probe = GridFn(grid, (np.sin(5 * np.pi * X) * np.sin(4 * np.pi * Y)).ravel())
-    assert l2_norm(adjoint_embedding_eigs(probe, eigs)) < 1e-14
-    with pytest.raises(ValueError):
-        from sobolev_adjoint.spectral import EigenSystem
-        adjoint_embedding_eigs(f, EigenSystem(grid, ()))
+    assert l2_norm(smooth(probe)) < 1e-14
+    with pytest.raises(ValueError, match="domain"):
+        smooth(GridFn(Domain.torus(2, 65), f.values))
 
 
 def test_eigenexpansion_matches_fd_dirichlet_solve():
     grid = Domain.rectangle(1.0, 1.0, 129, 129)
     u = GridFn(grid, np.ones(129 * 129))
     eigs = rectangle_dirichlet_eigs(1.0, 1.0, 10, 10, grid)
-    z_eig = adjoint_embedding_eigs(u, eigs)
+    z_eig = eigs.adjoint_linop().apply(u)
     z_fd = solve_dirichlet_poisson_2d(u)
     assert l2_norm(z_eig - z_fd) / l2_norm(z_fd) < 2e-2
 
@@ -113,7 +129,7 @@ def test_truncation_monotonicity():
     errs = []
     for mx in (4, 6, 8, 10):
         eigs = rectangle_dirichlet_eigs(1.0, 1.0, mx, mx, grid)
-        errs.append(l2_norm(adjoint_embedding_eigs(u, eigs) - z_fd))
+        errs.append(l2_norm(eigs.apply_adjoint(u) - z_fd))
     assert all(a >= b for a, b in zip(errs, errs[1:]))
 
 
@@ -123,7 +139,7 @@ def test_eigenexpansion_self_adjoint_psd():
     rng = np.random.default_rng(0)
     u = GridFn(grid, rng.standard_normal(33 * 33))
     v = GridFn(grid, rng.standard_normal(33 * 33))
-    Bu, Bv = adjoint_embedding_eigs(u, eigs), adjoint_embedding_eigs(v, eigs)
+    Bu, Bv = eigs.apply_adjoint(u), eigs.apply_adjoint(v)
     assert abs(inner(Bu, v) - inner(u, Bv)) < 1e-12
     assert inner(Bu, u).real >= 0.0
 
@@ -135,11 +151,9 @@ def test_svd_triples_and_reconstruction():
     assert svd.sigmas[0] == 1.0
     assert abs(svd.sigmas[1] - (1 + 4 * np.pi**2) ** -0.5) < 1e-12
     assert abs(svd.sigmas[1] - 0.15717672547758985) < 1e-10
-    # v_k = sigma_k u_k and orthonormality of v in H^s
-    from sobolev_adjoint.multiplier import sobolev_inner
+    # v_k = sigma_k u_k is orthonormal in H^s
     for i in (0, 1, 2):
-        vk, uk, sig = svd.v_fns[i], svd.u_fns[i], svd.sigmas[i]
-        assert np.max(np.abs(vk.values - sig * uk.values)) < 1e-12
+        vk = GridFn(dom, svd.sigmas[i] * svd.basis[i])
         assert abs(sobolev_inner(vk, vk, spec) - 1.0) < 1e-10
 
     x = dom.axes()[0]
@@ -161,9 +175,9 @@ def test_svd_sigma_consistency_with_composition():
     dom = Domain.torus(1, 32)
     spec = SobolevSpec(1.5, NormVariant.TORUS_S)
     svd = svd_from_multiplier(spec, dom, 9)
-    for sig, uk in zip(svd.sigmas, svd.u_fns):
-        smooth = adjoint_embedding(GridFn(dom, uk.values), spec)
-        lam = (smooth.values[0] / uk.values[0]).real
+    for sig, uk in zip(svd.sigmas, svd.basis):
+        smooth = adjoint_embedding(GridFn(dom, uk), spec)
+        lam = (smooth.values[0] / uk[0]).real
         assert abs(sig**2 - lam) < 1e-12
 
 

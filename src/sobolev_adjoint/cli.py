@@ -397,7 +397,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("--config", required=True, type=Path)
     run_p.add_argument("--experiment", choices=EXPERIMENTS)
-    run_p.add_argument("--backend")
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--out", type=Path)
     sub.add_parser("selftest", help="run the cross-representation self test")
@@ -413,8 +412,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text, experiment=args.experiment)
         overrides = {}
-        if args.backend is not None:
-            overrides["backend"] = args.backend
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.out is not None:

@@ -4,9 +4,9 @@ Conventions used throughout the package:
 
 * Torus domains are unit tori, one point row per dimension, spacing
   ``h = 1/points``; interval/rectangle grids include both endpoints,
-  spacing ``length/(points-1)``; cell grids (masked disks, and boxes such
-  as the tomography data grid of offsets by angles) sample the midpoints
-  of equal cells, spacing ``length/points``.
+  spacing ``length/(points-1)``; cell boxes (such as the tomography data
+  grid of offsets by angles, or the pixel box around a disk) sample the
+  midpoints of equal cells, spacing ``length/points``.
 * Spectral coefficients are scaled so that the entry at frequency ``k``
   approximates the inner product of the function with ``exp(2*pi*i*k*x)``
   (DFT sum times ``h**N``).  The Nyquist mode is labelled ``+points/2``.
@@ -22,8 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -46,33 +45,18 @@ class DomainKind(enum.Enum):
     TORUS = "torus"
     INTERVAL = "interval"
     RECTANGLE = "rectangle"
-    DISK_MASK = "disk_mask"
     REAL_LINE = "real_line"
     CELLS = "cells"
 
 
-# grids that sample cell midpoints, spacing length/points
-_CELL_CENTERED = (DomainKind.DISK_MASK, DomainKind.CELLS)
-
-
-@lru_cache(maxsize=32)
-def _disk_active(radius: float, n: int) -> np.ndarray:
-    """Flat boolean mask of pixels whose centers lie inside the circle."""
-    px = 2.0 * radius / n
-    c = -radius + px * (np.arange(n) + 0.5)
-    xx, yy = np.meshgrid(c, c, indexing="ij")
-    return (xx**2 + yy**2 < radius**2).ravel()
-
-
 @dataclass(frozen=True)
 class Domain:
-    """Uniform grid: torus, interval, rectangle, disk, truncated line or cell box."""
+    """Uniform grid: torus, interval, rectangle, truncated line or cell box."""
 
     kind: DomainKind
     shape: tuple[int, ...]
     lengths: tuple[float, ...]
     origin: tuple[float, ...]
-    radius: Optional[float] = None
 
     @staticmethod
     def torus(n_dims: int, points_per_dim: int) -> "Domain":
@@ -96,15 +80,6 @@ class Domain:
         if nx < 2 or ny < 2:
             raise ValueError("rectangle requires at least 2 points per side")
         return Domain(DomainKind.RECTANGLE, (nx, ny), (a, b), (0.0, 0.0))
-
-    @staticmethod
-    def disk_mask(radius: float, n_pixels_per_side: int) -> "Domain":
-        _require_positive_finite(radius=radius)
-        n = n_pixels_per_side
-        if n < 2:
-            raise ValueError("disk mask requires at least 2 pixels per side")
-        return Domain(DomainKind.DISK_MASK, (n, n), (2.0 * radius,) * 2,
-                      (-radius,) * 2, radius=radius)
 
     @staticmethod
     def real_line(half_width: float, points: int) -> "Domain":
@@ -138,7 +113,7 @@ class Domain:
 
     @property
     def spacing(self) -> tuple[float, ...]:
-        if self.periodic or self.kind in _CELL_CENTERED:
+        if self.periodic or self.kind is DomainKind.CELLS:
             return tuple(length / n for length, n in zip(self.lengths, self.shape))
         return tuple(length / (n - 1) for length, n in zip(self.lengths, self.shape))
 
@@ -146,22 +121,14 @@ class Domain:
         """Node coordinates per dimension (cell midpoints on cell grids)."""
         out = []
         for o, h, n in zip(self.origin, self.spacing, self.shape):
-            if self.kind in _CELL_CENTERED:
+            if self.kind is DomainKind.CELLS:
                 out.append(o + h * (np.arange(n) + 0.5))
             else:
                 out.append(o + h * np.arange(n))
         return out
 
     @property
-    def active(self) -> Optional[np.ndarray]:
-        if self.kind is DomainKind.DISK_MASK:
-            return _disk_active(self.radius, self.shape[0])
-        return None
-
-    @property
     def grid_size(self) -> int:
-        if self.kind is DomainKind.DISK_MASK:
-            return int(self.active.sum())
         return math.prod(self.shape)
 
 
@@ -183,7 +150,7 @@ def _require_at_least_two_points(points: int) -> None:
 class GridFn:
     """Sampled function on a :class:`Domain`; values flat in row-major order.
 
-    On masked disks only active pixels are stored.  Entries must be finite.
+    Entries must be finite.
     """
 
     domain: Domain
@@ -209,11 +176,7 @@ class GridFn:
         return GridFn(self.domain, values)
 
     def to_array(self) -> np.ndarray:
-        """Values on the full grid (inactive disk pixels filled with 0)."""
-        if self.domain.kind is DomainKind.DISK_MASK:
-            full = np.zeros(int(np.prod(self.domain.shape)), dtype=self.values.dtype)
-            full[self.domain.active] = self.values
-            return full.reshape(self.domain.shape)
+        """Values shaped like the grid."""
         return self.values.reshape(self.domain.shape)
 
     @staticmethod
@@ -221,10 +184,7 @@ class GridFn:
         arr = np.asarray(arr)
         if arr.shape != domain.shape:
             raise ValueError(f"array shape {arr.shape} != grid shape {domain.shape}")
-        flat = arr.ravel()
-        if domain.kind is DomainKind.DISK_MASK:
-            flat = flat[domain.active]
-        return GridFn(domain, flat)
+        return GridFn(domain, arr.ravel())
 
     def __add__(self, other: "GridFn") -> "GridFn":
         _same_domain(self, other)

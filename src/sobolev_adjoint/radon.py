@@ -8,11 +8,12 @@ matrix.  They are collected by a Siddon-style traversal that runs over all
 offsets of one angle at once and computes the same exact intersections,
 bit for bit, as tracing each ray on its own.  A first pass bounds each
 ray's entry count by its edge crossings; each angle then becomes a small
-CSR block whose rows are written into slots of that size, and the rows are
-compacted in place, so the build holds the matrix only once.  The adjoint
-is the exact transpose of that matrix rescaled by the quadrature weights,
-so that the discrete adjoint identity holds to rounding; it runs on a
-transposed view that shares the matrix's arrays.
+CSR block whose rows are written into zeroed slots of that size, and
+scipy's ``eliminate_zeros`` drops the unfilled slot ends in place, so the
+build holds the matrix only once.  The adjoint is the exact transpose of
+that matrix rescaled by the quadrature weights, so that the discrete
+adjoint identity holds to rounding; it runs on a transposed view that
+shares the matrix's arrays.
 
 Per-angle mass consistency (sum of ray sums times the offset spacing equals
 the pixel mass) is exact when the rays align with the pixel lattice
@@ -176,34 +177,6 @@ def _angle_block(phi: float, offsets: np.ndarray, edges: np.ndarray,
     return block
 
 
-# rows are compacted in chunks of at most this many entries, so the moved
-# entries' temporary copy stays small next to the matrix
-_COMPACT_ENTRIES = 1 << 14
-
-
-def _compact(indices: np.ndarray, data: np.ndarray, slots: np.ndarray,
-             indptr: np.ndarray) -> None:
-    """Move every row left from its slot start ``slots`` to ``indptr``.
-
-    Rows up to the first one with slack are already in place.  Each row
-    moves left by the slack of the rows before it, so copying chunks in row
-    order never overwrites an entry that is still to be moved.
-    """
-    shift = slots - indptr
-    n_rows = len(indptr) - 1
-    r = int(np.searchsorted(shift, 0, side="right"))  # shift never falls
-    while r < n_rows:
-        stop = int(np.searchsorted(indptr, int(indptr[r]) + _COMPACT_ENTRIES,
-                                   side="right")) - 1
-        stop = min(max(stop, r + 1), n_rows)
-        dest = slice(indptr[r], indptr[stop])
-        src = (np.repeat(shift[r:stop], np.diff(indptr[r:stop + 1]))
-               + np.arange(indptr[r], indptr[stop]))
-        indices[dest] = indices[src]
-        data[dest] = data[src]
-        r = stop
-
-
 @lru_cache(maxsize=8)
 def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
     """Exact pixel-ray intersection lengths, one vectorized pass per angle.
@@ -216,13 +189,15 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
     length cut drops.
 
     The matrix is held once.  A first pass bounds each ray's entry count by
-    its crossing count, without sorting, and ``indices``/``data`` are
-    allocated at the bounds' total.  Each angle's rays then become a small
-    canonical (n_offsets x n^2) CSR block whose row ``o`` is written into
-    the slot of matrix row ``o * n_angles + j``.  Finally the rows are moved
-    left over the slack and the arrays shrunk.  The entries of a row, their
-    order, and the per-row sort and duplicate sum are those of one global
-    COO-to-CSR conversion, so the result is bitwise equal to it.
+    its crossing count, without sorting; ``indices``/``data`` are zeroed at
+    the bounds' total, and the running total of the bounds is the CSR
+    ``indptr``.  Each angle's rays then become a small canonical
+    (n_offsets x n^2) CSR block whose row ``o`` is written into the slot of
+    matrix row ``o * n_angles + j``.  Every traced length is positive, so the
+    only zeros are the unfilled ends of the slots, and one in-place
+    ``eliminate_zeros`` drops them.  The entries of a row, their order, and
+    the per-row sort and duplicate sum are those of one global COO-to-CSR
+    conversion, so the result is bitwise equal to it.
     """
     n, n_angles = geom.n_pixels, geom.n_angles
     px = geom.pixel_size
@@ -235,29 +210,21 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
            else np.int64)
     slots = np.zeros(n_rays + 1, dtype=idx)
     np.cumsum(bounds, dtype=idx, out=slots[1:])
-    indices = np.empty(total, dtype=idx)
-    data = np.empty(total)
-    counts = np.zeros_like(bounds)
+    indices = np.zeros(total, dtype=idx)
+    data = np.zeros(total)
     for j, phi in enumerate(geom.angles):
         block = _angle_block(phi, offsets, edges, px, idx)
-        counts[:, j] = np.diff(block.indptr)
-        if (counts[:, j] > bounds[:, j]).any():
+        counts = np.diff(block.indptr)
+        if (counts > bounds[:, j]).any():
             raise RuntimeError(f"a ray at angle {j} has more entries than its "
                                "bounded slot holds")
         starts = slots[j:n_rays:n_angles] - block.indptr[:-1]
-        dest = np.repeat(starts, counts[:, j]) + np.arange(block.nnz)
+        dest = np.repeat(starts, counts) + np.arange(block.nnz)
         indices[dest] = block.indices
         data[dest] = block.data
-    indptr = np.zeros(n_rays + 1, dtype=idx)
-    np.cumsum(counts, dtype=idx, out=indptr[1:])
-    _compact(indices, data, slots, indptr)
-    # shrink in place; no view of either array is alive here, and a
-    # refcount check would fail whenever a tracer holds the frame's locals
-    nnz = int(indptr[-1])
-    indices.resize(nnz, refcheck=False)
-    data.resize(nnz, refcheck=False)
-    return scipy.sparse.csr_matrix((data, indices, indptr),
-                                   shape=(n_rays, n * n))
+    matrix = scipy.sparse.csr_matrix((data, indices, slots), shape=(n_rays, n * n))
+    matrix.eliminate_zeros()
+    return matrix
 
 
 class RadonOperator:

@@ -15,9 +15,10 @@ Both Dirichlet eigenexpansions and the torus SVD are such a system.  A
 Dirichlet-Laplacian eigensystem (lambda_k, u_k) is one with
 sigma_k = lambda_k^(-1/2), and its span inner product is the seminorm one:
 on the rectangle (sine products) and on the disk (J_m with zeros j_{m,n},
-from ``scipy.special``).  On the torus the embedding's own SVD has
-u_k = exp(2 pi i k.x) and sigma_k = w(k)^(-1/2), where the span inner
-product is ``multiplier.sobolev_inner``.
+from ``scipy.special``, sampled on the square cell box around it).  On the
+torus the embedding's own SVD has u_k = exp(2 pi i k.x) and
+sigma_k = w(k)^(-1/2), where the span inner product is
+``multiplier.sobolev_inner``.
 """
 
 from __future__ import annotations
@@ -99,8 +100,7 @@ class SingularSystem:
 
     def adjoint_linop(self) -> LinOp:
         """E* from L2 to the span's inner product; exact to the Gram defect of
-        the basis (rounding for sines and Fourier modes, pixel quadrature on
-        the disk)."""
+        the basis, which is rounding for every system built here."""
         return LinOp(self.apply_adjoint, self.apply_embedding, inner, self.span_inner,
                      self.domain, self.domain)
 
@@ -116,19 +116,18 @@ def _from_eigenvalues(grid: Domain, lams: np.ndarray, basis: np.ndarray) -> Sing
     return SingularSystem(grid, lams[order] ** -0.5, basis[order])
 
 
-def rectangle_dirichlet_eigs(a: float, b: float, max_m: int, max_n: int,
-                             grid: Domain) -> SingularSystem:
-    """Dirichlet-Laplacian eigensystem on (0,a) x (0,b), sigma = lambda^(-1/2).
+def rectangle_dirichlet_eigs(grid: Domain, max_m: int, max_n: int) -> SingularSystem:
+    """Dirichlet-Laplacian eigensystem on the rectangle ``grid``, (0,a) x (0,b),
+    with sigma = lambda^(-1/2).
 
     lambda_{m,n} = pi^2 ((m/a)^2 + (n/b)^2) with sine-product eigenfunctions,
     normalized analytically (the grid sum reproduces the L2 norm exactly for
     these modes).
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("sides must be positive")
+    if grid.kind is not DomainKind.RECTANGLE:
+        raise ValueError("grid must be a rectangle domain")
     _require_at_least(1, max_m=max_m, max_n=max_n)
-    if grid.kind is not DomainKind.RECTANGLE or grid.lengths != (a, b):
-        raise ValueError("grid must be a rectangle domain with matching sides")
+    a, b = grid.lengths
     m, n = np.arange(1, max_m + 1), np.arange(1, max_n + 1)
     lams = np.pi**2 * ((m[:, None] / a) ** 2 + (n[None, :] / b) ** 2)
     x, y = grid.axes()
@@ -138,38 +137,50 @@ def rectangle_dirichlet_eigs(a: float, b: float, max_m: int, max_n: int,
     return _from_eigenvalues(grid, lams.ravel(), basis.reshape(lams.size, -1))
 
 
-def disk_dirichlet_eigs(radius: float, max_m: int, max_n: int,
-                        grid: Domain) -> SingularSystem:
-    """Dirichlet-Laplacian eigensystem on the disk, sigma = lambda^(-1/2).
+def disk_dirichlet_eigs(grid: Domain, max_m: int, max_n: int) -> SingularSystem:
+    """Dirichlet-Laplacian eigensystem on the disk inscribed in ``grid``,
+    sigma = lambda^(-1/2).
 
-    lambda_{m,n} = (j_{m,n}/radius)^2 with J_m(j_{m,n} r/radius) times
-    cos/sin(m theta); the sin branch is dropped for m = 0.  Eigenfunctions
-    are normalized by pixel-mask quadrature, so the basis is orthonormal
-    only to that quadrature (~1e-2 Gram accuracy), and the ``LinOp``'s
-    adjoint identity holds to that defect, not to rounding: ``check_adjoint``
-    (5 trials) gives 2e-6 at 31 pixels, 7e-8 at 61 and 4e-10 at 201 for
-    max_m = max_n = 3.
+    ``grid`` is a square ``Domain.cells`` box centred on the origin; its half
+    side is the disk's radius.  lambda_{m,n} = (j_{m,n}/radius)^2 with
+    J_m(j_{m,n} r/radius) times cos/sin(m theta); the sin branch is dropped
+    for m = 0.  The rows are 0 at pixels whose centres lie outside the
+    circle.  Inside, they are orthonormalized once in the pixel quadrature
+    (triangular, in (m, n) order), so the basis is orthonormal and the
+    adjoint identity holds to rounding; the rows are Dirichlet
+    eigenfunctions to the quadrature error.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     _require_at_least(0, max_m=max_m)
     _require_at_least(1, max_n=max_n)
-    if grid.kind is not DomainKind.DISK_MASK or grid.radius != radius:
-        raise ValueError("grid must be a disk mask with matching radius")
+    radius = grid.lengths[0] / 2
+    if (grid.kind is not DomainKind.CELLS or grid.ndim != 2
+            or grid.shape[0] != grid.shape[1] or grid.lengths[1] != grid.lengths[0]
+            or grid.origin != (-radius, -radius)):
+        raise ValueError("grid must be a square Domain.cells box centred on the origin")
     X, Y = np.meshgrid(*grid.axes(), indexing="ij")
-    r = np.sqrt(X**2 + Y**2).ravel()[grid.active]
-    theta = np.arctan2(Y, X).ravel()[grid.active]
-    w = quad_weight(grid)
+    r2 = (X**2 + Y**2).ravel()
+    inside = r2 < radius**2
+    r = np.sqrt(r2[inside])
+    theta = np.arctan2(Y, X).ravel()[inside]
     lams, rows = [], []
     for m in range(0, max_m + 1):
         for n in range(1, max_n + 1):
             jmn = bessel_j_zero(m, n)
             radial = _bessel_j_vec(m, jmn * r / radius)
             for trig in (np.cos, np.sin)[:1 + (m > 0)]:
-                vals = radial * trig(m * theta)
-                rows.append(vals / np.sqrt(w * np.sum(vals**2)))
+                rows.append(radial * trig(m * theta))
                 lams.append((jmn / radius) ** 2)
-    return _from_eigenvalues(grid, np.array(lams), np.array(rows))
+    rows = np.array(rows)
+    try:
+        factor = np.linalg.cholesky(quad_weight(grid) * rows @ rows.T)
+    except np.linalg.LinAlgError as exc:
+        n = grid.shape[0]
+        raise ValueError(f"the {len(rows)} disk modes are linearly dependent on "
+                         f"the {n}x{n} pixel box: use fewer modes or more "
+                         "pixels") from exc
+    basis = np.zeros((len(rows), grid.grid_size))
+    basis[:, inside] = np.linalg.solve(factor, rows)
+    return _from_eigenvalues(grid, np.array(lams), basis)
 
 
 def svd_from_multiplier(spec: SobolevSpec, domain: Domain, K: int) -> SingularSystem:

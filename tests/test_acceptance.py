@@ -176,7 +176,7 @@ def test_criterion_05_eigenexpansion_vs_bvp_oracle():
     t0 = time.monotonic()
     grid = Domain.rectangle(1.0, 1.0, 129, 129)  # 128 cells per side
     u = GridFn(grid, np.ones(129 * 129))
-    eigs = spectral.rectangle_dirichlet_eigs(1.0, 1.0, 10, 10, grid)
+    eigs = spectral.rectangle_dirichlet_eigs(grid, 10, 10)
     assert eigs.count == 100
     z_eig = eigs.adjoint_linop().apply(u)
     z_fd = bvp.solve_dirichlet_poisson_2d(u)

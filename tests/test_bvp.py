@@ -187,7 +187,7 @@ def test_bvpspec_invariants():
         BvpSpec(3, BoundaryKind.DIRICHLET, dom)
     with pytest.raises(ValueError):
         BvpSpec(2, BoundaryKind.NEUMANN_LIKE, Domain.rectangle(1.0, 1.0, 9, 9))
-    for other in (Domain.torus(1, 32), Domain.disk_mask(1.0, 16)):
+    for other in (Domain.torus(1, 32), Domain.cells((2.0, 2.0), (16, 16), (-1.0, -1.0))):
         for bc in BoundaryKind:
             with pytest.raises(ValueError):
                 BvpSpec(1, bc, other)

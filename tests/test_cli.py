@@ -198,24 +198,28 @@ def test_main_exit_codes(tmp_path, capsys):
 
     cfg = tmp_path / "radon.cfg"
     for s in ("0.5", "0"):
-        cfg.write_text(f"experiment=RadonRecon\nn=32\nn_offsets=48\n"
-                       f"n_angles=30\ns={s}\n")
         for backend in ("kernel", "wavelet", "bvp", "eigs", "discrete"):
+            cfg.write_text(f"experiment=RadonRecon\nn=32\nn_offsets=48\n"
+                           f"n_angles=30\ns={s}\nbackend={backend}\n")
             out = tmp_path / f"{backend}_{s}"
-            assert main(["run", "--config", str(cfg), "--backend", backend,
-                         "--out", str(out)]) == 2
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
             assert f"backend {backend!r}" in capsys.readouterr().err
             assert not out.exists()
 
     # no other experiment selects its smoother by backend either
     for experiment in ("CrossCheck1D", "AdjointSmoothing2D"):
-        cfg.write_text(f"experiment={experiment}\nn=33\n")
         for backend in ("kernel", ""):
+            cfg.write_text(f"experiment={experiment}\nn=33\nbackend={backend}\n")
             out = tmp_path / f"{experiment}_{backend}"
-            assert main(["run", "--config", str(cfg), "--backend", backend,
-                         "--out", str(out)]) == 2
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
             assert f"backend {backend!r}" in capsys.readouterr().err
             assert not out.exists()
+
+    # the key has no command-line flag
+    with pytest.raises(SystemExit) as usage:
+        main(["run", "--config", str(cfg), "--backend", "multiplier"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     # configs the compute would reject (numpy's rng, the 33-mode SVD and Gram,
     # the kernel route) fail as config errors, not as numerical failures

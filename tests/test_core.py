@@ -171,17 +171,6 @@ def test_fft_on_odd_grids():
     assert np.max(np.abs(got - dft_oracle(dom, u.values))) < 1e-12
 
 
-def test_disk_mask_geometry():
-    dom = Domain.disk_mask(1.0, 8)
-    # pixel-center-inside-circle test: corners inactive
-    mask = dom.active.reshape(8, 8)
-    assert not mask[0, 0] and not mask[7, 7]
-    assert mask[4, 4]
-    u = GridFn(dom, np.ones(dom.grid_size))
-    # disk area approx pi r^2 at coarse resolution
-    assert abs(inner(u, u).real - np.pi) < 0.2
-
-
 def test_cell_box_geometry():
     dom = Domain.cells((2.0, 3.0), (4, 3), (-1.0, 0.5))
     assert dom.spacing == (0.5, 1.0)
@@ -221,12 +210,6 @@ def test_rectangle_rejects_non_finite_sides(size):
     for sides, name in (((size, 1.0), "a="), ((1.0, size), "b=")):
         with pytest.raises(ValueError, match=name):
             Domain.rectangle(*sides, 4, 4)
-
-
-@pytest.mark.parametrize("size", [np.nan, np.inf])
-def test_disk_mask_rejects_non_finite_radius(size):
-    with pytest.raises(ValueError, match="radius="):
-        Domain.disk_mask(size, 8)
 
 
 @pytest.mark.parametrize("size", [np.nan, np.inf])

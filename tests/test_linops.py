@@ -92,8 +92,17 @@ def dirichlet_eig_ops(draw):
     # max_m, max_n <= 6 < points - 1: the sampled sines stay orthonormal
     dom = Domain.rectangle(draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0)),
                            draw(SIZES), draw(SIZES))
-    eigs = spectral.rectangle_dirichlet_eigs(*dom.lengths, draw(st.integers(1, 6)),
-                                             draw(st.integers(1, 6)), dom)
+    eigs = spectral.rectangle_dirichlet_eigs(dom, draw(st.integers(1, 6)),
+                                             draw(st.integers(1, 6)))
+    return eigs.adjoint_linop(), 1e-10
+
+
+@st.composite
+def disk_eig_ops(draw):
+    radius, n = draw(st.floats(0.5, 4.0)), draw(SIZES)
+    dom = Domain.cells((2.0 * radius,) * 2, (n, n), (-radius,) * 2)
+    eigs = spectral.disk_dirichlet_eigs(dom, draw(st.integers(0, 5)),
+                                        draw(st.integers(1, 4)))
     return eigs.adjoint_linop(), 1e-10
 
 
@@ -109,7 +118,7 @@ def gram_ops(draw):
 
 BACKENDS = {"multiplier": multiplier_ops(), "kernel": kernel_ops(), "bvp": bvp_ops(),
             "wavelet": wavelet_ops(), "svd": svd_ops(), "eigs": dirichlet_eig_ops(),
-            "discrete": gram_ops()}
+            "disk": disk_eig_ops(), "discrete": gram_ops()}
 
 
 @pytest.mark.parametrize("backend", list(BACKENDS))

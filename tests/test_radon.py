@@ -126,6 +126,15 @@ def test_system_matrix_matches_ray_by_ray_traversal(geom):
         assert got.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("geom", [RadonGeometry(8, 12, 6), RadonGeometry(32, 48, 30)],
+                         ids=lambda g: f"{g.n_pixels}-{g.n_offsets}-{g.n_angles}")
+def test_row_bounds_leave_slack_for_the_traversal_test(geom):
+    # unfilled slot entries that the build must drop: the bitwise traversal
+    # test covers that path on these geometries
+    edges = -1.0 + geom.pixel_size * np.arange(geom.n_pixels + 1)
+    assert radon._row_bounds(geom, edges).sum() > _system_matrix(geom).nnz
+
+
 def _matrix_bytes(mat):
     return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
 
@@ -140,8 +149,9 @@ def _traced_peak(fn, *args):
 
 
 def test_system_matrix_build_peak_memory():
-    # each angle's rows are written into slots sized by a bound pass and
-    # compacted in place: the build holds the matrix once, plus one angle
+    # each angle's rows are written into slots sized by a bound pass, and the
+    # unfilled slot ends are dropped in place: the build holds the matrix
+    # once, plus one angle
     mat, peak = _traced_peak(_system_matrix.__wrapped__, RadonGeometry.desk_scale())
     assert peak <= 1.3 * _matrix_bytes(mat)
 

@@ -44,7 +44,7 @@ def test_bessel_j_zero_table_against_oracle():
 
 def test_rectangle_eigs_values_and_orthonormality():
     grid = Domain.rectangle(1.0, 1.0, 129, 129)
-    eigs = rectangle_dirichlet_eigs(1.0, 1.0, 4, 4, grid)
+    eigs = rectangle_dirichlet_eigs(grid, 4, 4)
     assert abs(eigs.sigmas[0] ** -2 - 2 * np.pi**2) < 1e-12
     assert np.all(np.diff(eigs.sigmas) <= 0)
     gram = quad_weight(grid) * eigs.basis @ eigs.basis.T
@@ -55,12 +55,12 @@ def test_rectangle_eigs_reject_empty_systems():
     grid = Domain.rectangle(1.0, 1.0, 9, 9)
     for max_m, max_n, name in ((0, 3, "max_m"), (3, 0, "max_n")):
         with pytest.raises(ValueError, match=name):
-            rectangle_dirichlet_eigs(1.0, 1.0, max_m, max_n, grid)
+            rectangle_dirichlet_eigs(grid, max_m, max_n)
 
 
 def test_rectangle_eigs_satisfy_fd_laplacian():
     grid = Domain.rectangle(1.0, 1.0, 129, 129)
-    eigs = rectangle_dirichlet_eigs(1.0, 1.0, 2, 2, grid)
+    eigs = rectangle_dirichlet_eigs(grid, 2, 2)
     lam = eigs.sigmas[0] ** -2
     arr = GridFn(grid, eigs.basis[0]).to_array()
     h = grid.spacing[0]
@@ -71,19 +71,27 @@ def test_rectangle_eigs_satisfy_fd_laplacian():
     assert np.max(np.abs(ratio / lam - 1.0)) < 1e-3  # O(h^2) stencil defect
 
 
+def _disk_box(radius, n):
+    return Domain.cells((2.0 * radius,) * 2, (n, n), (-radius,) * 2)
+
+
 def test_disk_eigs():
-    grid = Domain.disk_mask(1.0, 201)
-    eigs = disk_dirichlet_eigs(1.0, 2, 2, grid)
+    grid = _disk_box(1.0, 201)
+    eigs = disk_dirichlet_eigs(grid, 2, 2)
     lams = eigs.sigmas ** -2
     assert abs(lams[0] - 5.783185962946785) < 1e-10
+    # rows vanish at pixels whose centres lie outside the circle
+    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
+    inside = X**2 + Y**2 < 1.0
+    assert np.all(eigs.basis[:, ~inside.ravel()] == 0.0)
+    assert np.all(np.any(eigs.basis[:, inside.ravel()] != 0.0, axis=1))
     # boundary condition at grid tolerance
     arr = GridFn(grid, eigs.basis[0]).to_array()
-    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
-    ring = (np.sqrt(X**2 + Y**2) > 0.98) & grid.active.reshape(grid.shape)
+    ring = (np.sqrt(X**2 + Y**2) > 0.98) & inside
     assert np.max(np.abs(arr[ring])) < 0.05 * np.max(np.abs(arr))
-    # coarse pixel quadrature orthonormality
+    # orthonormal in the pixel quadrature
     gram = quad_weight(grid) * eigs.basis @ eigs.basis.T
-    assert np.max(np.abs(gram - np.eye(eigs.count))) < 1e-2
+    assert np.max(np.abs(gram - np.eye(eigs.count))) < 1e-12
     # m=0 keeps only the cosine branch: eigenvalues appear once for m=0
     assert np.sum(np.abs(lams - lams[0]) < 1e-9) == 1
     # (m, n) in {0, 1, 2} x {1, 2}, two branches for m > 0
@@ -91,16 +99,42 @@ def test_disk_eigs():
 
 
 def test_disk_eigs_reject_empty_systems():
-    grid = Domain.disk_mask(1.0, 21)
-    assert disk_dirichlet_eigs(1.0, 0, 1, grid).count == 1
+    grid = _disk_box(1.0, 21)
+    assert disk_dirichlet_eigs(grid, 0, 1).count == 1
     for max_m, max_n, name in ((-1, 2, "max_m"), (2, 0, "max_n")):
         with pytest.raises(ValueError, match=name):
-            disk_dirichlet_eigs(1.0, max_m, max_n, grid)
+            disk_dirichlet_eigs(grid, max_m, max_n)
+    # 12 modes on the 12 inside pixels of a 4-pixel box: no orthonormal basis
+    with pytest.raises(ValueError, match="linearly dependent"):
+        disk_dirichlet_eigs(_disk_box(1.0, 4), 1, 4)
+
+
+@pytest.mark.parametrize("grid", [
+    Domain.rectangle(2.0, 2.0, 21, 21),  # not a cell box
+    Domain.torus(2, 21),
+    Domain.cells((2.0,), (21,), (-1.0,)),  # one dimension
+    Domain.cells((2.0, 2.0), (21, 19), (-1.0, -1.0)),  # not square
+    Domain.cells((2.0, 1.0), (21, 21), (-1.0, -0.5)),
+    Domain.cells((2.0, 2.0), (21, 21), (0.0, 0.0)),  # off centre
+    Domain.cells((2.0, 2.0), (21, 21), (-1.0, -0.9)),
+], ids=["rectangle", "torus", "1d", "counts", "sides", "corner", "shifted"])
+def test_disk_eigs_reject_other_grids(grid):
+    with pytest.raises(ValueError, match="square Domain.cells box centred"):
+        disk_dirichlet_eigs(grid, 1, 1)
+
+
+def test_rectangle_eigs_reject_other_grids():
+    for grid in (Domain.torus(2, 9), _disk_box(1.0, 9)):
+        with pytest.raises(ValueError, match="rectangle domain"):
+            rectangle_dirichlet_eigs(grid, 2, 2)
+    grid = Domain.rectangle(2.0, 0.5, 33, 17)
+    eigs = rectangle_dirichlet_eigs(grid, 1, 1)
+    assert abs(eigs.sigmas[0] ** -2 - np.pi**2 * (1 / 4 + 4)) < 1e-12
 
 
 def test_adjoint_embedding_eigs_basics():
     grid = Domain.rectangle(1.0, 1.0, 65, 65)
-    eigs = rectangle_dirichlet_eigs(1.0, 1.0, 3, 3, grid)
+    eigs = rectangle_dirichlet_eigs(grid, 3, 3)
     smooth = eigs.adjoint_linop().apply
     f = GridFn(grid, eigs.basis[0])
     out = smooth(f)
@@ -116,7 +150,7 @@ def test_adjoint_embedding_eigs_basics():
 def test_eigenexpansion_matches_fd_dirichlet_solve():
     grid = Domain.rectangle(1.0, 1.0, 129, 129)
     u = GridFn(grid, np.ones(129 * 129))
-    eigs = rectangle_dirichlet_eigs(1.0, 1.0, 10, 10, grid)
+    eigs = rectangle_dirichlet_eigs(grid, 10, 10)
     z_eig = eigs.adjoint_linop().apply(u)
     z_fd = solve_dirichlet_poisson_2d(u)
     assert l2_norm(z_eig - z_fd) / l2_norm(z_fd) < 2e-2
@@ -128,14 +162,14 @@ def test_truncation_monotonicity():
     z_fd = solve_dirichlet_poisson_2d(u)
     errs = []
     for mx in (4, 6, 8, 10):
-        eigs = rectangle_dirichlet_eigs(1.0, 1.0, mx, mx, grid)
+        eigs = rectangle_dirichlet_eigs(grid, mx, mx)
         errs.append(l2_norm(eigs.apply_adjoint(u) - z_fd))
     assert all(a >= b for a, b in zip(errs, errs[1:]))
 
 
 def test_eigenexpansion_self_adjoint_psd():
     grid = Domain.rectangle(1.0, 1.0, 33, 33)
-    eigs = rectangle_dirichlet_eigs(1.0, 1.0, 4, 4, grid)
+    eigs = rectangle_dirichlet_eigs(grid, 4, 4)
     rng = np.random.default_rng(0)
     u = GridFn(grid, rng.standard_normal(33 * 33))
     v = GridFn(grid, rng.standard_normal(33 * 33))

@@ -17,7 +17,6 @@ from .core import (
     DomainKind,
     GridFn,
     LinOp,
-    SpectralField,
     check_adjoint,
     fft_forward,
     fft_inverse,
@@ -49,7 +48,6 @@ __all__ = [
     "DomainKind",
     "GridFn",
     "LinOp",
-    "SpectralField",
     "NormVariant",
     "SobolevSpec",
     "DiscrepancyStop",

@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
-from .core import Domain, DomainKind, GridFn, LinOp, inner
+from .core import Domain, DomainKind, GridFn, LinOp, _same_domain, inner
 from .multiplier import fourier_multiply, weighted_inner
 
 __all__ = [
@@ -146,6 +145,7 @@ def _forms_for_spec(spec: BvpSpec):
 
 
 def _solve_banded_spd(A: scipy.sparse.spmatrix, b: np.ndarray) -> np.ndarray:
+    import scipy.linalg  # deferred: the tomography path never needs it
     dia = A.todia()
     bands = int(max(dia.offsets.max(), 1))
     n = A.shape[0]
@@ -247,8 +247,8 @@ def variational_gap(z: GridFn, u: GridFn, spec: BvpSpec) -> float:
     Returns max_i |a(z, e_i) - <u, e_i>_L2| / ||e_i||_a; solver outputs stay
     below 1e-9.
     """
-    if z.domain != u.domain or z.domain != spec.domain:
-        raise ValueError("domain mismatch")
+    _same_domain(z, u)
+    _same_domain(z, spec)
     A, m_diag, active = _forms_for_spec(spec)
     r = A @ z.values[active] - (m_diag * u.values)[active]
     scale = np.sqrt(A.diagonal())
@@ -273,15 +273,13 @@ def _h1_form(domain: Domain) -> scipy.sparse.csr_matrix:
 
 def mass_inner(u: GridFn, v: GridFn) -> complex:
     """Trapezoid-weighted discrete L2 inner product on interval/rectangle grids."""
-    if u.domain != v.domain:
-        raise ValueError("domain mismatch")
+    _same_domain(u, v)
     return complex(np.sum(_mass_weights(u.domain) * u.values * np.conj(v.values)))
 
 
 def h1_inner(u: GridFn, v: GridFn) -> complex:
     """Discrete H^1 inner product (mass + difference-quotient stiffness)."""
-    if u.domain != v.domain:
-        raise ValueError("domain mismatch")
+    _same_domain(u, v)
     return complex(np.sum((_h1_form(u.domain) @ u.values) * np.conj(v.values)))
 
 

@@ -362,11 +362,9 @@ def selftest() -> int:
     dom = Domain.torus(1, 64)
     atom_ok = True
     for j in (0, 2):
-        dec = wavelet.fwt(GridFn(dom, np.zeros(64)), wavelet.DB4, 4)
-        details = [np.zeros_like(d) for d in dec.details]
-        details[j][1] = 1.0
-        atom = wavelet.ifwt(wavelet.WaveletDecomposition(dom, wavelet.DB4,
-                                                         dec.approx, tuple(details)))
+        approx, details = wavelet.fwt(GridFn(dom, np.zeros(64)), wavelet.DB4, 4)
+        details[j][1] = 1.0  # the analysis of zero is zero: one unit coefficient
+        atom = wavelet.ifwt(dom, wavelet.DB4, approx, details)
         out = wavelet.adjoint_embedding_wavelet(atom, 1.0, wavelet.DB4, 4)
         atom_ok &= bool(np.max(np.abs(out.values - 2.0 ** (-2 * j) * atom.values))
                         < 1e-12)

@@ -7,9 +7,10 @@ Conventions used throughout the package:
   spacing ``length/(points-1)``; cell boxes (such as the tomography data
   grid of offsets by angles, or the pixel box around a disk) sample the
   midpoints of equal cells, spacing ``length/points``.
-* Spectral coefficients are scaled so that the entry at frequency ``k``
-  approximates the inner product of the function with ``exp(2*pi*i*k*x)``
-  (DFT sum times ``h**N``).  The Nyquist mode is labelled ``+points/2``.
+* Spectral coefficients are plain complex128 arrays shaped like the grid,
+  in FFT order, scaled so that the entry at frequency ``k`` approximates the
+  inner product of the function with ``exp(2*pi*i*k*x)`` (DFT sum times
+  ``h**N``).  The Nyquist mode is labelled ``+points/2``.
 * All quadrature is the rectangle rule at grid resolution with weight
   ``h**N`` per node (the cell area on cell grids).
 * An inner product is a plain function ``(u, v) -> complex``, conjugate-linear
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +32,6 @@ __all__ = [
     "DomainKind",
     "Domain",
     "GridFn",
-    "SpectralField",
     "LinOp",
     "fft_forward",
     "fft_inverse",
@@ -60,7 +61,8 @@ class Domain:
 
     @staticmethod
     def torus(n_dims: int, points_per_dim: int) -> "Domain":
-        _require_at_least_two_points(points_per_dim)
+        _require_counts(1, n_dims=n_dims)
+        _require_counts(2, points_per_dim=points_per_dim)
         return Domain(DomainKind.TORUS, (points_per_dim,) * n_dims,
                       (1.0,) * n_dims, (0.0,) * n_dims)
 
@@ -70,21 +72,19 @@ class Domain:
             raise ValueError(f"interval endpoints a={a}, b={b} must be finite")
         if not b > a:
             raise ValueError("interval requires b > a")
-        if points < 2:
-            raise ValueError("interval requires at least 2 points")
+        _require_counts(2, points=points)
         return Domain(DomainKind.INTERVAL, (points,), (b - a,), (a,))
 
     @staticmethod
     def rectangle(a: float, b: float, nx: int, ny: int) -> "Domain":
         _require_positive_finite(a=a, b=b)
-        if nx < 2 or ny < 2:
-            raise ValueError("rectangle requires at least 2 points per side")
+        _require_counts(2, nx=nx, ny=ny)
         return Domain(DomainKind.RECTANGLE, (nx, ny), (a, b), (0.0, 0.0))
 
     @staticmethod
     def real_line(half_width: float, points: int) -> "Domain":
         _require_positive_finite(half_width=half_width)
-        _require_at_least_two_points(points)
+        _require_counts(2, points=points)
         return Domain(DomainKind.REAL_LINE, (points,), (2.0 * half_width,),
                       (-half_width,))
 
@@ -94,10 +94,10 @@ class Domain:
         """Box of equal cells from ``origin``, sampled at the cell midpoints."""
         if not len(lengths) == len(shape) == len(origin):
             raise ValueError("cells needs one length, count and origin per dim")
-        if not all(0.0 < length < math.inf for length in lengths):
-            raise ValueError("cell box sides must be positive and finite")
-        if any(n < 1 for n in shape):
-            raise ValueError("cell box requires at least 1 cell per side")
+        _require_positive_finite(**{f"lengths[{i}]": x for i, x in enumerate(lengths)})
+        _require_counts(1, **{f"shape[{i}]": n for i, n in enumerate(shape)})
+        if not all(map(math.isfinite, origin)):
+            raise ValueError(f"origin={tuple(origin)} must be finite")
         return Domain(DomainKind.CELLS, tuple(shape), tuple(lengths),
                       tuple(origin))
 
@@ -138,12 +138,13 @@ def _require_positive_finite(**sizes: float) -> None:
             raise ValueError(f"{name}={size} must be positive and finite")
 
 
-def _require_at_least_two_points(points: int) -> None:
+def _require_counts(least: int, **counts: int) -> None:
     # Odd counts are admitted for pixel geometries with a central pixel
     # (e.g. 201x201 tomography grids); numpy's mixed-radix FFT handles them
     # and the Nyquist-mode convention only arises for even counts.
-    if points < 2:
-        raise ValueError("FFT-capable domains need at least 2 points per dim")
+    for name, n in counts.items():
+        if not isinstance(n, numbers.Integral) or n < least:
+            raise ValueError(f"{name}={n} must be an integer >= {least}")
 
 
 @dataclass(frozen=True)
@@ -208,22 +209,6 @@ def _same_domain(u, v) -> None:
         raise ValueError("domain mismatch")
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Truncated Fourier coefficients on an FFT-capable domain, FFT ordering."""
-
-    domain: Domain
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if not self.domain.periodic:
-            raise ValueError("spectral fields live on torus/real-line domains")
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.domain.shape:
-            raise ValueError(f"coefficient shape {c.shape} != grid {self.domain.shape}")
-        object.__setattr__(self, "coeffs", c)
-
-
 def frequency_axes(domain: Domain) -> list[np.ndarray]:
     """Physical frequency labels per dimension, Nyquist assigned to +points/2.
 
@@ -258,27 +243,27 @@ def _line_phase(domain: Domain) -> np.ndarray:
     return np.where(k % 2 == 0, 1.0, -1.0)
 
 
-def fft_forward(u: GridFn) -> SpectralField:
+def fft_forward(u: GridFn) -> np.ndarray:
     """DFT scaled so that the coefficient at k approximates <u, e_k>."""
     dom = u.domain
     if not dom.periodic:
         raise ValueError("fft_forward requires a torus or real-line domain")
-    h = quad_weight(dom)
-    c = np.fft.fftn(u.values.reshape(dom.shape)) * h
+    c = np.fft.fftn(u.values.reshape(dom.shape)) * quad_weight(dom)
     if dom.kind is DomainKind.REAL_LINE:
         c = c * _line_phase(dom)
-    return SpectralField(dom, c)
+    return c.astype(np.complex128, copy=False)  # fftn keeps float32 input single
 
 
-def fft_inverse(c: SpectralField) -> GridFn:
-    """Exact inverse of :func:`fft_forward`."""
-    dom = c.domain
-    h = quad_weight(dom)
-    coeffs = c.coeffs
-    if dom.kind is DomainKind.REAL_LINE:
-        coeffs = coeffs * _line_phase(dom)
-    vals = np.fft.ifftn(coeffs / h)
-    return GridFn(dom, vals.ravel())
+def fft_inverse(domain: Domain, coeffs: np.ndarray) -> GridFn:
+    """Exact inverse of :func:`fft_forward` on ``domain``."""
+    if not domain.periodic:
+        raise ValueError("fft_inverse requires a torus or real-line domain")
+    c = np.asarray(coeffs, dtype=np.complex128)
+    if c.shape != domain.shape:
+        raise ValueError(f"coefficient shape {c.shape} != grid {domain.shape}")
+    if domain.kind is DomainKind.REAL_LINE:
+        c = c * _line_phase(domain)
+    return GridFn(domain, np.fft.ifftn(c / quad_weight(domain)).ravel())
 
 
 def inner(u: GridFn, v: GridFn) -> complex:

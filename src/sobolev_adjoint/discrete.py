@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .core import Domain, DomainKind, GridFn, LinOp, inner
+from .core import Domain, DomainKind, GridFn, LinOp, _same_domain, inner
 
 __all__ = [
     "DiscreteSetting",
@@ -68,6 +67,7 @@ def _gram(basis_a: Sequence[GridFn], basis_b: Sequence[GridFn],
 
 
 def _spd_cholesky(mat: np.ndarray, name: str):
+    import scipy.linalg  # deferred: the tomography path never needs it
     try:
         return scipy.linalg.cho_factor(mat)
     except scipy.linalg.LinAlgError as exc:
@@ -96,6 +96,7 @@ def assemble(basis_x: Sequence[GridFn], basis_y: Sequence[GridFn],
 
 def _solve_and_expand(chol: tuple[np.ndarray, bool], rhs: np.ndarray,
                       basis: tuple[GridFn, ...]) -> tuple[np.ndarray, GridFn]:
+    import scipy.linalg  # deferred: the tomography path never needs it
     # coefficients c = gram^{-1} rhs from its Cholesky factor, and sum_k c_k basis_k
     c = scipy.linalg.cho_solve(chol, rhs)
     vals = np.zeros(basis[0].values.size, dtype=np.complex128)
@@ -107,8 +108,8 @@ def _solve_and_expand(chol: tuple[np.ndarray, bool], rhs: np.ndarray,
 def projected_adjoint(setting: DiscreteSetting, u: GridFn
                       ) -> tuple[np.ndarray, GridFn]:
     """Coefficients z = H_X^{-1} M H_Y^{-1} u and the represented function."""
-    if u.domain != setting.basis_x[0].domain:
-        raise ValueError("domain mismatch")
+    import scipy.linalg  # deferred: the tomography path never needs it
+    _same_domain(u, setting.basis_x[0])
     u_vec = np.array([setting.inner_y(u, psi) for psi in setting.basis_y])
     v = scipy.linalg.cho_solve(setting.chol_y, u_vec)
     return _solve_and_expand(setting.chol_x, setting.cross @ v, setting.basis_x)

@@ -27,7 +27,6 @@ from .core import (
     DomainKind,
     GridFn,
     LinOp,
-    SpectralField,
     _same_domain,
     fft_forward,
     fft_inverse,
@@ -108,7 +107,7 @@ def _weight_power(domain: Domain, spec: SobolevSpec, power: float) -> np.ndarray
 
 def fourier_multiply(u: GridFn, weight: np.ndarray) -> GridFn:
     """Scale the Fourier coefficients of ``u`` by a real ``weight``; real stays real."""
-    res = fft_inverse(SpectralField(u.domain, fft_forward(u).coeffs * weight))
+    res = fft_inverse(u.domain, fft_forward(u) * weight)
     return GridFn(u.domain, res.values.real) if u.is_real else res
 
 
@@ -147,8 +146,7 @@ def _weighted_sum(domain: Domain, weight: np.ndarray, cu, cv) -> complex:
 def weighted_inner(u: GridFn, v: GridFn, weight: np.ndarray) -> complex:
     """Spectral inner product with ``weight`` on the FFT grid; L2 for weight 1."""
     _same_domain(u, v)
-    return _weighted_sum(u.domain, weight, fft_forward(u).coeffs,
-                         fft_forward(v).coeffs)
+    return _weighted_sum(u.domain, weight, fft_forward(u), fft_forward(v))
 
 
 def sobolev_inner(u: GridFn, v: GridFn, spec: SobolevSpec) -> complex:
@@ -158,7 +156,7 @@ def sobolev_inner(u: GridFn, v: GridFn, spec: SobolevSpec) -> complex:
 
 def sobolev_norm(u: GridFn, spec: SobolevSpec) -> float:
     """``sqrt(sobolev_inner(u, u, spec).real)``, transforming ``u`` once."""
-    cu = fft_forward(u).coeffs
+    cu = fft_forward(u)
     return float(np.sqrt(_weighted_sum(u.domain, _weight_power(u.domain, spec, 1.0),
                                        cu, cu).real))
 

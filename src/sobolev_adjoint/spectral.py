@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Domain, DomainKind, GridFn, LinOp, frequency_axes, inner, quad_weight
+from .core import (Domain, DomainKind, GridFn, LinOp, _same_domain, frequency_axes,
+                   inner, quad_weight)
 from .multiplier import SobolevSpec, weight_grid
 
 __all__ = [
@@ -81,8 +82,7 @@ class SingularSystem:
 
     def _coefficients(self, u: GridFn) -> np.ndarray:
         # <u, u_k>_L2 for every k, without a conjugate copy of the basis
-        if u.domain != self.domain:
-            raise ValueError("domain mismatch")
+        _same_domain(u, self)
         return quad_weight(self.domain) * np.conj(self.basis @ np.conj(u.values))
 
     def apply_adjoint(self, u: GridFn) -> GridFn:

@@ -1,8 +1,9 @@
 """Wavelet representation: scale detail coefficients by 2^(-2js).
 
-Periodized orthonormal wavelets on the 1D unit torus.  A decomposition
-with ``levels`` analysis steps keeps one approximation block (the
-coarsest scaling coefficients) and detail blocks indexed
+Periodized orthonormal wavelets on the 1D unit torus.  :func:`fwt` with
+``levels`` analysis steps returns plain arrays ``(approx, details)``: one
+approximation block (the coarsest scaling coefficients) and a list of
+detail blocks indexed
 
     j = 0 (coarsest retained detail level) ... levels-1 (finest),
 
@@ -23,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Domain, DomainKind, GridFn, LinOp, inner, quad_weight
+from .core import Domain, DomainKind, GridFn, LinOp, _same_domain, inner, quad_weight
 
 __all__ = [
     "WaveletBasis",
-    "WaveletDecomposition",
     "HAAR",
     "DB4",
     "fwt",
@@ -71,27 +71,6 @@ DB4 = WaveletBasis(
 )
 
 
-@dataclass(frozen=True)
-class WaveletDecomposition:
-    """Approximation block at the coarsest level plus details, coarsest first."""
-
-    domain: Domain
-    basis: WaveletBasis
-    approx: np.ndarray
-    details: tuple[np.ndarray, ...]
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
-    def coeff_count(self) -> int:
-        return self.approx.size + sum(d.size for d in self.details)
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.approx) ** 2)
-                     + sum(np.sum(np.abs(d) ** 2) for d in self.details))
-
-
 def _check_wavelet_domain(domain: Domain, levels: int) -> None:
     if domain.kind is not DomainKind.TORUS or domain.ndim != 1:
         raise ValueError("wavelet transform runs on 1D torus grids")
@@ -120,27 +99,28 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray, basis: WaveletBasis)
     return out
 
 
-def fwt(u: GridFn, basis: WaveletBasis, levels: int) -> WaveletDecomposition:
-    """Fast periodic wavelet analysis of the sample vector."""
+def fwt(u: GridFn, basis: WaveletBasis, levels: int
+        ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Fast periodic wavelet analysis: ``(approx, details)``, coarsest first."""
     _check_wavelet_domain(u.domain, levels)
-    a = u.values.copy()
-    fine_to_coarse = []
+    a, fine_to_coarse = u.values, []
     for _ in range(levels):
         a, d = _analysis_step(a, basis)
         fine_to_coarse.append(d)
-    return WaveletDecomposition(u.domain, basis, a, tuple(fine_to_coarse[::-1]))
+    return a, fine_to_coarse[::-1]
 
 
-def ifwt(d: WaveletDecomposition) -> GridFn:
-    """Exact inverse of :func:`fwt`."""
-    a = d.approx
-    for detail in d.details:
+def ifwt(domain: Domain, basis: WaveletBasis, approx: np.ndarray,
+         details: list[np.ndarray]) -> GridFn:
+    """Exact inverse of :func:`fwt` on ``domain``."""
+    a = approx
+    for detail in details:
         if detail.size != a.size:
             raise ValueError("inconsistent block sizes in decomposition")
-        a = _synthesis_step(a, detail, d.basis)
-    if a.size != d.domain.grid_size:
+        a = _synthesis_step(a, detail, basis)
+    if a.size != domain.grid_size:
         raise ValueError("decomposition does not match its domain")
-    return GridFn(d.domain, a)
+    return GridFn(domain, a)
 
 
 def _detail_weights(levels: int, s: float) -> list[float]:
@@ -152,23 +132,21 @@ def adjoint_embedding_wavelet(u: GridFn, s: float, basis: WaveletBasis,
     """Diagonal smoothing in the wavelet basis: level-j details times 2^(-2js)."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    dec = fwt(u, basis, levels)
-    scaled = tuple(d / w for d, w in zip(dec.details, _detail_weights(levels, s)))
-    return ifwt(WaveletDecomposition(dec.domain, basis, dec.approx, scaled))
+    approx, details = fwt(u, basis, levels)
+    return ifwt(u.domain, basis, approx,
+                [d / w for d, w in zip(details, _detail_weights(levels, s))])
 
 
 def wavelet_sobolev_inner(u: GridFn, v: GridFn, s: float, basis: WaveletBasis,
                           levels: int) -> complex:
     """Dyadically weighted inner product matching the smoothing operator."""
-    if u.domain != v.domain:
-        raise ValueError("domain mismatch")
-    du = fwt(u, basis, levels)
-    dv = fwt(v, basis, levels)
-    h = quad_weight(u.domain)
-    total = np.sum(du.approx * np.conj(dv.approx))
-    for w, a, b in zip(_detail_weights(levels, s), du.details, dv.details):
+    _same_domain(u, v)
+    au, du = fwt(u, basis, levels)
+    av, dv = fwt(v, basis, levels)
+    total = np.sum(au * np.conj(av))
+    for w, a, b in zip(_detail_weights(levels, s), du, dv):
         total += w * np.sum(a * np.conj(b))
-    return h * complex(total)
+    return quad_weight(u.domain) * complex(total)
 
 
 def wavelet_sobolev_norm(u: GridFn, s: float, basis: WaveletBasis,

@@ -4,7 +4,6 @@ import pytest
 from sobolev_adjoint.core import (
     Domain,
     GridFn,
-    SpectralField,
     check_adjoint,
     fft_forward,
     fft_inverse,
@@ -34,18 +33,18 @@ def dft_oracle(domain, values):
 def test_fft_constant_is_dc_only():
     dom = Domain.torus(1, 64)
     c = fft_forward(GridFn(dom, np.ones(64)))
-    assert abs(c.coeffs[0] - 1.0) < 1e-14
-    assert np.max(np.abs(c.coeffs[1:])) < 1e-14
+    assert abs(c[0] - 1.0) < 1e-14
+    assert np.max(np.abs(c[1:])) < 1e-14
 
 
 def test_fft_single_mode():
     dom = Domain.torus(1, 64)
     x = dom.axes()[0]
     c = fft_forward(GridFn(dom, np.exp(2j * np.pi * 3 * x)))
-    assert abs(c.coeffs[3] - 1.0) < 1e-13
+    assert abs(c[3] - 1.0) < 1e-13
     mask = np.ones(64, bool)
     mask[3] = False
-    assert np.max(np.abs(c.coeffs[mask])) < 1e-13
+    assert np.max(np.abs(c[mask])) < 1e-13
 
 
 def test_fft_matches_direct_dft_and_round_trips():
@@ -54,13 +53,13 @@ def test_fft_matches_direct_dft_and_round_trips():
     u = GridFn(dom, rng.standard_normal(32))
     c = fft_forward(u)
     expected = dft_oracle(dom, u.values)
-    assert np.max(np.abs(c.coeffs - expected)) < 1e-10
+    assert np.max(np.abs(c - expected)) < 1e-10
     # conjugate symmetry for real input: c[-k] == conj(c[k])
     k = np.fft.ifftshift(np.arange(-16, 16))
     for kk in range(1, 16):
         i, j = np.where(k == kk)[0][0], np.where(k == -kk)[0][0]
-        assert abs(c.coeffs[i] - np.conj(c.coeffs[j])) < 1e-12
-    back = fft_inverse(c)
+        assert abs(c[i] - np.conj(c[j])) < 1e-12
+    back = fft_inverse(dom, c)
     assert np.max(np.abs(back.values - u.values)) < 1e-12
 
 
@@ -70,8 +69,8 @@ def test_fft_real_line_matches_direct_dft():
     u = GridFn(dom, rng.standard_normal(64))
     c = fft_forward(u)
     expected = dft_oracle(dom, u.values)
-    assert np.max(np.abs(c.coeffs - expected)) < 1e-12
-    back = fft_inverse(c)
+    assert np.max(np.abs(c - expected)) < 1e-12
+    back = fft_inverse(dom, c)
     assert np.max(np.abs(back.values - u.values)) < 1e-12
 
 
@@ -85,18 +84,30 @@ def test_fft_inverse_basics():
     dom = Domain.torus(1, 16)
     c = np.zeros(16, complex)
     c[0] = 1.0
-    assert np.max(np.abs(fft_inverse(SpectralField(dom, c)).values - 1.0)) < 1e-14
+    assert np.max(np.abs(fft_inverse(dom, c).values - 1.0)) < 1e-14
     c = np.zeros(16, complex)
     c[1] = 1.0
     x = dom.axes()[0]
-    got = fft_inverse(SpectralField(dom, c)).values
+    got = fft_inverse(dom, c).values
     assert np.max(np.abs(got - np.exp(2j * np.pi * x))) < 1e-13
 
 
-def test_spectral_field_size_mismatch():
-    dom = Domain.torus(1, 16)
-    with pytest.raises(ValueError):
-        SpectralField(dom, np.zeros(8, complex))
+def test_fft_inverse_rejects_bad_input():
+    with pytest.raises(ValueError, match="torus or real-line"):
+        fft_inverse(Domain.interval(0.0, 1.0, 16), np.zeros(16, complex))
+    with pytest.raises(ValueError, match="coefficient shape"):
+        fft_inverse(Domain.torus(1, 16), np.zeros(8, complex))
+    with pytest.raises(ValueError, match="coefficient shape"):
+        fft_inverse(Domain.torus(2, 4), np.zeros(16, complex))  # flat, not 4x4
+
+
+def test_fft_forward_is_complex128():
+    for dom in (Domain.torus(2, 8), Domain.real_line(2.0, 16)):
+        u = GridFn(dom, np.arange(dom.grid_size, dtype=np.float32))
+        c = fft_forward(u)
+        assert c.dtype == np.complex128 and c.shape == dom.shape
+        want = fft_forward(GridFn(dom, u.values.astype(np.float64)))
+        assert np.max(np.abs(c - want)) < 1e-4 * np.max(np.abs(want))
 
 
 def test_inner_unit_measure_and_orthogonality():
@@ -136,7 +147,7 @@ def test_parseval_on_torus():
     rng = np.random.default_rng(5)
     u = GridFn(dom, rng.standard_normal(256))
     c = fft_forward(u)
-    spectral = np.sqrt(np.sum(np.abs(c.coeffs) ** 2))
+    spectral = np.sqrt(np.sum(np.abs(c) ** 2))
     assert abs(spectral - l2_norm(u)) < 1e-12 * l2_norm(u)
 
 
@@ -159,15 +170,15 @@ def test_fft_on_odd_grids():
         rng = np.random.default_rng(13)
         u = GridFn(dom, rng.standard_normal(dom.grid_size))
         c = fft_forward(u)
-        back = fft_inverse(c)
+        back = fft_inverse(dom, c)
         assert np.max(np.abs(back.values - u.values)) < 1e-12
         if dom.kind.value == "torus":
-            spectral = np.sqrt(np.sum(np.abs(c.coeffs) ** 2))
+            spectral = np.sqrt(np.sum(np.abs(c) ** 2))
             assert abs(spectral - l2_norm(u)) < 1e-12 * l2_norm(u)
     # direct DFT oracle on an odd 1D torus
     dom = Domain.torus(1, 27)
     u = GridFn(dom, np.random.default_rng(14).standard_normal(27))
-    got = fft_forward(u).coeffs
+    got = fft_forward(u)
     assert np.max(np.abs(got - dft_oracle(dom, u.values))) < 1e-12
 
 
@@ -203,6 +214,32 @@ def test_cell_box_geometry():
 def test_cell_box_rejects_bad_sides(lengths, shape):
     with pytest.raises(ValueError):
         Domain.cells(lengths, shape, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("origin", [np.nan, np.inf, -np.inf])
+def test_cell_box_rejects_non_finite_origin(origin):
+    with pytest.raises(ValueError, match="origin="):
+        Domain.cells((1.0,), (4,), (origin,))
+
+
+@pytest.mark.parametrize("build, args, name", [
+    (Domain.torus, (1, 64.0), "points_per_dim="),
+    (Domain.torus, (1.0, 64), "n_dims="),
+    (Domain.interval, (0.0, 1.0, 4.5), "points="),
+    (Domain.rectangle, (1.0, 1.0, 4.0, 4), "nx="),
+    (Domain.rectangle, (1.0, 1.0, 4, np.float64(4)), "ny="),
+    (Domain.real_line, (1.0, 8.0), "points="),
+    (Domain.cells, ((1.0, 1.0), (4, 4.0), (0.0, 0.0)), r"shape\[1\]="),
+], ids=["torus-points", "torus-dims", "interval", "rectangle-nx", "rectangle-ny",
+        "real_line", "cells"])
+def test_constructors_reject_non_integer_counts(build, args, name):
+    with pytest.raises(ValueError, match=name):
+        build(*args)
+
+
+def test_constructors_accept_numpy_integer_counts():
+    assert Domain.torus(1, np.int64(64)) == Domain.torus(1, 64)
+    assert Domain.cells((1.0,), (np.int32(4),), (0.0,)).grid_size == 4
 
 
 @pytest.mark.parametrize("size", [np.nan, np.inf])

@@ -1,9 +1,13 @@
 """Every imported name is used, every exported name is bound and every
 definition is referenced: a small stand-in for a linter's unused-import,
-undefined-export and dead-code checks."""
+undefined-export and dead-code checks.  Importing the CLI loads no scipy
+submodule that the tomography path does not use."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -128,3 +132,13 @@ def test_benchmark_hooks_exist():
         if not callable(getattr(owner, meth, None)):
             missing.append(f"{mod}.{cls}.{meth}")
     assert hooks and missing == []
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # the tomography path needs only scipy.sparse; the rest is imported on first use
+    deferred = ("scipy.linalg", "scipy.special", "scipy.fft", "scipy.sparse.linalg")
+    code = ("import sys, sobolev_adjoint.cli; "
+            f"print(*[m for m in {deferred!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert out.stdout.split() == []

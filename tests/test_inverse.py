@@ -46,7 +46,7 @@ def diagonal_linop(domain, symbol):
     """Spectral multiplier operator with the given FFT-layout symbol."""
     def times(sym):
         return lambda u: GridFn(domain, np.fft.ifftn(
-            fft_forward(u).coeffs * sym / np.prod(domain.spacing)).ravel())
+            fft_forward(u) * sym / np.prod(domain.spacing)).ravel())
 
     return LinOp(times(symbol), times(np.conj(symbol)), inner, inner, domain, domain)
 
@@ -101,8 +101,8 @@ def test_landweber_diagonal_per_mode_recursion():
     y = GridFn(dom, rng.standard_normal(32))
     step = 0.8
     u, log = landweber(InverseProblem(op, y), step=step, max_iter=15)
-    y_hat = fft_forward(y).coeffs
-    u_hat = fft_forward(u).coeffs
+    y_hat = fft_forward(y)
+    u_hat = fft_forward(u)
     # per-mode geometric recursion: u_m = (1 - (1 - w a^2)^k) y_m / a
     expect = (1 - (1 - step * symbol**2) ** 15) * y_hat / symbol
     assert np.max(np.abs(u_hat - expect)) < 1e-12
@@ -133,8 +133,8 @@ def test_landweber_embedded_iterates_in_smoother_range():
     u1, _ = landweber(problem, step=0.3, max_iter=1)
     # first iterate from zero carries the inverse weight spectrally
     w = weight_grid(dom, SPEC)
-    lifted = fft_forward(u1).coeffs * w
-    grad_hat = 0.3 * np.conj(symbol) * fft_forward(y).coeffs
+    lifted = fft_forward(u1) * w
+    grad_hat = 0.3 * np.conj(symbol) * fft_forward(y)
     assert np.max(np.abs(lifted - grad_hat)) < 1e-12
 
 
@@ -217,9 +217,9 @@ def test_hilbert_scale_half_per_mode_oracle():
     u, _ = landweber_hilbert_scale(problem, SPEC, a=a, step=step, max_iter=iters)
     w = weight_grid(dom, SPEC)
     factor = step * w ** (a - 1.0) * symbol**2
-    y_hat = fft_forward(y).coeffs
+    y_hat = fft_forward(y)
     expect = (1 - (1 - factor) ** iters) * y_hat / symbol
-    assert np.max(np.abs(fft_forward(u).coeffs - expect)) < 1e-12
+    assert np.max(np.abs(fft_forward(u) - expect)) < 1e-12
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
@@ -269,9 +269,9 @@ def test_tikhonov_diagonal_per_mode_formula():
     problem = InverseProblem(diagonal_linop(dom, symbol), y, embedding=emb(dom))
     u = tikhonov(problem, alpha)
     w = weight_grid(dom, SPEC)
-    expect = np.conj(symbol) * fft_forward(y).coeffs / (np.abs(symbol) ** 2
-                                                        + alpha * w)
-    assert np.max(np.abs(fft_forward(u).coeffs - expect)) < 1e-10
+    expect = np.conj(symbol) * fft_forward(y) / (np.abs(symbol) ** 2
+                                                 + alpha * w)
+    assert np.max(np.abs(fft_forward(u) - expect)) < 1e-10
 
 
 def test_tikhonov_overregularization_limit():
@@ -348,7 +348,7 @@ def test_tikhonov_continuity_in_alpha():
     fd = (u1.values - u0.values) / d_alpha
     w = weight_grid(dom, SPEC)
     denom = np.abs(symbol) ** 2 + alpha * w
-    pred_hat = -w * np.conj(symbol) * fft_forward(y).coeffs / denom**2
+    pred_hat = -w * np.conj(symbol) * fft_forward(y) / denom**2
     pred = np.fft.ifft(pred_hat / dom.spacing[0])
     rel = np.max(np.abs(fd - pred)) / np.max(np.abs(pred))
     assert rel < 0.01

@@ -7,7 +7,6 @@ from sobolev_adjoint.wavelet import (
     DB4,
     HAAR,
     WaveletBasis,
-    WaveletDecomposition,
     adjoint_embedding_wavelet,
     fwt,
     ifwt,
@@ -23,10 +22,9 @@ def rand_fn(n, seed):
 
 def unit_atom(dom, basis, levels, level_j, position):
     """Unit-L2-norm wavelet atom at detail level j."""
-    zero = fwt(GridFn(dom, np.zeros(dom.grid_size)), basis, levels)
-    details = [np.zeros_like(d) for d in zero.details]
+    approx, details = fwt(GridFn(dom, np.zeros(dom.grid_size)), basis, levels)
     details[level_j][position] = 1.0
-    atom = ifwt(WaveletDecomposition(dom, basis, zero.approx, tuple(details)))
+    atom = ifwt(dom, basis, approx, details)
     return atom * (1.0 / l2_norm(atom))
 
 
@@ -47,26 +45,27 @@ def test_basis_rejects_unnormalized_filter():
 
 def test_haar_constant_has_no_details():
     dom = Domain.torus(1, 32)
-    dec = fwt(GridFn(dom, np.ones(32)), HAAR, 3)
-    for d in dec.details:
+    _, details = fwt(GridFn(dom, np.ones(32)), HAAR, 3)
+    for d in details:
         assert np.max(np.abs(d)) < 1e-14
 
 
 def test_haar_square_wave_single_detail_level():
     # hand computation: [1,1,-1,-1] puts all energy in the coarsest detail
     dom = Domain.torus(1, 4)
-    dec = fwt(GridFn(dom, np.array([1.0, 1.0, -1.0, -1.0])), HAAR, 2)
-    assert np.max(np.abs(dec.approx)) < 1e-14
-    assert np.max(np.abs(dec.details[1])) < 1e-14
-    assert abs(abs(dec.details[0][0]) - 2.0) < 1e-14
+    approx, details = fwt(GridFn(dom, np.array([1.0, 1.0, -1.0, -1.0])), HAAR, 2)
+    assert np.max(np.abs(approx)) < 1e-14
+    assert np.max(np.abs(details[1])) < 1e-14
+    assert abs(abs(details[0][0]) - 2.0) < 1e-14
 
 
 def test_parseval_and_coefficient_count():
     u = rand_fn(64, 0)
     for basis in (HAAR, DB4):
-        dec = fwt(u, basis, 4)
-        assert dec.coeff_count() == 64
-        assert abs(dec.energy() - np.sum(u.values**2)) < 1e-12
+        approx, details = fwt(u, basis, 4)
+        assert approx.size + sum(d.size for d in details) == 64
+        energy = np.sum(approx**2) + sum(np.sum(d**2) for d in details)
+        assert abs(energy - np.sum(u.values**2)) < 1e-12
 
 
 def test_fwt_rejects_bad_inputs():
@@ -78,21 +77,36 @@ def test_fwt_rejects_bad_inputs():
 
 
 def test_ifwt_round_trip_and_zero():
-    u = rand_fn(128, 2)
-    for basis in (HAAR, DB4):
-        back = ifwt(fwt(u, basis, 5))
-        assert np.max(np.abs(back.values - u.values)) < 1e-12
+    real = rand_fn(128, 2)
+    cplx = real + 1j * rand_fn(128, 3)
+    for u in (real, cplx):
+        for basis in (HAAR, DB4):
+            back = ifwt(u.domain, basis, *fwt(u, basis, 5))
+            assert back.values.dtype == u.values.dtype
+            assert np.max(np.abs(back.values - u.values)) < 1e-12
     dom = Domain.torus(1, 16)
-    dec = fwt(GridFn(dom, np.zeros(16)), HAAR, 2)
-    assert np.max(np.abs(ifwt(dec).values)) == 0.0
+    zero = ifwt(dom, HAAR, *fwt(GridFn(dom, np.zeros(16)), HAAR, 2))
+    assert np.max(np.abs(zero.values)) == 0.0
+
+
+def test_ifwt_rejects_bad_blocks():
+    dom = Domain.torus(1, 16)
+    approx, details = fwt(rand_fn(16, 4), DB4, 2)
+    with pytest.raises(ValueError, match="inconsistent block sizes"):
+        ifwt(dom, DB4, approx, details[::-1])  # finest first
+    with pytest.raises(ValueError, match="inconsistent block sizes"):
+        ifwt(dom, DB4, approx[:2], details)
+    with pytest.raises(ValueError, match="does not match its domain"):
+        ifwt(dom, DB4, approx, details[:1])  # one level short: 8 samples
+    with pytest.raises(ValueError, match="does not match its domain"):
+        ifwt(Domain.torus(1, 32), DB4, approx, details)
 
 
 def test_single_detail_coefficient_gives_unit_atom():
     dom = Domain.torus(1, 64)
-    zero = fwt(GridFn(dom, np.zeros(64)), DB4, 4)
-    details = [np.zeros_like(d) for d in zero.details]
+    approx, details = fwt(GridFn(dom, np.zeros(64)), DB4, 4)
     details[2][3] = 1.0
-    atom = ifwt(WaveletDecomposition(dom, DB4, zero.approx, tuple(details)))
+    atom = ifwt(dom, DB4, approx, details)
     assert abs(np.sum(np.abs(atom.values) ** 2) - 1.0) < 1e-12  # unit in l2
 
 

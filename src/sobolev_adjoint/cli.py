@@ -63,6 +63,9 @@ _EXPERIMENT_DEFAULTS = {
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 _CROSSCHECK_KMAX = 16  # CrossCheck1D's band |k| <= 16; its SVD and Gram span it
+# RadonRecon's cap on RadonGeometry.entry_bound: twice full scale along every
+# axis (401 pixels, 600 offsets, 360 angles) is ~174M, full scale ~21.9M
+_RADON_MAX_ENTRIES = 200_000_000
 
 
 def _convert(key: str, raw: str, line_no: int):
@@ -108,10 +111,18 @@ def _validate(cfg: RunConfig) -> RunConfig:
         if cfg.noise_rel == 0:
             raise ConfigError("noise_rel=0 leaves RadonRecon's discrepancy "
                               "stopping without a noise level: use noise_rel > 0")
+        bound = radon.RadonGeometry(cfg.n, cfg.n_offsets, cfg.n_angles).entry_bound
+        if bound > _RADON_MAX_ENTRIES:
+            raise ConfigError(f"n={cfg.n}, n_offsets={cfg.n_offsets}, "
+                              f"n_angles={cfg.n_angles} allow a Radon matrix of "
+                              f"{bound:,} entries, above the cap of "
+                              f"{_RADON_MAX_ENTRIES:,}")
     if cfg.max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
     if cfg.step < 0:
         raise ConfigError("step must be >= 0 (0 selects the automatic step)")
+    if not cfg.out_dir:
+        raise ConfigError("out_dir is empty: name the output directory")
     return cfg
 
 
@@ -127,6 +138,8 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
         values[key] = _convert(key, raw, line_no)
     if experiment is not None:
         values["experiment"] = experiment

@@ -273,8 +273,17 @@ def inner(u: GridFn, v: GridFn) -> complex:
 
 
 def l2_norm(u: GridFn) -> float:
-    """L2 norm of a GridFn."""
-    return float(np.sqrt(quad_weight(u.domain)) * np.linalg.norm(u.values))
+    """L2 norm of a GridFn, its squares summed pairwise in double precision.
+
+    Not ``np.linalg.norm``: that calls BLAS ``dot``, whose threads keep
+    spinning on the other cores after each call and slow down the threaded
+    Radon products that follow.
+    """
+    v = u.values
+    if v.dtype.kind == "c":
+        v = v.view(v.real.dtype)  # real and imaginary parts, interleaved
+    sq = np.add.reduce(np.square(v, dtype=np.float64))
+    return float(np.sqrt(quad_weight(u.domain)) * np.sqrt(sq))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ the basis; Haar (regularity 0) is shipped as a pedagogical backend, the
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,8 @@ DB4 = WaveletBasis(
 def _check_wavelet_domain(domain: Domain, levels: int) -> None:
     if domain.kind is not DomainKind.TORUS or domain.ndim != 1:
         raise ValueError("wavelet transform runs on 1D torus grids")
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    if not isinstance(levels, numbers.Integral) or levels < 1:
+        raise ValueError(f"levels={levels!r} must be an integer >= 1")
     n = domain.shape[0]
     if n % (1 << levels) != 0:
         raise ValueError(f"grid length {n} not divisible by 2^{levels}")
@@ -157,6 +158,8 @@ def wavelet_sobolev_norm(u: GridFn, s: float, basis: WaveletBasis,
 def adjoint_linop(domain: Domain, s: float, basis: WaveletBasis,
                   levels: int) -> LinOp:
     """E^* as wavelet-detail scaling, paired with :func:`wavelet_sobolev_inner`."""
+    if not s >= 0:
+        raise ValueError(f"s={s} must be >= 0")
     _check_wavelet_domain(domain, levels)
     return LinOp(lambda u: adjoint_embedding_wavelet(u, s, basis, levels), lambda u: u,
                  inner, lambda u, v: wavelet_sobolev_inner(u, v, s, basis, levels),

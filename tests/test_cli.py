@@ -42,6 +42,32 @@ def test_parse_rejects_bad_values():
         parse_config("experiment=NoSuchThing")
 
 
+def test_parse_rejects_duplicate_keys_and_an_empty_out_dir():
+    # the last value used to win, so one stray line switched the experiment
+    with pytest.raises(ConfigError, match="line 3: duplicate key 'experiment'"):
+        parse_config("experiment=RadonRecon\nn=32\nexperiment=CrossCheck1D")
+    with pytest.raises(ConfigError, match="line 2: duplicate key 'seed'"):
+        parse_config("seed=1\nseed = 1  # same value", experiment="RadonRecon")
+    # an empty out_dir used to write into the current directory
+    with pytest.raises(ConfigError, match="out_dir"):
+        parse_config("experiment=RadonRecon\nout_dir=")
+    # the experiment argument overrides the file's key; it is no duplicate
+    cfg = parse_config("experiment=RadonRecon\nseed=3", experiment="CrossCheck1D")
+    assert (cfg.experiment, cfg.seed) == ("CrossCheck1D", 3)
+
+
+def test_radon_geometry_cap():
+    cfg = parse_config("experiment=RadonRecon\nn=201\nn_offsets=300\nn_angles=180")
+    assert cfg.n == 201  # full scale passes with room to spare
+    for text in ("n=100000\nn_offsets=100000\nn_angles=100000",
+                 "n=401\nn_offsets=1200\nn_angles=360"):
+        with pytest.raises(ConfigError, match="n=.*n_offsets=.*n_angles=.*cap"):
+            parse_config(f"experiment=RadonRecon\n{text}")
+    # the cap is RadonRecon's: the other experiments ignore the Radon keys
+    assert parse_config("experiment=NormEquivalence\nn_offsets=100000\n"
+                        "n_angles=100000").n_angles == 100000
+
+
 def test_parse_comments_and_whitespace():
     text = "# a comment\n\nexperiment = RadonRecon  # trailing\n seed = 7\n"
     cfg = parse_config(text)
@@ -231,6 +257,19 @@ def test_main_exit_codes(tmp_path, capsys):
         out = tmp_path / f"{experiment}_{key}"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+    # a duplicated key, an empty out_dir and an oversized Radon geometry
+    for text, keys in (("experiment=RadonRecon\nexperiment=CrossCheck1D",
+                        ("'experiment'",)),
+                       ("experiment=NormEquivalence\nout_dir=", ("out_dir",)),
+                       ("experiment=RadonRecon\nn=100000\nn_offsets=100000\n"
+                        "n_angles=100000", ("n=100000", "n_offsets=100000",
+                                            "n_angles=100000"))):
+        cfg.write_text(text + "\n")
+        out = tmp_path / "rejected_out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
         assert not out.exists()
     cfg.write_text("experiment=AdjointSmoothing2D\nn=9\n")
     out = tmp_path / "seed_override"

@@ -135,6 +135,38 @@ def test_inner_matches_summation_oracle():
     assert abs(inner(v, u) - np.conj(got)) < 1e-13
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32, np.complex64])
+def test_l2_norm_agrees_with_numpy(dtype):
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    for n in (1, 2, 7, 8, 9, 127, 1000, 10_001, 54_000):
+        dom = Domain.cells((2.0,), (n,), (0.0,))
+        vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        if np.dtype(dtype).kind == "c":
+            vals = vals + 1j * rng.standard_normal(n)
+        u = GridFn(dom, vals.astype(dtype))
+        assert u.values.dtype == dtype
+        # single precision is summed in double: its parts as contiguous doubles
+        # (np.linalg.norm on complex input sums strided parts, ~2e-15 off at 54k)
+        parts = u.values.view(u.values.real.dtype).astype(np.float64)
+        want = np.sqrt(2.0 / n) * np.linalg.norm(parts)
+        assert abs(l2_norm(u) - want) <= 1e-15 * want, n
+        if dtype == np.complex64:
+            wide = GridFn(dom, u.values.astype(np.complex128))
+            assert l2_norm(u) == l2_norm(wide)
+
+
+def test_l2_norm_calls_no_blas(monkeypatch):
+    def blas(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    u = GridFn(Domain.torus(2, 128), np.random.default_rng(0).standard_normal(128**2))
+    want = l2_norm(u)
+    for name in ("dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, blas)
+    monkeypatch.setattr(np.linalg, "norm", blas)
+    assert l2_norm(u) == want
+
+
 def test_inner_domain_mismatch():
     u = GridFn(Domain.torus(1, 16), np.ones(16))
     v = GridFn(Domain.torus(1, 32), np.ones(32))

@@ -1,4 +1,8 @@
+import multiprocessing
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -182,6 +186,167 @@ def test_operator_shares_the_cached_matrix():
     r = GridFn(geom.data_domain, np.random.default_rng(4).standard_normal((100, 60)))
     want = op._adjoint_scale * (mat.T @ r.values.ravel())
     assert op.adjoint(r).values.tobytes() == want.tobytes()
+
+
+def _two_threads(monkeypatch):
+    """Send every geometry down the two-thread path, whatever the CPU count."""
+    monkeypatch.setattr(radon, "_THREAD_ENTRIES", 0)
+    monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_thread_count_follows_the_entry_bound(monkeypatch):
+    desk, full = RadonGeometry.desk_scale(), RadonGeometry.full_scale()
+    assert (desk.entry_bound, full.entry_bound) == (786_000, 21_870_000)
+    assert desk.entry_bound < radon._THREAD_ENTRIES <= full.entry_bound
+    monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert radon._offset_blocks(desk) == [slice(0, 100)]
+    assert radon._offset_blocks(full) == [slice(0, 150), slice(150, 300)]
+    monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {3})
+    assert radon._offset_blocks(full) == [slice(0, 300)]
+    # platforms without an affinity mask count the machine's CPUs
+    monkeypatch.delattr(radon.os, "sched_getaffinity")
+    monkeypatch.setattr(radon.os, "cpu_count", lambda: 2)
+    assert radon._offset_blocks(full) == [slice(0, 150), slice(150, 300)]
+    monkeypatch.setattr(radon.os, "cpu_count", lambda: None)
+    assert radon._offset_blocks(full) == [slice(0, 300)]
+
+
+@pytest.mark.parametrize("geom", [
+    RadonGeometry(8, 12, 6),
+    RadonGeometry(15, 23, 7),  # an odd offset count: blocks of 11 and 12 offsets
+    RadonGeometry(16, 3, 5, s_max=1.5),
+    RadonGeometry.desk_scale(),  # each block under half of the matrix's buffer
+], ids=lambda g: f"{g.n_pixels}-{g.n_offsets}-{g.n_angles}-{g.s_max:g}")
+def test_two_threads_match_one(geom, monkeypatch):
+    one = RadonOperator(geom)
+    mat = one.matrix
+    _two_threads(monkeypatch)
+    built = _system_matrix.__wrapped__(geom)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(built, name).tobytes() == getattr(mat, name).tobytes(), name
+    two = RadonOperator(geom)
+    assert len(two._blocks) == 2
+    for part in two._blocks + two._transposes:  # views, not copies
+        assert np.shares_memory(part.data, two.matrix.data)
+        assert np.shares_memory(part.indices, two.matrix.indices)
+    rng = np.random.default_rng(geom.n_offsets)
+    u = GridFn(geom.image_domain, rng.standard_normal(geom.n_pixels**2))
+    r = GridFn(geom.data_domain, rng.standard_normal(geom.data_domain.shape))
+    assert two.forward(u).values.tobytes() == one.forward(u).values.tobytes()
+    want = one.adjoint(r).values
+    assert np.max(np.abs(two.adjoint(r).values - want)) <= 1e-14 * np.max(np.abs(want))
+    assert check_adjoint(two.as_linop(), seed=1) < 1e-10
+
+
+def test_two_thread_build_peak_memory(monkeypatch):
+    _two_threads(monkeypatch)
+    mat, peak = _traced_peak(_system_matrix.__wrapped__, RadonGeometry.desk_scale())
+    assert peak <= 1.3 * _matrix_bytes(mat)
+
+
+def test_two_thread_products_from_many_callers(monkeypatch):
+    # eight callers share the module's one lazily created two-thread pool
+    geom = RadonGeometry(16, 24, 8)
+    one = RadonOperator(geom)
+    _two_threads(monkeypatch)
+    created = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(radon, "_executor", None)
+    monkeypatch.setattr(radon, "ThreadPoolExecutor", CountedPool)
+    op = RadonOperator(geom)
+    rng = np.random.default_rng(5)
+    us = [GridFn(geom.image_domain, rng.standard_normal(256)) for _ in range(8)]
+    rs = [GridFn(geom.data_domain, rng.standard_normal((24, 8))) for _ in range(8)]
+    want = [(one.forward(u).values, one.adjoint(r).values) for u, r in zip(us, rs)]
+
+    def call(k):
+        got = [(op.forward(us[k]).values, op.adjoint(rs[k]).values) for _ in range(20)]
+        return all(f.tobytes() == want[k][0].tobytes()
+                   and np.max(np.abs(a - want[k][1])) <= 1e-14 * np.max(np.abs(want[k][1]))
+                   for f, a in got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as callers:
+            results = [f.result(timeout=60) for f in
+                       [callers.submit(call, k) for k in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in created:
+            pool.shutdown()
+    assert results == [True] * 8
+    assert len(created) == 1
+
+
+def test_map_ends_every_part_before_raising(monkeypatch):
+    # the build's fill threads write into shared arrays: none may still run
+    # once the caller has seen an error
+    monkeypatch.setattr(radon, "_executor", None)
+    done = []
+
+    def part(k):
+        if k == 0:
+            raise RuntimeError("part 0")
+        time.sleep(0.2)
+        done.append(k)
+
+    try:
+        with pytest.raises(RuntimeError, match="part 0"):
+            radon._map(part, [0, 1])
+        assert done == [1]
+    finally:
+        radon._executor.shutdown()
+
+
+def _forward_sum(op, u, queue):
+    queue.put(float(op.forward(u).values.sum()))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+# forking this threaded process is the point (Python 3.12+ warns about it)
+@pytest.mark.filterwarnings("ignore:This process.*multi-threaded:DeprecationWarning")
+def test_forked_child_does_not_reuse_the_parent_pool(monkeypatch):
+    geom = RadonGeometry(16, 24, 8)
+    _two_threads(monkeypatch)
+    op = RadonOperator(geom)
+    u = GridFn(geom.image_domain, np.random.default_rng(6).standard_normal(256))
+    want = float(op.forward(u).values.sum())  # the pool now has its threads
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_forward_sum, args=(op, u, queue))
+    child.start()
+    try:
+        got = queue.get(timeout=30)
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+    assert got == want
+
+
+def test_undercounted_row_bound_raises_on_two_threads(monkeypatch):
+    geom = RadonGeometry(8, 12, 6)
+    counts = np.diff(_system_matrix(geom).indptr).reshape(geom.n_offsets,
+                                                         geom.n_angles)
+    row_bounds = radon._row_bounds
+
+    def undercount(g, edges):
+        bounds = row_bounds(g, edges)
+        bounds[-1, 2] = counts[-1, 2] - 1  # a ray of the second thread
+        return bounds
+
+    _two_threads(monkeypatch)
+    monkeypatch.setattr(radon, "_row_bounds", undercount)
+    with pytest.raises(RuntimeError, match="angle 2 "):
+        _system_matrix.__wrapped__(geom)
 
 
 def test_single_pixel_matches_explicit_matrix_column():

@@ -8,6 +8,7 @@ from sobolev_adjoint.wavelet import (
     HAAR,
     WaveletBasis,
     adjoint_embedding_wavelet,
+    adjoint_linop,
     fwt,
     ifwt,
     wavelet_sobolev_inner,
@@ -74,6 +75,22 @@ def test_fwt_rejects_bad_inputs():
         fwt(u, HAAR, 5)
     with pytest.raises(ValueError):
         fwt(GridFn(Domain.real_line(1.0, 32), np.zeros(32)), HAAR, 2)
+
+
+@pytest.mark.parametrize("levels", [2.0, 2.5, "2", None])
+def test_non_integer_levels_are_rejected_by_name(levels):
+    u = rand_fn(64, 1)
+    with pytest.raises(ValueError, match="levels="):
+        fwt(u, HAAR, levels)
+    with pytest.raises(ValueError, match="levels="):
+        adjoint_linop(u.domain, 0.5, DB4, levels)
+
+
+@pytest.mark.parametrize("s", [-1.0, -1e-300, np.nan])
+def test_adjoint_linop_rejects_negative_order_at_construction(s):
+    # not at the first apply, and not after its inner product has accepted s
+    with pytest.raises(ValueError, match="s="):
+        adjoint_linop(Domain.torus(1, 64), s, DB4, 4)
 
 
 def test_ifwt_round_trip_and_zero():

@@ -131,11 +131,12 @@ def estimate_operator_norm(problem: InverseProblem) -> float:
     dom = problem.forward.domain
     rng = np.random.default_rng(_POWER_SEED)
     v = GridFn(dom, rng.standard_normal(dom.grid_size))
-    lam = 0.0
-    for _ in range(_POWER_ITERS):
+    for k in range(_POWER_ITERS):
         w = problem.smooth(problem.forward.apply_adjoint(problem.forward.apply(v)))
-        lam = l2_norm(w) / l2_norm(v)
-        v = w * (1.0 / l2_norm(w))
+        w_norm = l2_norm(w)
+        if k == _POWER_ITERS - 1:  # v has norm 1 up to rounding after the first step
+            lam = w_norm / l2_norm(v)
+        v = w * (1.0 / w_norm)
     return float(np.sqrt(lam))
 
 

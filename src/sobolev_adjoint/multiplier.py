@@ -106,9 +106,19 @@ def _weight_power(domain: Domain, spec: SobolevSpec, power: float) -> np.ndarray
 
 
 def fourier_multiply(u: GridFn, weight: np.ndarray) -> GridFn:
-    """Scale the Fourier coefficients of ``u`` by a real ``weight``; real stays real."""
-    res = fft_inverse(u.domain, fft_forward(u) * weight)
-    return GridFn(u.domain, res.values.real) if u.is_real else res
+    """Scale the Fourier coefficients of ``u`` by a real, even ``weight``;
+    real stays real.
+
+    A real ``u`` on a torus has a Hermitian spectrum, so only the half that
+    ``rfftn`` keeps is transformed, scaled by the matching half of ``weight``.
+    """
+    dom = u.domain
+    if not (u.is_real and dom.kind is DomainKind.TORUS):
+        res = fft_inverse(dom, fft_forward(u) * weight)
+        return GridFn(dom, res.values.real) if u.is_real else res
+    half = weight[..., :dom.shape[-1] // 2 + 1]
+    coeffs = np.fft.rfftn(u.values.reshape(dom.shape)) * half
+    return GridFn(dom, np.fft.irfftn(coeffs, dom.shape, range(dom.ndim)).ravel())
 
 
 def hilbert_scale_apply(u: GridFn, spec: SobolevSpec, power: float) -> GridFn:

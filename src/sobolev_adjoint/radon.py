@@ -4,25 +4,37 @@ The image is an N x N pixel grid covering [-1, 1]^2 (piecewise-constant
 pixel basis); rays are parallel lines indexed by a signed offset (midpoint
 samples over [-s_max, s_max]) and an angle (uniform in [0, pi)).  The
 forward map sums exact pixel-ray intersection lengths into a sparse
-matrix.  They are collected by a Siddon-style traversal that runs over all
-offsets of one angle at once and computes the same exact intersections,
-bit for bit, as tracing each ray on its own.  A first pass bounds each
-ray's entry count by its edge crossings; each angle then becomes a small
-CSR block whose rows are written into zeroed slots of that size, and
-scipy's ``eliminate_zeros`` drops the unfilled slot ends in place, so the
-build holds the matrix only once.  The adjoint is the exact transpose of
-that matrix rescaled by the quadrature weights, so that the discrete
-adjoint identity holds to rounding; it runs on transposed views that
-share the matrix's arrays.
+matrix.  They are collected by a Siddon-style traversal that runs over a
+chunk of one angle's offsets at once and computes the same exact
+intersections, bit for bit, as tracing each ray on its own.
+
+The square's symmetries map the angle grid onto itself: the mirror
+x -> -x sends angle theta to pi - theta, and on an even grid the quarter
+turn sends it to theta + pi/2 and the swap of x and y to pi/2 - theta.
+The rays of a mapped angle are those of theta applied to the permuted
+image, at the same offsets.  So only one representative angle per orbit is
+traced and stored: the angles in [0, pi/4] and 90 degrees (17 of 60 at
+desk scale, 47 of 180 at full scale), or [0, pi/2] on an odd grid.  90
+degrees is traced rather than turned from 0 degrees: those rays run along
+pixel edges, where the traversal picks a side by rounding.  The derived
+angles match their traced rows to rounding (~1e-14), not bitwise.
+
+A first pass bounds each stored ray's entry count by its edge crossings;
+each chunk of rays then becomes a small CSR block copied to the front of
+its slot, and scipy's ``eliminate_zeros`` drops the unfilled slot ends in
+place, so the build holds the matrix only once.  Each map is one product
+of a row prefix of the stored matrix with the permuted image.  The adjoint
+is the exact transpose of that map rescaled by the quadrature weights, so
+that the discrete adjoint identity holds to rounding; it runs on
+transposed views that share the matrix's arrays.
 
 Geometries whose entry bound (``RadonGeometry.entry_bound``) reaches
 ``_THREAD_ENTRIES``, such as the full-scale one, use two threads when the
 process may run on two CPUs.  Each thread traces half of the offsets in
-both build passes, so the matrix is the same bytes, and owns the matching
-row block in the products: the forward is the concatenation of the
-blocks' products, bitwise equal to one product, and the adjoint the sum of
-the blocks' transposed products, one rounding per pixel away from it.
-Smaller geometries run on the calling thread alone.
+both build passes, so the matrix is the same bytes, and runs two of the
+maps' products; the adjoint adds the maps' images in one fixed order, so
+both products are the same bytes on one thread or two.  Smaller geometries
+run on the calling thread alone.
 
 Per-angle mass consistency (sum of ray sums times the offset spacing equals
 the pixel mass) is exact when the rays align with the pixel lattice
@@ -157,11 +169,21 @@ def _clip_rays(phi: float, offsets: np.ndarray, edges: np.ndarray):
 
 
 # Geometries with at least this many bounded entries split their build and
-# products over two threads.  Measured on 2 vCPUs: at desk scale (0.79M) the
-# split adjoint is slower (457 -> 516 us); at 2.8M the products gain ~20% but
-# the build loses ~15%; at 6.2M both gain.  Full scale is 21.9M.
+# products over two threads.  Full scale (21.9M) gains on 2 vCPUs: forward
+# 11.3 -> 7.2 ms and adjoint 14.8 -> 9.0 ms, medians of 40 alternating
+# bursts.  At desk scale (0.79M) the same bursts gave 584 -> 567 us and
+# 716 -> 642 us, unresolved, so it stays on the calling thread.
 _THREAD_ENTRIES = 4_000_000
 _MAX_THREADS = 2
+# The build traces rays in chunks holding at most this share of the matrix's
+# bounded entries: at most 15 rays at desk scale and 130 at full scale.  A
+# chunk's transients, ~56 bytes per bounded entry against the matrix's 12,
+# are most of what the build holds beside the matrix: its peak at desk scale
+# is 1.12x the matrix on one thread and 1.18x on two.  Below the minimum, a
+# chunk's fixed cost (~0.2 ms) outweighs the little memory it saves: one-ray
+# chunks made the (16, 24, 8) build 15 ms instead of 2.
+_CHUNK_SHARE = 1 / 64
+_CHUNK_MIN_RAYS = 8
 _executor = None
 _executor_lock = threading.Lock()
 
@@ -206,21 +228,92 @@ def _map(fn, parts) -> list:
     return [future.result() for future in futures]
 
 
+# The square's symmetries that map the angle grid onto itself, in the order
+# their uses nest: (permutation of the (x, y) pixel array, its inverse, the
+# angle index it sends j to on a grid of n angles, or None).  The rays of
+# angle ``to(j, n)`` are those of angle j applied to the permuted image, at
+# the same offsets.  The quarter turn is ``np.rot90(a, -1)`` and its inverse
+# ``np.rot90(a)``, written as views.
+_MAPS = (
+    (lambda a: a, lambda a: a, lambda j, n: j),
+    (lambda a: a[::-1], lambda a: a[::-1],  # x -> -x: pi - theta
+     lambda j, n: n - j if j else None),
+    (lambda a: a[::-1].T, lambda a: a.T[::-1],  # quarter turn: theta + pi/2
+     lambda j, n: j + n // 2 if n % 2 == 0 and j < n // 2 else None),
+    (lambda a: a.T, lambda a: a.T,  # x <-> y: pi/2 - theta
+     lambda j, n: n // 2 - j if n % 2 == 0 and j <= n // 2 else None),
+)
+_THREAD_MAPS = ((0, 3), (1, 2))  # one product by each map on each thread
+
+
+def _column_runs(cols: list[int]) -> list[tuple[int, int, slice]]:
+    """``cols`` cut into runs of step +1 or -1: (first, stop, column slice)."""
+    runs, a = [], 0
+    while a < len(cols):
+        b, step = a + 1, 1
+        if b < len(cols) and abs(cols[b] - cols[a]) == 1:
+            step = cols[b] - cols[a]
+        while b < len(cols) and cols[b] - cols[b - 1] == step:
+            b += 1
+        stop = cols[b - 1] + step
+        runs.append((a, b, slice(cols[a], None if stop < 0 else stop, step)))
+        a = b
+    return runs
+
+
+@lru_cache(maxsize=8)
+def _orbits(n_angles: int):
+    """The angles to trace, in stored order, and each map's use of them.
+
+    Each angle not yet reached becomes a representative, and the maps in
+    turn claim their images of it until one falls off the grid or on an
+    angle already claimed, so the maps that use an angle are always the
+    first few.  The mirror of 0 degrees is off the grid (pi is 0 with the
+    offsets reversed), so 90 degrees is never claimed from it and is traced:
+    its rays run along pixel edges, where the traversal picks a side by
+    rounding that a quarter turn of the 0-degree rows does not reproduce.
+    Representatives are stored by how many maps use them, most first, so
+    map k reads a prefix of the rows.  Returns the stored angle indices
+    and, per map, (map index, angles read, column runs).
+    """
+    claimed = [False] * n_angles
+    orbits = []
+    for j in range(n_angles):
+        if claimed[j]:
+            continue
+        orbit = []
+        for *_, to in _MAPS:
+            t = to(j, n_angles)
+            if t is None or claimed[t]:
+                break
+            claimed[t] = True
+            orbit.append(t)
+        orbits.append(orbit)
+    orbits.sort(key=len, reverse=True)
+    uses = []
+    for k in range(len(_MAPS)):
+        cols = [orbit[k] for orbit in orbits if len(orbit) > k]
+        if cols:
+            uses.append((k, len(cols), tuple(_column_runs(cols))))
+    return tuple(orbit[0] for orbit in orbits), tuple(uses)
+
+
 def _row_bounds(geom: RadonGeometry, edges: np.ndarray) -> np.ndarray:
-    """Upper bound on each ray's entry count, shaped (n_offsets, n_angles).
+    """Upper bound on each stored ray's entry count, (stored angles, n_offsets).
 
     A ray's chord is cut into at most one more segment than it has edge
     crossings strictly inside it, and merging segments that share a pixel
     only lowers the count.
     """
-    bounds = np.zeros((geom.n_offsets, geom.n_angles), dtype=np.int64)
+    stored, _ = _orbits(geom.n_angles)
+    bounds = np.zeros((len(stored), geom.n_offsets), dtype=np.int64)
 
     def fill(rows: slice) -> None:
-        offsets, own = geom.offsets[rows], bounds[rows]
-        for j, phi in enumerate(geom.angles):
-            _, _, hit, _, _, crossings = _clip_rays(phi, offsets, edges)
-            own[hit, j] = 1 + sum(np.count_nonzero(inside, axis=1)
-                                  for _, inside in crossings)
+        offsets = geom.offsets[rows]
+        for a, j in enumerate(stored):
+            _, _, hit, _, _, crossings = _clip_rays(geom.angles[j], offsets, edges)
+            bounds[a, rows][hit] = 1 + sum(np.count_nonzero(inside, axis=1)
+                                           for _, inside in crossings)
 
     _map(fill, _offset_blocks(geom))
     return bounds
@@ -251,59 +344,70 @@ def _angle_block(phi: float, offsets: np.ndarray, edges: np.ndarray,
 
 @lru_cache(maxsize=8)
 def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
-    """Exact pixel-ray intersection lengths, one vectorized pass per angle.
+    """Exact pixel-ray intersection lengths of the stored angles' rays.
 
-    For every ray of an angle at once: clip the line to the square, collect
-    its crossings with the pixel edges strictly inside that window, sort
-    them, and credit each segment to the pixel holding its midpoint.  Rows
-    whose crossings fall short of the full width are padded with the exit
-    parameter, so the padding only adds zero-length segments that the
-    length cut drops.
+    Only one representative angle per orbit of the square's symmetries is
+    traced (``_orbits``): the angles in [0, pi/4] and 90 degrees when
+    ``n_angles`` is even, in [0, pi/2] when it is odd.  Row ``a * n_offsets
+    + o`` is offset ``o`` of the ``a``-th stored angle.
+
+    For every ray of a chunk of offsets at once (``_CHUNK_SHARE``): clip the
+    line to the square, collect its crossings with the pixel edges strictly
+    inside that window, sort them, and credit each segment to the pixel
+    holding its midpoint.  Rows whose crossings fall short of the full width
+    are padded with the exit parameter, so the padding only adds zero-length
+    segments that the length cut drops.
 
     The matrix is held once.  A first pass bounds each ray's entry count by
     its crossing count, without sorting; ``indices``/``data`` are zeroed at
-    the bounds' total, and the running total of the bounds is the CSR
-    ``indptr``.  Each angle's rays then become a small canonical
-    (n_offsets x n^2) CSR block whose row ``o`` is written into the slot of
-    matrix row ``o * n_angles + j``.  Every traced length is positive, so the
-    only zeros are the unfilled ends of the slots, and one in-place
-    ``eliminate_zeros`` drops them.  The entries of a row, their order, and
-    the per-row sort and duplicate sum are those of one global COO-to-CSR
-    conversion, so the result is bitwise equal to it.
+    the bounds' total, and the running total of the bounds gives each
+    chunk's slot.  A chunk's canonical CSR block is copied to the front of
+    its slot, and its last row is extended to the slot's end.  Every traced
+    length is positive, so the only zeros are the unfilled slot ends, and
+    one in-place ``eliminate_zeros`` drops them.  The entries of a row, their
+    order, and the per-row sort and duplicate sum are those of one global
+    COO-to-CSR conversion, so the rows are bitwise those of tracing each
+    ray on its own.
 
     On two threads each one runs both passes over its own half of the
     offsets, writing only its rows of the bounds and its own slots.  Every
     row is traced as it is on one thread, so the matrix is the same bytes.
     """
-    n, n_angles = geom.n_pixels, geom.n_angles
+    n = geom.n_pixels
     px = geom.pixel_size
     edges = -1.0 + px * np.arange(n + 1)
     offsets = geom.offsets
-    n_rays = geom.n_offsets * n_angles
+    stored, _ = _orbits(geom.n_angles)
+    n_rows = len(stored) * geom.n_offsets
     bounds = _row_bounds(geom, edges)
     total = int(bounds.sum())
-    idx = (np.int32 if max(n_rays, n * n, total) <= np.iinfo(np.int32).max
+    idx = (np.int32 if max(n_rows, n * n, total) <= np.iinfo(np.int32).max
            else np.int64)
-    slots = np.zeros(n_rays + 1, dtype=idx)
-    np.cumsum(bounds, dtype=idx, out=slots[1:])
+    indptr = np.zeros(n_rows + 1, dtype=idx)
+    np.cumsum(bounds, dtype=idx, out=indptr[1:])
     indices = np.zeros(total, dtype=idx)
     data = np.zeros(total)
+    rays = max(_CHUNK_MIN_RAYS, int(_CHUNK_SHARE * total) // (2 * n + 3))
 
     def fill(rows: slice) -> None:
-        for j, phi in enumerate(geom.angles):
-            block = _angle_block(phi, offsets[rows], edges, px, idx)
-            counts = np.diff(block.indptr)
-            if (counts > bounds[rows, j]).any():
-                raise RuntimeError(f"a ray at angle {j} has more entries than its "
-                                   "bounded slot holds")
-            starts = (slots[rows.start * n_angles + j:rows.stop * n_angles:n_angles]
-                      - block.indptr[:-1])
-            dest = np.repeat(starts, counts) + np.arange(block.nnz)
-            indices[dest] = block.indices
-            data[dest] = block.data
+        size = rows.stop - rows.start
+        count = max(1, -(-size // rays))  # equal chunks of at most rays
+        cuts = [rows.start + k * size // count for k in range(count + 1)]
+        for a, j in enumerate(stored):
+            for chunk in map(slice, cuts[:-1], cuts[1:]):
+                block = _angle_block(geom.angles[j], offsets[chunk], edges, px, idx)
+                if (np.diff(block.indptr) > bounds[a, chunk]).any():
+                    raise RuntimeError(f"a ray at angle {j} has more entries than "
+                                       "its bounded slot holds")
+                first = a * geom.n_offsets + chunk.start
+                start = indptr[first]
+                data[start:start + block.nnz] = block.data
+                indices[start:start + block.nnz] = block.indices
+                indptr[first + 1:first + len(block.indptr) - 1] = start + block.indptr[1:-1]
 
     _map(fill, _offset_blocks(geom))
-    matrix = scipy.sparse.csr_matrix((data, indices, slots), shape=(n_rays, n * n))
+    matrix = scipy.sparse.csr_matrix((data, indices, indptr),
+                                     shape=(n_rows, n * n))
     matrix.eliminate_zeros()
     return matrix
 
@@ -316,29 +420,43 @@ def _shared(cls, shape, data, indices, indptr):
     return mat
 
 
-def _row_block(matrix: scipy.sparse.csr_matrix, rows: slice) -> scipy.sparse.csr_matrix:
-    """The CSR rows ``rows`` of ``matrix``, on views of its data and indices."""
-    a, b = matrix.indptr[rows.start], matrix.indptr[rows.stop]
-    return _shared(scipy.sparse.csr_matrix, (rows.stop - rows.start, matrix.shape[1]),
-                   matrix.data[a:b], matrix.indices[a:b],
-                   matrix.indptr[rows.start:rows.stop + 1] - a)
+def _row_prefix(matrix: scipy.sparse.csr_matrix, rows: int) -> scipy.sparse.csr_matrix:
+    """The first ``rows`` CSR rows of ``matrix``, on views of its arrays."""
+    end = matrix.indptr[rows]
+    return _shared(scipy.sparse.csr_matrix, (rows, matrix.shape[1]),
+                   matrix.data[:end], matrix.indices[:end], matrix.indptr[:rows + 1])
 
 
 class RadonOperator:
-    """Forward projector and its matched (transpose) adjoint."""
+    """Forward projector and its matched (transpose) adjoint.
+
+    ``matrix`` holds the stored angles' rows only.  Each symmetry map is one
+    product of a row prefix of it with the permuted image, whose rows are
+    copied into the map's sinogram columns; the adjoint gathers those
+    columns, multiplies by the prefix's transpose and undoes the
+    permutation, adding the maps' images in map order.  On two threads each
+    takes two maps, so both products are the same bytes as on one.
+    """
 
     def __init__(self, geometry: RadonGeometry):
         self.geometry = geometry
         self.matrix = _system_matrix(geometry)
-        # one row block per thread, each with a CSC view of its transpose, all
-        # sharing the matrix's arrays: a CSR copy of the transpose would be
-        # ~15% faster per adjoint but hold the matrix a second time.  Summing
-        # two blocks' adjoint products adds one rounding per pixel.
-        self._rows = [slice(o.start * geometry.n_angles, o.stop * geometry.n_angles)
-                      for o in _offset_blocks(geometry)]
-        self._blocks = [_row_block(self.matrix, rows) for rows in self._rows]
-        self._transposes = [_shared(scipy.sparse.csc_matrix, b.shape[::-1],
-                                    b.data, b.indices, b.indptr) for b in self._blocks]
+        n_off = geometry.n_offsets
+        # per map: (permutation, inverse, angles read, column runs, the prefix
+        # rows and a CSC view of their transpose), all on the matrix's arrays:
+        # a CSR copy of the transpose would be ~15% faster per adjoint but
+        # hold the matrix a second time
+        self._maps = {}
+        for k, count, runs in _orbits(geometry.n_angles)[1]:
+            block = _row_prefix(self.matrix, count * n_off)
+            self._maps[k] = (*_MAPS[k][:2], count, runs, block, _shared(
+                scipy.sparse.csc_matrix, block.shape[::-1],
+                block.data, block.indices, block.indptr))
+        groups = [[self._maps[k] for k in grp if k in self._maps]
+                  for grp in _THREAD_MAPS]
+        if len(_offset_blocks(geometry)) == 1:  # the same maps in the same order
+            groups = [groups[0] + groups[1]]
+        self._groups = [group for group in groups if group]
         self._domain = geometry.image_domain
         self._data_domain = geometry.data_domain
         self._adjoint_scale = quad_weight(self._data_domain) / quad_weight(self._domain)
@@ -346,16 +464,42 @@ class RadonOperator:
     def forward(self, u: GridFn) -> GridFn:
         if u.domain != self._domain:
             raise ValueError("image grid does not match the radon geometry")
-        parts = _map(lambda block: block @ u.values, self._blocks)
-        return GridFn(self._data_domain, np.concatenate(parts) if len(parts) > 1
-                      else parts[0])
+        n, n_off = self.geometry.n_pixels, self.geometry.n_offsets
+        image = u.values.reshape(n, n)
+        sino = np.empty((n_off, self.geometry.n_angles),
+                        dtype=np.result_type(u.values, self.matrix.data))
+
+        def project(group) -> None:
+            for permute, _, count, runs, block, _ in group:
+                rows = (block @ permute(image).ravel()).reshape(count, n_off)
+                for a, b, cols in runs:
+                    sino[:, cols] = rows[a:b].T
+
+        _map(project, self._groups)
+        return GridFn(self._data_domain, sino)
 
     def adjoint(self, g: GridFn) -> GridFn:
         if g.domain != self._data_domain:
             raise ValueError("sinogram grid does not match the radon geometry")
-        parts = _map(lambda k: self._transposes[k] @ g.values[self._rows[k]],
-                     range(len(self._rows)))
-        return GridFn(self._domain, self._adjoint_scale * sum(parts[1:], parts[0]))
+        n, n_off = self.geometry.n_pixels, self.geometry.n_offsets
+        sino = g.values.reshape(n_off, self.geometry.n_angles)
+
+        def backproject(group) -> list:
+            images = []
+            for _, unpermute, count, runs, _, transpose in group:
+                rows = np.empty((count, n_off), dtype=sino.dtype)
+                for a, b, cols in runs:
+                    rows[a:b] = sino[:, cols].T
+                images.append(unpermute((transpose @ rows.ravel()).reshape(n, n)))
+            return images
+
+        # each image is a view of a fresh product: add them in one order,
+        # whatever the thread count
+        total, *images = sum(_map(backproject, self._groups), [])
+        for image in images:
+            total += image
+        total *= self._adjoint_scale
+        return GridFn(self._domain, total)
 
     def as_linop(self) -> LinOp:
         return LinOp(apply=self.forward, apply_adjoint=self.adjoint,

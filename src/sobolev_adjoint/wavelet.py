@@ -72,6 +72,11 @@ DB4 = WaveletBasis(
 )
 
 
+def _check_order(s: float) -> None:
+    if not s >= 0:  # NaN fails this too
+        raise ValueError(f"s={s} must be >= 0")
+
+
 def _check_wavelet_domain(domain: Domain, levels: int) -> None:
     if domain.kind is not DomainKind.TORUS or domain.ndim != 1:
         raise ValueError("wavelet transform runs on 1D torus grids")
@@ -131,8 +136,7 @@ def _detail_weights(levels: int, s: float) -> list[float]:
 def adjoint_embedding_wavelet(u: GridFn, s: float, basis: WaveletBasis,
                               levels: int) -> GridFn:
     """Diagonal smoothing in the wavelet basis: level-j details times 2^(-2js)."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    _check_order(s)
     approx, details = fwt(u, basis, levels)
     return ifwt(u.domain, basis, approx,
                 [d / w for d, w in zip(details, _detail_weights(levels, s))])
@@ -141,6 +145,7 @@ def adjoint_embedding_wavelet(u: GridFn, s: float, basis: WaveletBasis,
 def wavelet_sobolev_inner(u: GridFn, v: GridFn, s: float, basis: WaveletBasis,
                           levels: int) -> complex:
     """Dyadically weighted inner product matching the smoothing operator."""
+    _check_order(s)
     _same_domain(u, v)
     au, du = fwt(u, basis, levels)
     av, dv = fwt(v, basis, levels)
@@ -158,8 +163,7 @@ def wavelet_sobolev_norm(u: GridFn, s: float, basis: WaveletBasis,
 def adjoint_linop(domain: Domain, s: float, basis: WaveletBasis,
                   levels: int) -> LinOp:
     """E^* as wavelet-detail scaling, paired with :func:`wavelet_sobolev_inner`."""
-    if not s >= 0:
-        raise ValueError(f"s={s} must be >= 0")
+    _check_order(s)
     _check_wavelet_domain(domain, levels)
     return LinOp(lambda u: adjoint_embedding_wavelet(u, s, basis, levels), lambda u: u,
                  inner, lambda u, v: wavelet_sobolev_inner(u, v, s, basis, levels),

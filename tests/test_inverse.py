@@ -118,6 +118,26 @@ def test_landweber_default_step_monotone_residual():
     assert all(a >= b - 1e-14 for a, b in zip(log.residuals, log.residuals[1:]))
 
 
+def test_power_iteration_takes_one_norm_per_step(monkeypatch):
+    from sobolev_adjoint import inverse
+    dom = Domain.torus(1, 32)
+    symbol = np.random.default_rng(3).uniform(0.2, 2.0, 32)
+    problem = InverseProblem(diagonal_linop(dom, symbol), rand_fn(32, 4),
+                             embedding=emb(dom))
+    # the three-norm step it replaces: the same arithmetic on every value kept
+    rng = np.random.default_rng(inverse._POWER_SEED)
+    v = GridFn(dom, rng.standard_normal(32))
+    for _ in range(inverse._POWER_ITERS):
+        w = problem.smooth(problem.forward.apply_adjoint(problem.forward.apply(v)))
+        lam = l2_norm(w) / l2_norm(v)
+        v = w * (1.0 / l2_norm(w))
+    calls = []
+    monkeypatch.setattr(inverse, "l2_norm", lambda u: calls.append(u) or l2_norm(u))
+    got = estimate_operator_norm(problem)
+    assert len(calls) == inverse._POWER_ITERS + 1
+    assert got == float(np.sqrt(lam))
+
+
 def test_landweber_divergence_detector():
     problem = InverseProblem(identity_linop(32), rand_fn(32, 5))
     with pytest.raises(DivergenceError) as exc:

@@ -3,6 +3,7 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -111,6 +112,13 @@ def _reference_matrix(geom):
     return mat.tocsr()
 
 
+def _stored_rows(geom, full):
+    """The rows of ``full`` (offset-major, as the sinogram) that the operator
+    stores, in its order: angle-major over the stored angles."""
+    stored, _ = radon._orbits(geom.n_angles)
+    return full[[o * geom.n_angles + j for j in stored for o in range(geom.n_offsets)]]
+
+
 @pytest.mark.parametrize("geom", [
     RadonGeometry(8, 12, 6),
     RadonGeometry(16, 24, 8),
@@ -122,12 +130,86 @@ def _reference_matrix(geom):
     RadonGeometry(8, 2, 4, s_max=2.4),  # no ray of 0 or 90 degrees hits a pixel
 ], ids=lambda g: f"{g.n_pixels}-{g.n_offsets}-{g.n_angles}-{g.s_max:g}")
 def test_system_matrix_matches_ray_by_ray_traversal(geom):
-    mat, ref = _system_matrix(geom), _reference_matrix(geom)
+    mat, ref = _system_matrix(geom), _stored_rows(geom, _reference_matrix(geom))
     assert mat.shape == ref.shape
     for name in ("indptr", "indices", "data"):
         got, want = getattr(mat, name), getattr(ref, name)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), name
+
+
+def test_orbits_cover_every_angle_once():
+    for n_angles in range(1, 401):
+        _check_orbits(n_angles)
+    # desk and full scale
+    assert (len(radon._orbits(60)[0]), len(radon._orbits(180)[0])) == (17, 47)
+
+
+def _check_orbits(n_angles):
+    stored, uses = radon._orbits(n_angles)
+    assert uses[0][:2] == (0, len(stored))  # the identity reads every stored row
+    claimed = []
+    for k, count, runs in uses:
+        cols = []
+        for a, b, sl in runs:
+            assert abs(sl.step) == 1 and b - a == len(range(n_angles)[sl])
+            cols += range(n_angles)[sl]
+        assert len(cols) == count
+        for a, j in enumerate(stored[:count]):  # map k reads a row prefix
+            assert cols[a] == _MAP_TARGETS[k](j, n_angles)
+        claimed += cols
+    assert sorted(claimed) == list(range(n_angles)), n_angles
+    # the stored angles: [0, pi/4] and 90 degrees on an even grid, [0, pi/2]
+    # on an odd one
+    if n_angles % 2 == 0:
+        assert sorted(stored) == [j for j in range(n_angles)
+                                  if 4 * j <= n_angles or 2 * j == n_angles]
+    else:
+        assert sorted(stored) == [j for j in range(n_angles) if 2 * j <= n_angles]
+
+
+_MAP_TARGETS = (lambda j, n: j, lambda j, n: n - j, lambda j, n: j + n // 2,
+                lambda j, n: n // 2 - j)
+
+
+def test_quarter_turn_of_the_edge_rays_is_not_the_traced_90_degrees():
+    # rays along pixel edges are credited to a side by rounding, and at 90
+    # degrees that rounding does not follow the quarter turn of 0 degrees:
+    # 90 degrees is traced, not derived
+    geom = RadonGeometry(16, 24, 4)
+    ref = _reference_matrix(geom).toarray().reshape(24, 4, 16, 16)
+    u = np.random.default_rng(8).standard_normal((16, 16))
+    turned = np.einsum("oab,ab->o", ref[:, 0], u[::-1].T)
+    traced = np.einsum("oab,ab->o", ref[:, 2], u)
+    assert np.max(np.abs(turned - traced)) > 0.1
+    assert 2 in radon._orbits(4)[0]
+    op = RadonOperator(geom)
+    got = op.forward(GridFn.from_array(geom.image_domain, u)).to_array()
+    assert np.max(np.abs(got[:, 2] - traced)) <= 1e-14
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(n_pixels=st.integers(2, 13), n_offsets=st.integers(1, 16),
+       n_angles=st.integers(1, 12), s_max=st.floats(0.5, 2.0))
+def test_derived_angles_match_ray_by_ray_traversal(n_pixels, n_offsets, n_angles, s_max):
+    geom = RadonGeometry(n_pixels, n_offsets, n_angles, s_max)
+    op = RadonOperator(geom)
+    ref = _reference_matrix(geom)
+    rng = np.random.default_rng(n_pixels * n_angles)
+    u = GridFn(geom.image_domain, rng.standard_normal(n_pixels**2))
+    want = (ref @ u.values).reshape(n_offsets, n_angles)
+    got = op.forward(u).to_array()
+    scale = max(np.max(np.abs(want)), 1e-300)
+    for j in range(n_angles):
+        assert np.max(np.abs(got[:, j] - want[:, j])) <= 1e-12 * scale, j
+    r = rng.standard_normal((n_offsets, n_angles))
+    for j in range(n_angles):  # the adjoint of each angle's sinogram column
+        rj = np.zeros_like(r)
+        rj[:, j] = r[:, j]
+        want = op._adjoint_scale * (ref.T @ rj.ravel())
+        got = op.adjoint(GridFn(geom.data_domain, rj)).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300), j
+    assert check_adjoint(op.as_linop(), seed=n_offsets) < 1e-10
 
 
 @pytest.mark.parametrize("geom", [RadonGeometry(8, 12, 6), RadonGeometry(32, 48, 30)],
@@ -160,21 +242,31 @@ def test_system_matrix_build_peak_memory():
     assert peak <= 1.3 * _matrix_bytes(mat)
 
 
+def _stored_counts(geom):
+    """Entries per stored ray, shaped (stored angles, n_offsets)."""
+    return np.diff(_system_matrix(geom).indptr).reshape(-1, geom.n_offsets)
+
+
 def test_undercounted_row_bound_raises(monkeypatch):
     geom = RadonGeometry(8, 12, 6)
-    counts = np.diff(_system_matrix(geom).indptr).reshape(geom.n_offsets,
-                                                         geom.n_angles)
-    o, j = np.unravel_index(np.argmax(counts), counts.shape)
+    counts = _stored_counts(geom)
+    a, o = np.unravel_index(np.argmax(counts), counts.shape)
+    j = radon._orbits(geom.n_angles)[0][a]
     row_bounds = radon._row_bounds
 
     def undercount(g, edges):
         bounds = row_bounds(g, edges)
-        bounds[o, j] = counts[o, j] - 1
+        bounds[a, o] = counts[a, o] - 1
         return bounds
 
     monkeypatch.setattr(radon, "_row_bounds", undercount)
     with pytest.raises(RuntimeError, match=f"angle {j} "):
         _system_matrix.__wrapped__(geom)
+
+
+@lru_cache(maxsize=None)
+def _desk_reference():
+    return _reference_matrix(RadonGeometry.desk_scale())
 
 
 def test_operator_shares_the_cached_matrix():
@@ -183,9 +275,16 @@ def test_operator_shares_the_cached_matrix():
     op, peak = _traced_peak(RadonOperator, geom)
     assert op.matrix is mat
     assert peak < 0.1 * _matrix_bytes(mat)  # no transposed copy
+    for _, _, _, _, block, transpose in op._maps.values():
+        for part in (block, transpose):  # views, not copies
+            assert np.shares_memory(part.data, mat.data)
+            assert np.shares_memory(part.indices, mat.indices)
+    # the derived angles' rows permute the stored ones: the adjoint matches the
+    # transpose of the matrix traced ray by ray to rounding, not bitwise
     r = GridFn(geom.data_domain, np.random.default_rng(4).standard_normal((100, 60)))
-    want = op._adjoint_scale * (mat.T @ r.values.ravel())
-    assert op.adjoint(r).values.tobytes() == want.tobytes()
+    want = op._adjoint_scale * (_desk_reference().T @ r.values.ravel())
+    got = op.adjoint(r).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _two_threads(monkeypatch):
@@ -216,6 +315,9 @@ def test_thread_count_follows_the_entry_bound(monkeypatch):
     RadonGeometry(15, 23, 7),  # an odd offset count: blocks of 11 and 12 offsets
     RadonGeometry(16, 3, 5, s_max=1.5),
     RadonGeometry.desk_scale(),  # each block under half of the matrix's buffer
+    RadonGeometry(16, 24, 2),  # the identity alone: one thread's maps
+    RadonGeometry(12, 20, 10),  # 45 degrees off the grid
+    RadonGeometry(8, 1, 6),  # the first thread has no offsets
 ], ids=lambda g: f"{g.n_pixels}-{g.n_offsets}-{g.n_angles}-{g.s_max:g}")
 def test_two_threads_match_one(geom, monkeypatch):
     one = RadonOperator(geom)
@@ -225,16 +327,14 @@ def test_two_threads_match_one(geom, monkeypatch):
     for name in ("indptr", "indices", "data"):
         assert getattr(built, name).tobytes() == getattr(mat, name).tobytes(), name
     two = RadonOperator(geom)
-    assert len(two._blocks) == 2
-    for part in two._blocks + two._transposes:  # views, not copies
-        assert np.shares_memory(part.data, two.matrix.data)
-        assert np.shares_memory(part.indices, two.matrix.indices)
+    assert len(one._groups) == 1 and len(two._groups) == min(2, len(one._maps))
     rng = np.random.default_rng(geom.n_offsets)
     u = GridFn(geom.image_domain, rng.standard_normal(geom.n_pixels**2))
     r = GridFn(geom.data_domain, rng.standard_normal(geom.data_domain.shape))
+    # each map's product is the same on either thread, and the adjoint adds
+    # the maps' images in one order
     assert two.forward(u).values.tobytes() == one.forward(u).values.tobytes()
-    want = one.adjoint(r).values
-    assert np.max(np.abs(two.adjoint(r).values - want)) <= 1e-14 * np.max(np.abs(want))
+    assert two.adjoint(r).values.tobytes() == one.adjoint(r).values.tobytes()
     assert check_adjoint(two.as_linop(), seed=1) < 1e-10
 
 
@@ -267,8 +367,7 @@ def test_two_thread_products_from_many_callers(monkeypatch):
     def call(k):
         got = [(op.forward(us[k]).values, op.adjoint(rs[k]).values) for _ in range(20)]
         return all(f.tobytes() == want[k][0].tobytes()
-                   and np.max(np.abs(a - want[k][1])) <= 1e-14 * np.max(np.abs(want[k][1]))
-                   for f, a in got)
+                   and a.tobytes() == want[k][1].tobytes() for f, a in got)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -334,36 +433,44 @@ def test_forked_child_does_not_reuse_the_parent_pool(monkeypatch):
 
 def test_undercounted_row_bound_raises_on_two_threads(monkeypatch):
     geom = RadonGeometry(8, 12, 6)
-    counts = np.diff(_system_matrix(geom).indptr).reshape(geom.n_offsets,
-                                                         geom.n_angles)
+    counts = _stored_counts(geom)
+    j = radon._orbits(geom.n_angles)[0][1]
     row_bounds = radon._row_bounds
 
     def undercount(g, edges):
         bounds = row_bounds(g, edges)
-        bounds[-1, 2] = counts[-1, 2] - 1  # a ray of the second thread
+        bounds[1, -1] = counts[1, -1] - 1  # a ray of the second thread
         return bounds
 
     _two_threads(monkeypatch)
     monkeypatch.setattr(radon, "_row_bounds", undercount)
-    with pytest.raises(RuntimeError, match="angle 2 "):
+    with pytest.raises(RuntimeError, match=f"angle {j} "):
         _system_matrix.__wrapped__(geom)
+
+
+def _dense_forward(op):
+    """The operator's forward map as a dense (sinogram, pixel) matrix."""
+    n2 = op.geometry.n_pixels**2
+    return np.stack([op.forward(GridFn(op.geometry.image_domain, e)).values
+                     for e in np.eye(n2)], axis=1)
 
 
 def test_single_pixel_matches_explicit_matrix_column():
     geom = RadonGeometry(8, 12, 6)
     op = RadonOperator(geom)
-    dense = np.zeros((72, 64))
-    for p in range(64):
-        e = np.zeros(64)
-        e[p] = 1.0
-        dense[:, p] = op.forward(GridFn(geom.image_domain, e)).values.ravel()
-    assert np.max(np.abs(dense - op.matrix.toarray())) == 0.0
+    dense = _dense_forward(op)
+    # a pixel's column is the stored entries, exactly, at the stored angles
+    # and the permuted stored entries at the others: those match the
+    # ray-by-ray traversal to rounding
+    assert np.max(np.abs(_stored_rows(geom, dense) - op.matrix.toarray())) == 0.0
+    ref = _reference_matrix(geom).toarray()
+    assert np.max(np.abs(dense - ref)) <= 1e-14
 
 
 def test_adjoint_is_exact_transpose():
     geom = RadonGeometry(8, 12, 6)
     op = RadonOperator(geom)
-    dense = op.matrix.toarray()
+    dense = _dense_forward(op)
     g = GridFn(geom.data_domain, np.random.default_rng(0).standard_normal((12, 6)))
     ref = op._adjoint_scale * dense.T @ g.values.ravel()
     assert np.max(np.abs(op.adjoint(g).values - ref)) < 1e-13

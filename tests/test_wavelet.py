@@ -88,9 +88,15 @@ def test_non_integer_levels_are_rejected_by_name(levels):
 
 @pytest.mark.parametrize("s", [-1.0, -1e-300, np.nan])
 def test_adjoint_linop_rejects_negative_order_at_construction(s):
-    # not at the first apply, and not after its inner product has accepted s
+    # not at the first apply, and not after its inner product has accepted s;
+    # the direct functions name s too, NaN included
     with pytest.raises(ValueError, match="s="):
         adjoint_linop(Domain.torus(1, 64), s, DB4, 4)
+    u = rand_fn(64, 1)
+    with pytest.raises(ValueError, match="s="):
+        adjoint_embedding_wavelet(u, s, DB4, 4)
+    with pytest.raises(ValueError, match="s="):
+        wavelet_sobolev_inner(u, u, s, DB4, 4)
 
 
 def test_ifwt_round_trip_and_zero():

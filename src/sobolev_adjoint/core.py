@@ -267,9 +267,16 @@ def fft_inverse(domain: Domain, coeffs: np.ndarray) -> GridFn:
 
 
 def inner(u: GridFn, v: GridFn) -> complex:
-    """L2 inner product <u, v> (conjugation on the second argument)."""
+    """L2 inner product <u, v> (conjugation on the second argument), its
+    products summed pairwise in double precision.
+
+    Not ``np.vdot``: that calls BLAS, with the same thread spin as in
+    :func:`l2_norm`.
+    """
     _same_domain(u, v)
-    return quad_weight(u.domain) * complex(np.vdot(v.values, u.values))
+    a, b = u.values, v.values
+    prod = np.multiply(a, np.conj(b), dtype=np.result_type(a, b, np.float64))
+    return quad_weight(u.domain) * complex(np.add.reduce(prod))
 
 
 def l2_norm(u: GridFn) -> float:

@@ -11,8 +11,9 @@ and the Hilbert-scale variant is the same loop with the smoother w(k)^(a-1)
 in place of w(k)^(-1) (a = 0 reproduces the embedded iteration, a = 1 the
 plain L2 iteration).  The default step 0.9 / ||A||^2 is estimated for the
 operator A = smooth(G* G .) actually iterated, so for the Hilbert-scale
-variant it is sized for the preconditioned operator.  The Tikhonov normal
-equation
+variant it is sized for the preconditioned operator; ||A|| comes from a
+Lanczos iteration that stops once its top Ritz value settles.  The Tikhonov
+normal equation
 
     smooth(G* G u) + alpha u = smooth(G* y)
 
@@ -100,7 +101,12 @@ class InverseProblem:
 
 @dataclass
 class IterationLog:
+    """Residual history, plus the default step and the operator-norm estimate
+    it came from (both None when the caller passed a step)."""
+
     residuals: list[float] = field(default_factory=list)
+    step: Optional[float] = None
+    norm_estimate: Optional[float] = None
 
 
 def add_noise(y: GridFn, rel: float, seed: int):
@@ -122,22 +128,40 @@ def add_noise(y: GridFn, rel: float, seed: int):
     return noisy, rel * y_norm
 
 
-_POWER_ITERS = 30
+_LANCZOS_STEPS = 30
+_RITZ_RTOL = 1e-14
 _POWER_SEED = 7071
 
 
 def estimate_operator_norm(problem: InverseProblem) -> float:
-    """Power iteration on the normal operator smooth(G* G .); returns ||A||."""
-    dom = problem.forward.domain
+    """||A|| for A = smooth(G* G .), by Lanczos on M = G smooth(G* .).
+
+    M acts on the data grid and is symmetric in its L2 inner product for
+    every embedding, since smooth = E E*; its nonzero eigenvalues are those
+    of A.  The iteration starts from a seed-fixed random vector and stops
+    once the top Ritz value changes by at most ``_RITZ_RTOL`` relative, or
+    the Krylov space is invariant up to that tolerance, after at most
+    ``_LANCZOS_STEPS`` products.  Ritz values lie inside the spectrum, so
+    the estimate never exceeds ||A|| beyond rounding.  Only the top Ritz
+    value is used, so the basis is not reorthogonalized.
+    """
+    fw = problem.forward
     rng = np.random.default_rng(_POWER_SEED)
-    v = GridFn(dom, rng.standard_normal(dom.grid_size))
-    for k in range(_POWER_ITERS):
-        w = problem.smooth(problem.forward.apply_adjoint(problem.forward.apply(v)))
-        w_norm = l2_norm(w)
-        if k == _POWER_ITERS - 1:  # v has norm 1 up to rounding after the first step
-            lam = w_norm / l2_norm(v)
-        v = w * (1.0 / w_norm)
-    return float(np.sqrt(lam))
+    q = GridFn(fw.codomain, rng.standard_normal(fw.codomain.grid_size))
+    q = q * (1.0 / l2_norm(q))
+    q_prev, beta, alphas, betas, top = 0.0 * q, 0.0, [], [], 0.0
+    for _ in range(_LANCZOS_STEPS):
+        w = fw.apply(problem.smooth(fw.apply_adjoint(q)))
+        alphas.append(inner(w, q).real)
+        w = w - alphas[-1] * q - beta * q_prev
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        prev, top = top, np.linalg.eigvalsh(tri)[-1]
+        beta = l2_norm(w)
+        if beta <= _RITZ_RTOL * top or abs(top - prev) <= _RITZ_RTOL * top:
+            break
+        betas.append(beta)
+        q_prev, q = q, w * (1.0 / beta)
+    return float(np.sqrt(top))
 
 
 def landweber(problem: InverseProblem, step: Optional[float] = None,
@@ -145,8 +169,8 @@ def landweber(problem: InverseProblem, step: Optional[float] = None,
     """Gradient descent on the residual, smoothing the gradient each step.
 
     The step defaults to 0.9 / ||A||^2 for the iterated operator
-    A = smooth(G* G .), with the norm estimated by 30 power iterations from
-    a seed-fixed start; for linear forward maps the residual decreases
+    A = smooth(G* G .), with the norm from ``estimate_operator_norm``; the
+    log then records both.  For linear forward maps the residual decreases
     monotonically for any step below 2 / ||A||^2.
     """
     threshold = None
@@ -154,12 +178,14 @@ def landweber(problem: InverseProblem, step: Optional[float] = None,
         if problem.noise_level <= 0:
             raise ValueError("discrepancy stopping needs a positive noise level")
         threshold = stop.tau * problem.noise_level
+    log = IterationLog()
     if step is None:
-        step = 0.9 / estimate_operator_norm(problem) ** 2
+        log.norm_estimate = estimate_operator_norm(problem)
+        step = log.step = 0.9 / log.norm_estimate ** 2
     fw, y = problem.forward, problem.data
     u = GridFn(fw.domain, np.zeros(fw.domain.grid_size))
     r = y - fw.apply(u)
-    log = IterationLog([l2_norm(r)])
+    log.residuals.append(l2_norm(r))
     if threshold is not None and log.residuals[0] <= threshold:
         return u, log
     for _ in range(max_iter):

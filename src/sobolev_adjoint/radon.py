@@ -596,8 +596,9 @@ def write_csv(path, arr: np.ndarray, header: str = "") -> None:
     with open(path, "w", encoding="ascii") as fh:
         if header:
             fh.write(f"# {header}\n")
-        for row in arr:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+        for row in arr.tolist():
+            fh.write(line % tuple(row))
 
 
 def read_csv(path) -> np.ndarray:

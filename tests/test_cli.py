@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -175,6 +176,33 @@ def test_radon_run_and_byte_identical_reruns(tmp_path, monkeypatch, s):
     assert results[tag]["final_residual"] <= 1.01 * results["delta"]
     if s == 0:
         assert set(results) == {"delta", "tau", "s0"}
+
+
+def test_solver_record_changes_no_output_byte(tmp_path, monkeypatch):
+    # the desk geometry, smooth phantom, s=0: the same run with the log's
+    # step and norm estimate cleared writes the same bytes
+    cfg = parse_config("experiment=RadonRecon\nn=64\nn_offsets=100\nn_angles=60\n"
+                       f"s=0\nout_dir={tmp_path}")
+    logs = []
+    landweber = cli.landweber
+
+    def recording(*args, **kwargs):
+        u, log = landweber(*args, **kwargs)
+        logs.append(log)
+        return u, log
+
+    monkeypatch.setattr(cli, "landweber", recording)
+    assert run(cfg) == 0
+    with_record = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def without_record(*args, **kwargs):
+        u, log = landweber(*args, **kwargs)
+        return u, dataclasses.replace(log, step=None, norm_estimate=None)
+
+    monkeypatch.setattr(cli, "landweber", without_record)
+    assert run(cfg) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == with_record
+    assert logs[0].step == 0.9 / logs[0].norm_estimate ** 2
 
 
 def test_radon_different_seed_changes_outputs(tmp_path):

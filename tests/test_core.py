@@ -167,6 +167,44 @@ def test_l2_norm_calls_no_blas(monkeypatch):
     assert l2_norm(u) == want
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32, np.complex64])
+def test_inner_agrees_with_numpy(dtype):
+    rng = np.random.default_rng(np.dtype(dtype).itemsize + 1)
+
+    def sample(n):
+        vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        if np.dtype(dtype).kind == "c":
+            vals = vals + 1j * rng.standard_normal(n)
+        return vals.astype(dtype)
+
+    for n in (1, 2, 7, 8, 9, 127, 1000, 10_001, 54_000):
+        dom = Domain.cells((2.0,), (n,), (0.0,))
+        u, v = GridFn(dom, sample(n)), GridFn(dom, sample(n))
+        assert u.values.dtype == dtype
+        # single precision is summed in double, where its products are exact;
+        # the error scale is |u| |v| (the sum cancels, so not |<u, v>|)
+        wide = [w.values.astype(np.complex128) for w in (u, v)]
+        want = (2.0 / n) * np.vdot(wide[1], wide[0])
+        assert abs(inner(u, v) - want) <= 1e-15 * l2_norm(u) * l2_norm(v), n
+        if dtype == np.complex64:
+            assert inner(u, v) == inner(*(GridFn(dom, w) for w in wide))
+
+
+def test_inner_calls_no_blas(monkeypatch):
+    def blas(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    rng = np.random.default_rng(1)
+    dom = Domain.torus(2, 128)
+    u = GridFn(dom, rng.standard_normal(128**2))
+    v = GridFn(dom, rng.standard_normal(128**2) + 1j * rng.standard_normal(128**2))
+    want = inner(u, v)
+    for name in ("dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, blas)
+    monkeypatch.setattr(np.linalg, "norm", blas)
+    assert inner(u, v) == want
+
+
 def test_inner_domain_mismatch():
     u = GridFn(Domain.torus(1, 16), np.ones(16))
     v = GridFn(Domain.torus(1, 32), np.ones(32))

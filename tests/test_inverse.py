@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sobolev_adjoint.core import (
     Domain,
@@ -23,6 +24,7 @@ from sobolev_adjoint.inverse import (
     tikhonov,
 )
 from sobolev_adjoint import kernel, multiplier, wavelet
+from sobolev_adjoint.radon import RadonGeometry, RadonOperator, shepp_logan
 from sobolev_adjoint.multiplier import (
     NormVariant,
     SobolevSpec,
@@ -118,24 +120,114 @@ def test_landweber_default_step_monotone_residual():
     assert all(a >= b - 1e-14 for a, b in zip(log.residuals, log.residuals[1:]))
 
 
-def test_power_iteration_takes_one_norm_per_step(monkeypatch):
-    from sobolev_adjoint import inverse
-    dom = Domain.torus(1, 32)
-    symbol = np.random.default_rng(3).uniform(0.2, 2.0, 32)
-    problem = InverseProblem(diagonal_linop(dom, symbol), rand_fn(32, 4),
-                             embedding=emb(dom))
-    # the three-norm step it replaces: the same arithmetic on every value kept
-    rng = np.random.default_rng(inverse._POWER_SEED)
-    v = GridFn(dom, rng.standard_normal(32))
-    for _ in range(inverse._POWER_ITERS):
+def _dense_normal_eigenvalues(problem):
+    # G smooth(G* .) column by column on the data grid, where it is Hermitian
+    fw = problem.forward
+    n = fw.codomain.grid_size
+    cols = [fw.apply(problem.smooth(fw.apply_adjoint(GridFn(fw.codomain, e)))).values
+            for e in np.eye(n)]
+    m = np.array(cols).T
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(8, 64), complex_symbol=st.booleans(), low=st.sampled_from([0.0, 0.2, 0.9]),
+       smoother=st.sampled_from(["none", "embedding", -1.0, 0.0, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_operator_norm_matches_dense_top_eigenvalue(n, complex_symbol, low, smoother, seed):
+    dom = Domain.torus(1, n)
+    rng = np.random.default_rng(seed)
+    symbol = rng.uniform(low, 2.0, n)
+    if complex_symbol:
+        symbol = symbol * np.exp(2j * np.pi * rng.uniform(size=n))
+    if smoother == "none":
+        smooth = None
+    elif smoother == "embedding":
+        smooth = emb(dom)
+    else:  # the smoother landweber_hilbert_scale iterates with at a = smoother
+        smooth = multiplier.adjoint_linop(dom, SPEC, 1.0 - smoother)
+    problem = InverseProblem(diagonal_linop(dom, symbol), rand_fn(n, seed % 1000),
+                             embedding=smooth)
+    eig = _dense_normal_eigenvalues(problem)
+    got = estimate_operator_norm(problem) ** 2
+    assert got <= eig[-1] * (1.0 + 1e-13)  # Ritz values lie inside the spectrum
+    if eig[-2] <= 0.95 * eig[-1]:
+        assert abs(got - eig[-1]) <= 1e-10 * eig[-1]
+
+
+def _counting(op: LinOp, calls: list) -> LinOp:
+    return replace(op, apply=lambda u: calls.append(1) or op.apply(u))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.0])
+def test_operator_norm_stops_on_an_invariant_subspace(scale):
+    # the identity and the zero map: one product, beta = 0, no division by it
+    calls = []
+    dom = Domain.torus(1, 64)
+    op = LinOp(lambda u: scale * u, lambda u: scale * u, inner, inner, dom, dom)
+    with np.errstate(all="raise"):
+        got = estimate_operator_norm(InverseProblem(_counting(op, calls), rand_fn(64, 5)))
+    assert len(calls) == 1
+    assert abs(got - scale) <= 1e-15
+
+
+def _power_norm(problem, iters):
+    v = GridFn(problem.forward.domain,
+               np.random.default_rng(0).standard_normal(problem.forward.domain.grid_size))
+    for _ in range(iters):
         w = problem.smooth(problem.forward.apply_adjoint(problem.forward.apply(v)))
         lam = l2_norm(w) / l2_norm(v)
         v = w * (1.0 / l2_norm(w))
+    return np.sqrt(lam)
+
+
+@pytest.fixture(scope="module")
+def desk_radon():
+    op = RadonOperator(RadonGeometry.desk_scale())
+    linop = op.as_linop()
+    return linop, op.forward(shepp_logan(64))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_operator_norm_on_the_desk_radon_problem(desk_radon, s):
+    linop, y = desk_radon
+    embedding = multiplier.adjoint_linop(linop.domain, SobolevSpec(s)) if s else None
     calls = []
-    monkeypatch.setattr(inverse, "l2_norm", lambda u: calls.append(u) or l2_norm(u))
+    problem = InverseProblem(_counting(linop, calls), y, embedding=embedding)
     got = estimate_operator_norm(problem)
-    assert len(calls) == inverse._POWER_ITERS + 1
-    assert got == float(np.sqrt(lam))
+    assert len(calls) <= 15  # 11 at s=0 and 7 at s=0.5; 30 power steps before
+    assert abs(got - _power_norm(problem, 150)) <= 1e-14 * got
+
+
+def test_landweber_records_its_default_step(desk_radon):
+    linop, y = desk_radon
+    problem = InverseProblem(linop, y)
+    _, log = landweber(problem, max_iter=2)
+    assert log.step == 0.9 / log.norm_estimate ** 2
+    assert log.norm_estimate == estimate_operator_norm(problem)
+    _, given_step = landweber(problem, step=log.step, max_iter=2)
+    assert given_step.step is None and given_step.norm_estimate is None
+    assert given_step.residuals == log.residuals
+
+
+def test_landweber_solve_loop_calls_no_blas(desk_radon, monkeypatch):
+    from sobolev_adjoint import inverse
+    linop, y = desk_radon
+    problem = InverseProblem(linop, y,
+                             embedding=multiplier.adjoint_linop(linop.domain, SobolevSpec(0.5)))
+
+    def blas(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    for name in ("dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, blas)
+    monkeypatch.setattr(np.linalg, "norm", blas)
+    _, log = landweber(problem, max_iter=3)
+    assert len(log.residuals) == 4 and log.step > 0.0
+    # landweber looks the estimator up as a module global, which tracing rebinds
+    monkeypatch.setattr(inverse, "estimate_operator_norm", lambda p: 2.0)
+    _, log = landweber(problem, max_iter=1)
+    assert log.norm_estimate == 2.0 and log.step == 0.9 / 4.0
 
 
 def test_landweber_divergence_detector():

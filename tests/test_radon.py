@@ -601,6 +601,18 @@ def test_csv_round_trip(tmp_path):
     assert np.max(np.abs(back - sino.to_array())) < 1e-15
 
 
+@pytest.mark.parametrize("arr", [
+    np.random.default_rng(4).standard_normal((30, 18)) * 10.0 ** np.arange(-9, 9),
+    np.array([[-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan, 0.1, 1.0, -1e-300]]),
+    np.arange(7.0)[:, None] / 3.0,
+], ids=["random", "special", "one-column"])
+def test_csv_bytes_match_per_value_formatting(tmp_path, arr):
+    path = tmp_path / "a.csv"
+    write_csv(path, arr, header="h")
+    want = "# h\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in arr)
+    assert path.read_bytes() == want.encode("ascii")
+
+
 def test_pgm_writers(tmp_path):
     arr = np.outer(np.linspace(0, 1, 8), np.linspace(0, 1, 6))
     p5 = tmp_path / "img.pgm"

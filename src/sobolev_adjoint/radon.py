@@ -597,8 +597,8 @@ def write_csv(path, arr: np.ndarray, header: str = "") -> None:
         if header:
             fh.write(f"# {header}\n")
         line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-        for row in arr.tolist():
-            fh.write(line % tuple(row))
+        for row in arr:  # not arr.tolist(): that holds every value as an object
+            fh.write(line % tuple(row.tolist()))
 
 
 def read_csv(path) -> np.ndarray:

@@ -131,10 +131,12 @@ def _dense_normal_eigenvalues(problem):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(n=st.integers(8, 64), complex_symbol=st.booleans(), low=st.sampled_from([0.0, 0.2, 0.9]),
+@given(n=st.integers(8, 64), complex_symbol=st.booleans(),
+       low=st.sampled_from([0.0, 0.2, 0.9]),
        smoother=st.sampled_from(["none", "embedding", -1.0, 0.0, 1.0]),
        seed=st.integers(0, 2**32 - 1))
-def test_operator_norm_matches_dense_top_eigenvalue(n, complex_symbol, low, smoother, seed):
+def test_operator_norm_matches_dense_top_eigenvalue(n, complex_symbol, low, smoother,
+                                                    seed):
     dom = Domain.torus(1, n)
     rng = np.random.default_rng(seed)
     symbol = rng.uniform(low, 2.0, n)
@@ -213,8 +215,8 @@ def test_landweber_records_its_default_step(desk_radon):
 def test_landweber_solve_loop_calls_no_blas(desk_radon, monkeypatch):
     from sobolev_adjoint import inverse
     linop, y = desk_radon
-    problem = InverseProblem(linop, y,
-                             embedding=multiplier.adjoint_linop(linop.domain, SobolevSpec(0.5)))
+    smooth = multiplier.adjoint_linop(linop.domain, SobolevSpec(0.5))
+    problem = InverseProblem(linop, y, embedding=smooth)
 
     def blas(*args, **kwargs):
         raise AssertionError("BLAS call")

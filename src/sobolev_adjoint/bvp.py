@@ -37,7 +37,7 @@ from functools import lru_cache, reduce
 import numpy as np
 import scipy.sparse
 
-from .core import Domain, DomainKind, GridFn, LinOp, _same_domain, inner
+from .core import Domain, DomainKind, GridFn, LinOp, _require_counts, _same_domain, inner
 from .multiplier import fourier_multiply, weighted_inner
 
 __all__ = [
@@ -49,7 +49,9 @@ __all__ = [
     "solve_torus_helmholtz",
     "variational_gap",
     "mass_inner",
+    "mass_gram",
     "h1_inner",
+    "h1_gram",
     "adjoint_linop",
 ]
 
@@ -277,20 +279,32 @@ def mass_inner(u: GridFn, v: GridFn) -> complex:
     return complex(np.sum(_mass_weights(u.domain) * u.values * np.conj(v.values)))
 
 
+def mass_gram(domain: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gram matrix of :func:`mass_inner`, ``G[k, j] = <b_j, a_k>``, on stacks of rows."""
+    return np.conj(a) @ (b * _mass_weights(domain)).T
+
+
 def h1_inner(u: GridFn, v: GridFn) -> complex:
     """Discrete H^1 inner product (mass + difference-quotient stiffness)."""
     _same_domain(u, v)
     return complex(np.sum((_h1_form(u.domain) @ u.values) * np.conj(v.values)))
 
 
+def h1_gram(domain: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gram matrix of :func:`h1_inner`, ``G[k, j] = <b_j, a_k>``, on stacks of rows."""
+    return np.conj(a) @ (_h1_form(domain) @ b.T)
+
+
 def adjoint_linop(domain: Domain, order_m: int) -> LinOp:
     """E^*: the 1D torus solve, or the order-1 Neumann solve elsewhere."""
     if domain.kind is DomainKind.TORUS:
+        _require_counts(0, order_m=order_m)
         weight = _torus_symbol(domain) ** order_m
         return LinOp(lambda u: solve_torus_helmholtz(u, order_m), lambda u: u,
                      inner, lambda u, v: weighted_inner(u, v, weight), domain, domain)
     if order_m != 1 or domain.kind not in _MAX_ORDER:
-        raise ValueError("BVP embeddings: any order on the 1D torus, else order 1 "
-                         "on intervals and rectangles")
+        raise ValueError(f"BVP embeddings take order_m >= 0 on the 1D torus and "
+                         f"order_m=1 on intervals and rectangles, got order_m="
+                         f"{order_m} on the {domain.kind.value} domain")
     return LinOp(solve_neumann_helmholtz, lambda u: u, mass_inner, h1_inner,
                  domain, domain)

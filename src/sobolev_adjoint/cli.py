@@ -179,9 +179,9 @@ def _crosscheck_table(n: int, s: float, seed: int):
         ops["bvp"] = bvp.adjoint_linop(dom, int(s))
     svd = spectral.svd_from_multiplier(spec, dom, 2 * _CROSSCHECK_KMAX + 1)
     ops["svd"] = svd.adjoint_linop()
-    fns, _ = discrete.fourier_mode_basis(dom, _CROSSCHECK_KMAX)
-    ops["discrete"] = discrete.adjoint_linop(
-        discrete.assemble(fns, fns, ops["multiplier"].codomain_inner))
+    basis, _ = discrete.fourier_mode_basis(dom, _CROSSCHECK_KMAX)
+    ops["discrete"] = discrete.adjoint_linop(discrete.assemble(
+        dom, basis, basis, lambda d, a, b: multiplier.sobolev_gram(d, a, b, spec)))
     results = {name: GridFn(dom, op.apply(u).values.real) for name, op in ops.items()}
     scale = l2_norm(u)
     names = list(results)

@@ -16,6 +16,11 @@ Conventions used throughout the package:
 * An inner product is a plain function ``(u, v) -> complex``, conjugate-linear
   in ``v``.  :func:`inner` is the L2 one; the Sobolev ones live with their
   backends (e.g. ``multiplier.sobolev_inner``).
+* A Gram function ``(domain, a, b) -> G`` is the same product on stacks of
+  samples, one function per row: ``G[k, j] = <b_j, a_k>``.  Each one sits
+  beside its inner product (:func:`gram` beside :func:`inner`,
+  ``multiplier.sobolev_gram`` beside ``sobolev_inner``) and is one matrix
+  product, so it calls BLAS; the scalar products stay off BLAS.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "fft_forward",
     "fft_inverse",
     "inner",
+    "gram",
     "l2_norm",
     "quad_weight",
     "check_adjoint",
@@ -278,6 +284,11 @@ def inner(u: GridFn, v: GridFn) -> complex:
     prod = np.conjugate(b, dtype=np.result_type(a, b, np.float64))
     np.multiply(a, prod, out=prod)  # one temporary: two cost 4x at 54k entries
     return quad_weight(u.domain) * complex(np.add.reduce(prod))
+
+
+def gram(domain: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gram matrix of :func:`inner`, ``G[k, j] = <b_j, a_k>``, on stacks of rows."""
+    return quad_weight(domain) * (np.conj(a) @ b.T)
 
 
 def l2_norm(u: GridFn) -> float:

@@ -14,22 +14,21 @@ against the multiplier route) and 1D piecewise-linear hats (H^1 Gram =
 trapezoid mass + difference-quotient stiffness, second-order against the
 BVP route).
 
-Inner products are plain functions ``(u, v) -> complex``.  ``assemble``
-builds the three Gram matrices and Cholesky-factors H_X and H_Y once; every
-apply reuses those factors, so a call costs the inner products with the
-input plus two triangular solves.  Each Gram entry is still one
-inner-product call.
+A basis is a ``(K, grid_size)`` array, one function per row, and an inner
+product enters as its Gram function (see ``core``).  ``assemble`` builds the
+three Gram matrices, one matrix product each, and Cholesky-factors H_X and H_Y
+once; an apply is a Gram with the input, triangular solves and a basis product.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .core import Domain, DomainKind, GridFn, LinOp, _same_domain, inner
+from .core import Domain, DomainKind, GridFn, LinOp, _same_domain, gram
 
 __all__ = [
     "DiscreteSetting",
@@ -42,13 +41,16 @@ __all__ = [
     "hat_basis",
 ]
 
+GramFn = Callable[[Domain, np.ndarray, np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True)
 class DiscreteSetting:
-    basis_x: tuple[GridFn, ...]
-    basis_y: tuple[GridFn, ...]
-    inner_x: Callable[[GridFn, GridFn], complex]
-    inner_y: Callable[[GridFn, GridFn], complex]
+    domain: Domain
+    basis_x: np.ndarray
+    basis_y: np.ndarray
+    gram_x: GramFn
+    gram_y: GramFn
     h_x: np.ndarray
     h_y: np.ndarray
     cross: np.ndarray
@@ -56,14 +58,14 @@ class DiscreteSetting:
     chol_y: tuple[np.ndarray, bool]
 
 
-def _gram(basis_a: Sequence[GridFn], basis_b: Sequence[GridFn],
-          ip: Callable[[GridFn, GridFn], complex]) -> np.ndarray:
-    # entry (k, j) = ip(b_j, a_k): rows indexed by the left basis
-    out = np.empty((len(basis_a), len(basis_b)), dtype=np.complex128)
-    for k, fa in enumerate(basis_a):
-        for j, fb in enumerate(basis_b):
-            out[k, j] = ip(fb, fa)
-    return out
+def _checked_basis(domain: Domain, basis, name: str) -> np.ndarray:
+    b = np.asarray(basis)
+    if b.ndim != 2 or not b.shape[0] or b.shape[1] != domain.grid_size:
+        raise ValueError(f"{name} must be a nonempty (K, {domain.grid_size}) "
+                         f"stack of samples, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError(f"{name} samples must be finite")
+    return b
 
 
 def _spd_cholesky(mat: np.ndarray, name: str):
@@ -75,89 +77,72 @@ def _spd_cholesky(mat: np.ndarray, name: str):
                          "(linearly dependent basis?)") from exc
 
 
-def assemble(basis_x: Sequence[GridFn], basis_y: Sequence[GridFn],
-             inner_x: Callable[[GridFn, GridFn], complex],
-             inner_y: Callable[[GridFn, GridFn], complex] = inner
-             ) -> DiscreteSetting:
+def assemble(domain: Domain, basis_x, basis_y, gram_x: GramFn,
+             gram_y: GramFn = gram) -> DiscreteSetting:
     """Build the Gram matrices; Cholesky-factoring H_X, H_Y verifies definiteness."""
-    if not basis_x or not basis_y:
-        raise ValueError("bases must be nonempty")
-    dom = basis_x[0].domain
-    if any(f.domain != dom for f in basis_x) or any(f.domain != dom for f in basis_y):
-        raise ValueError("all basis functions must share one domain")
-    h_x = _gram(basis_x, basis_x, inner_x)
-    h_y = _gram(basis_y, basis_y, inner_y)
-    cross = _gram(basis_x, basis_y, inner_y)
-    return DiscreteSetting(tuple(basis_x), tuple(basis_y), inner_x, inner_y,
-                           h_x, h_y, cross,
+    basis_x = _checked_basis(domain, basis_x, "basis_x")
+    basis_y = _checked_basis(domain, basis_y, "basis_y")
+    h_x, h_y = gram_x(domain, basis_x, basis_x), gram_y(domain, basis_y, basis_y)
+    return DiscreteSetting(domain, basis_x, basis_y, gram_x, gram_y, h_x, h_y,
+                           gram_y(domain, basis_x, basis_y),
                            _spd_cholesky(h_x, "smoothness-space"),
                            _spd_cholesky(h_y, "L2-space"))
 
 
-def _solve_and_expand(chol: tuple[np.ndarray, bool], rhs: np.ndarray,
-                      basis: tuple[GridFn, ...]) -> tuple[np.ndarray, GridFn]:
+def _coefficients(setting: DiscreteSetting, v: GridFn, gram_fn: GramFn,
+                  chol: tuple[np.ndarray, bool], basis: np.ndarray) -> np.ndarray:
+    # c = H^{-1} (<v, b_k>)_k: the projection of v onto span(basis) is c @ basis
     import scipy.linalg  # deferred: the tomography path never needs it
-    # coefficients c = gram^{-1} rhs from its Cholesky factor, and sum_k c_k basis_k
-    c = scipy.linalg.cho_solve(chol, rhs)
-    vals = np.zeros(basis[0].values.size, dtype=np.complex128)
-    for ck, fn in zip(c, basis):
-        vals += ck * fn.values
-    return c, GridFn(basis[0].domain, vals)
+    _same_domain(v, setting)
+    rhs = gram_fn(setting.domain, basis, v.values[None])[:, 0]
+    return scipy.linalg.cho_solve(chol, rhs)
 
 
-def projected_adjoint(setting: DiscreteSetting, u: GridFn
-                      ) -> tuple[np.ndarray, GridFn]:
+def projected_adjoint(setting: DiscreteSetting, u: GridFn) -> tuple[np.ndarray, GridFn]:
     """Coefficients z = H_X^{-1} M H_Y^{-1} u and the represented function."""
     import scipy.linalg  # deferred: the tomography path never needs it
-    _same_domain(u, setting.basis_x[0])
-    u_vec = np.array([setting.inner_y(u, psi) for psi in setting.basis_y])
-    v = scipy.linalg.cho_solve(setting.chol_y, u_vec)
-    return _solve_and_expand(setting.chol_x, setting.cross @ v, setting.basis_x)
+    v = _coefficients(setting, u, setting.gram_y, setting.chol_y, setting.basis_y)
+    z = scipy.linalg.cho_solve(setting.chol_x, setting.cross @ v)
+    return z, GridFn(setting.domain, z @ setting.basis_x)
 
 
 def project_onto_x(setting: DiscreteSetting, v: GridFn) -> GridFn:
     """Orthogonal projection onto span(phi) in the smoothness inner product."""
-    rhs = np.array([setting.inner_x(v, phi) for phi in setting.basis_x])
-    return _solve_and_expand(setting.chol_x, rhs, setting.basis_x)[1]
+    c = _coefficients(setting, v, setting.gram_x, setting.chol_x, setting.basis_x)
+    return GridFn(setting.domain, c @ setting.basis_x)
 
 
 def project_onto_y(setting: DiscreteSetting, v: GridFn) -> GridFn:
     """Orthogonal projection onto span(psi) in L2."""
-    rhs = np.array([setting.inner_y(v, psi) for psi in setting.basis_y])
-    return _solve_and_expand(setting.chol_y, rhs, setting.basis_y)[1]
+    c = _coefficients(setting, v, setting.gram_y, setting.chol_y, setting.basis_y)
+    return GridFn(setting.domain, c @ setting.basis_y)
+
+
+def _scalar(gram_fn: GramFn, domain: Domain) -> Callable[[GridFn, GridFn], complex]:
+    return lambda u, v: complex(gram_fn(domain, v.values[None], u.values[None])[0, 0])
 
 
 def adjoint_linop(setting: DiscreteSetting) -> LinOp:
-    """Projected E^* from ``inner_y`` to ``inner_x``; adjoint Q_psi P_phi."""
-    dom = setting.basis_x[0].domain
+    """Projected E^* from ``gram_y``'s product to ``gram_x``'s; adjoint Q_psi P_phi."""
+    dom = setting.domain
     return LinOp(lambda u: projected_adjoint(setting, u)[1],
                  lambda v: project_onto_y(setting, project_onto_x(setting, v)),
-                 setting.inner_y, setting.inner_x, dom, dom)
+                 _scalar(setting.gram_y, dom), _scalar(setting.gram_x, dom), dom, dom)
 
 
-def fourier_mode_basis(domain: Domain, kmax: int) -> tuple[list[GridFn], list]:
-    """Complex exponentials with |k_i| <= kmax, zero mode first."""
+def fourier_mode_basis(domain: Domain, kmax: int) -> tuple[np.ndarray, list]:
+    """Complex exponentials with |k_i| <= kmax, zero mode first, one per row."""
     if domain.kind is not DomainKind.TORUS:
         raise ValueError("Fourier mode basis lives on torus domains")
-    coords = np.meshgrid(*domain.axes(), indexing="ij")
+    coords = np.reshape(np.meshgrid(*domain.axes(), indexing="ij"), (domain.ndim, -1))
     kvecs = sorted(itertools.product(range(-kmax, kmax + 1), repeat=domain.ndim),
                    key=lambda kv: (sum(c**2 for c in kv), kv))
-    fns = []
-    for kv in kvecs:
-        phase = sum(kk * xx for kk, xx in zip(kv, coords))
-        fns.append(GridFn(domain, np.exp(2j * np.pi * phase).ravel()))
-    return fns, kvecs
+    return np.exp(2j * np.pi * (np.array(kvecs) @ coords)), kvecs
 
 
-def hat_basis(domain: Domain, stride: int = 1) -> list[GridFn]:
-    """Piecewise-linear nodal hats on an interval grid, sampled on the grid."""
+def hat_basis(domain: Domain, stride: int = 1) -> np.ndarray:
+    """Piecewise-linear nodal hats on an interval grid, one per row."""
     if domain.kind is not DomainKind.INTERVAL:
         raise ValueError("hat basis lives on interval domains")
-    n = domain.shape[0]
-    x = domain.axes()[0]
-    h = domain.spacing[0] * stride
-    fns = []
-    for center in range(0, n, stride):
-        vals = np.maximum(0.0, 1.0 - np.abs(x - x[center]) / h)
-        fns.append(GridFn(domain, vals))
-    return fns
+    x, h = domain.axes()[0], domain.spacing[0] * stride
+    return np.maximum(0.0, 1.0 - np.abs(x - x[::stride, None]) / h)

@@ -184,6 +184,7 @@ def landweber(problem: InverseProblem, step: Optional[float] = None,
         step = log.step = 0.9 / log.norm_estimate ** 2
     fw, y = problem.forward, problem.data
     u = GridFn(fw.domain, np.zeros(fw.domain.grid_size))
+    # not r = y: perfbench's traced stop index counts this forward, then one per step
     r = y - fw.apply(u)
     log.residuals.append(l2_norm(r))
     if threshold is not None and log.residuals[0] <= threshold:

@@ -236,8 +236,9 @@ def _convolution_eigenvalues(dom: Domain, s: float) -> np.ndarray:
     """Eigenvalues ``h * Re DFT`` of the periodized G_{2s}; computed once, read-only."""
     if dom.kind not in (DomainKind.TORUS, DomainKind.REAL_LINE) or dom.ndim != 1:
         raise ValueError("convolution route supports 1D periodic domains only")
-    if s <= 0:
-        raise ValueError("convolution route requires s > 0 (s=0 is the identity)")
+    if not 0 < s < np.inf:
+        raise ValueError(f"convolution route requires a finite s > 0, got s={s} "
+                         "(s=0 is the identity)")
     order = 2.0 * s
     mode = EvalMode.CLOSED_FORM if order in (2.0, 4.0) else EvalMode.INTEGRAL_KNU
     g = periodized_kernel_samples(KernelSpec(order, dom.ndim, mode), dom)

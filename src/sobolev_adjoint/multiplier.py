@@ -32,6 +32,7 @@ from .core import (
     fft_inverse,
     frequency_sq,
     inner,
+    quad_weight,
 )
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "fourier_multiply",
     "weighted_inner",
     "sobolev_inner",
+    "sobolev_gram",
     "sobolev_norm",
     "inv_sqrt_adjoint",
     "hilbert_scale_apply",
@@ -164,6 +166,16 @@ def sobolev_inner(u: GridFn, v: GridFn, spec: SobolevSpec) -> complex:
     return weighted_inner(u, v, _weight_power(u.domain, spec, 1.0))
 
 
+def sobolev_gram(domain: Domain, a: np.ndarray, b: np.ndarray,
+                 spec: SobolevSpec) -> np.ndarray:
+    """Gram matrix of :func:`sobolev_inner` on stacks of rows, each transformed
+    once; the line's +-1 phase of :func:`fft_forward` cancels in it."""
+    ca, cb = (np.fft.fftn(x.reshape(-1, *domain.shape), axes=range(1, domain.ndim + 1))
+              .reshape(len(x), -1) * quad_weight(domain) for x in (a, b))
+    w = _weight_power(domain, spec, 1.0).ravel()
+    return _spectral_measure(domain) * ((np.conj(ca) * w) @ cb.T)
+
+
 def sobolev_norm(u: GridFn, spec: SobolevSpec) -> float:
     """``sqrt(sobolev_inner(u, u, spec).real)``, transforming ``u`` once."""
     cu = fft_forward(u)
@@ -175,6 +187,8 @@ def adjoint_linop(domain: Domain, spec: SobolevSpec, scale: float = 1.0) -> LinO
     """E^* from L2 onto the space weighted by ``w(k)**scale``; at ``scale != 1``
     adjoint only to about ``eps * sqrt(max w**scale)``, as the codomain inner
     product scales each transformed mode's rounding by ``w**scale``."""
+    if not 0 <= scale < np.inf:
+        raise ValueError(f"scale={scale} must be finite and >= 0")
     weight = _weight_power(domain, spec, float(scale))  # validates the grid
     if scale == 1.0:
         return LinOp(lambda u: adjoint_embedding(u, spec), lambda u: u, inner,

@@ -4,6 +4,7 @@ them on a green run).
 """
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -66,8 +67,9 @@ def test_criterion_01_cross_representation_agreement():
     dom = Domain.torus(1, 1024)
     u = bandlimited(dom, 16, seed=101)
     mult = multiplier.adjoint_linop(dom, spec)
-    fns, _ = discrete.fourier_mode_basis(dom, 16)
-    gram = discrete.assemble(fns, fns, mult.codomain_inner)
+    basis, _ = discrete.fourier_mode_basis(dom, 16)
+    gram = discrete.assemble(dom, basis, basis,
+                             partial(multiplier.sobolev_gram, spec=spec))
     ops = {"kernel": kernel.adjoint_linop(dom, s),
            "svd": spectral.svd_from_multiplier(spec, dom, 33).adjoint_linop(),
            "gram": discrete.adjoint_linop(gram)}
@@ -151,13 +153,15 @@ def test_criterion_03_norm_equivalence_sandwich():
 
 def test_criterion_04_adjointness_everywhere():
     dom = Domain.torus(1, 64)
-    mult = multiplier.adjoint_linop(dom, SobolevSpec(1.0, NormVariant.TORUS_S))
-    fns, _ = discrete.fourier_mode_basis(dom, 4)
+    spec = SobolevSpec(1.0, NormVariant.TORUS_S)
+    mult = multiplier.adjoint_linop(dom, spec)
+    basis, _ = discrete.fourier_mode_basis(dom, 4)
     ops = {
         "multiplier": (mult, 11),
         "wavelet": (wavelet.adjoint_linop(dom, 0.75, wavelet.DB4, 4), 12),
         "discrete": (discrete.adjoint_linop(
-            discrete.assemble(fns, fns, mult.codomain_inner)), 13),
+            discrete.assemble(dom, basis, basis,
+                              partial(multiplier.sobolev_gram, spec=spec))), 13),
         "bvp": (bvp.adjoint_linop(Domain.interval(0.0, 1.0, 129), 1), 14),
     }
     defects = {name: check_adjoint(op, trials=20, seed=seed)

@@ -1,10 +1,15 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from sobolev_adjoint import bvp, cli, core, multiplier
 from sobolev_adjoint.core import Domain, GridFn, inner, l2_norm
-from sobolev_adjoint.bvp import h1_inner, mass_inner, solve_neumann_helmholtz
+from sobolev_adjoint.bvp import h1_gram, mass_gram, solve_neumann_helmholtz
 from sobolev_adjoint.discrete import (
+    adjoint_linop,
     assemble,
     fourier_mode_basis,
     hat_basis,
@@ -16,17 +21,19 @@ from sobolev_adjoint.multiplier import (
     NormVariant,
     SobolevSpec,
     adjoint_embedding,
+    sobolev_gram,
     sobolev_inner,
     sobolev_weight,
 )
 
 SPEC = SobolevSpec(1.0, NormVariant.TORUS_S)
+GRAM = partial(sobolev_gram, spec=SPEC)
 
 
 def torus_setting(n=64, kmax=4):
     dom = Domain.torus(1, n)
     fns, kvecs = fourier_mode_basis(dom, kmax)
-    setting = assemble(fns, fns, lambda a, b: sobolev_inner(a, b, SPEC))
+    setting = assemble(dom, fns, fns, GRAM)
     return dom, fns, kvecs, setting
 
 
@@ -48,7 +55,7 @@ def test_duplicate_basis_vector_fails_spd():
     dom = Domain.torus(1, 64)
     fns, _ = fourier_mode_basis(dom, 2)
     with pytest.raises(ValueError):
-        assemble([fns[0], fns[0]], fns, lambda a, b: sobolev_inner(a, b, SPEC))
+        assemble(dom, fns[[0, 0]], fns, GRAM)
 
 
 def test_projected_adjoint_orthogonal_input_is_zero():
@@ -76,7 +83,7 @@ def test_projected_adjoint_matches_multiplier_on_band():
 def test_hat_basis_full_grid_replicates_bvp_solve():
     dom = Domain.interval(0.0, 1.0, 65)
     hats = hat_basis(dom)
-    setting = assemble(hats, hats, h1_inner, mass_inner)
+    setting = assemble(dom, hats, hats, h1_gram, mass_gram)
     u = GridFn(dom, np.random.default_rng(1).standard_normal(65))
     _, zfn = projected_adjoint(setting, u)
     zb = solve_neumann_helmholtz(u)
@@ -85,7 +92,7 @@ def test_hat_basis_full_grid_replicates_bvp_solve():
 
 def test_hat_basis_coarse_subspace_matches_projected_bvp():
     dom = Domain.interval(0.0, 1.0, 129)
-    setting = assemble(hat_basis(dom, 2), hat_basis(dom, 1), h1_inner, mass_inner)
+    setting = assemble(dom, hat_basis(dom, 2), hat_basis(dom, 1), h1_gram, mass_gram)
     x = dom.axes()[0]
     u = GridFn(dom, (1 + 4 * np.pi**2) * np.cos(2 * np.pi * x))
     _, zfn = projected_adjoint(setting, u)
@@ -99,8 +106,8 @@ def test_discrete_adjoint_identity():
     _, zfn = projected_adjoint(setting, u)
     qu = project_onto_y(setting, u)
     for phi in setting.basis_x:
-        lhs = sobolev_inner(zfn, phi, SPEC)
-        rhs = inner(qu, phi)
+        lhs = sobolev_inner(zfn, GridFn(dom, phi), SPEC)
+        rhs = inner(qu, GridFn(dom, phi))
         assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), 1.0)
 
 
@@ -131,13 +138,18 @@ def test_composite_self_adjoint_psd_on_span():
 
 
 def test_assemble_input_validation():
+    # the checks each GridFn made on a basis function, made on the stack and
+    # naming the basis
     dom = Domain.torus(1, 64)
-    fns, _ = fourier_mode_basis(dom, 1)
-    with pytest.raises(ValueError):
-        assemble([], fns, lambda a, b: sobolev_inner(a, b, SPEC))
-    other = GridFn(Domain.torus(1, 32), np.ones(32))
-    with pytest.raises(ValueError):
-        assemble(fns, [other], lambda a, b: sobolev_inner(a, b, SPEC))
+    good, _ = fourier_mode_basis(dom, 1)
+    nan, inf = good.copy(), good.copy()
+    nan[1, 5], inf[2, 0] = np.nan, np.inf
+    bad = [[], good[:0], good[0], good[:, :32], np.ones((1, 32)), nan, inf]
+    for name in ("basis_x", "basis_y"):
+        for basis in bad:
+            with pytest.raises(ValueError, match=name):
+                assemble(dom, gram_x=GRAM, **{"basis_x": good, "basis_y": good,
+                                               name: basis})
 
 
 def test_fourier_mode_basis_order():
@@ -147,7 +159,7 @@ def test_fourier_mode_basis_order():
                      (-1, -1), (-1, 1), (1, -1), (1, 1)]
     x, y = np.meshgrid(*dom.axes(), indexing="ij")
     for f, (k1, k2) in zip(fns, kvecs):
-        assert np.allclose(f.values, np.exp(2j * np.pi * (k1 * x + k2 * y)).ravel(),
+        assert np.allclose(f, np.exp(2j * np.pi * (k1 * x + k2 * y)).ravel(),
                            rtol=0, atol=1e-14)
 
 
@@ -162,3 +174,90 @@ def test_applies_reuse_the_assembled_factors(monkeypatch):
     projected_adjoint(setting, u)
     project_onto_x(setting, u)
     project_onto_y(setting, u)
+
+
+@pytest.mark.parametrize("apply", [projected_adjoint, project_onto_x, project_onto_y],
+                         ids=lambda f: f.__name__)
+def test_applies_reject_input_on_another_grid(apply):
+    _, _, _, setting = torus_setting()
+    for other in (Domain.torus(1, 32), Domain.interval(0.0, 1.0, 64)):
+        with pytest.raises(ValueError, match="domain mismatch"):
+            apply(setting, GridFn(other, np.ones(other.grid_size)))
+
+
+def test_crosscheck_setting_makes_no_per_entry_inner_product(monkeypatch):
+    # the CrossCheck1D setting: its Grams, an apply and an adjoint apply need no
+    # scalar Sobolev inner product and no per-function transform
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram was built one entry or one function at a time")
+
+    dom = Domain.torus(1, 1024)
+    spec = SobolevSpec(0.75, NormVariant.BESSEL_V1)
+    basis, _ = fourier_mode_basis(dom, cli._CROSSCHECK_KMAX)
+    monkeypatch.setattr(multiplier, "sobolev_inner", refuse)
+    monkeypatch.setattr(multiplier, "fft_forward", refuse)
+    op = adjoint_linop(assemble(dom, basis, basis, partial(sobolev_gram, spec=spec)))
+    u = GridFn(dom, np.cos(2 * np.pi * 3 * dom.axes()[0]))
+    assert l2_norm(op.apply(u)) > 0 and l2_norm(op.apply_adjoint(u)) > 0
+
+
+def _entrywise_gram(domain, a, b, ip):
+    # the reference: one scalar inner-product call per entry, G[k, j] = ip(b_j, a_k)
+    out = np.empty((len(a), len(b)), dtype=np.complex128)
+    for k, fa in enumerate(a):
+        for j, fb in enumerate(b):
+            out[k, j] = ip(GridFn(domain, fb), GridFn(domain, fa))
+    return out
+
+
+def _sobolev_pair(variant):
+    def draw_pair(draw):
+        if variant is NormVariant.SERIES_M:
+            spec = SobolevSpec(draw(st.integers(0, 3)), variant)
+        else:
+            low = 1.0 if variant is NormVariant.BESSEL_V2 else 0.0
+            spec = SobolevSpec(draw(st.floats(low, 3.0)), variant)
+        return (partial(sobolev_gram, spec=spec),
+                lambda u, v: sobolev_inner(u, v, spec))
+    return draw_pair
+
+
+_PERIODIC = {"1D torus": lambda draw: Domain.torus(1, draw(st.integers(2, 40))),
+             "2D torus": lambda draw: Domain.torus(2, draw(st.integers(2, 12))),
+             "real line": lambda draw: Domain.real_line(draw(st.floats(0.5, 10.0)),
+                                                        draw(st.integers(2, 40)))}
+_BOUNDED = {"interval": lambda draw: Domain.interval(0.0, draw(st.floats(0.5, 4.0)),
+                                                     draw(st.integers(2, 40))),
+            "rectangle": lambda draw: Domain.rectangle(
+                draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0)),
+                draw(st.integers(2, 12)), draw(st.integers(2, 12)))}
+_LINE_VARIANTS = (NormVariant.BESSEL_V1, NormVariant.BESSEL_V2)
+GRAM_CASES = (
+    [(d, "L2", lambda draw: (core.gram, core.inner)) for d in _PERIODIC]
+    + [(d, v.name, _sobolev_pair(v)) for d in _PERIODIC for v in NormVariant
+       if d != "real line" or v in _LINE_VARIANTS]
+    + [(d, "mass", lambda draw: (bvp.mass_gram, bvp.mass_inner)) for d in _BOUNDED]
+    + [(d, "H1", lambda draw: (bvp.h1_gram, bvp.h1_inner)) for d in _BOUNDED])
+
+
+@pytest.mark.parametrize("where, product, pair", GRAM_CASES,
+                         ids=[f"{d}-{p}" for d, p, _ in GRAM_CASES])
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_gram_matches_its_scalar_inner_product(where, product, pair, data):
+    dom = {**_PERIODIC, **_BOUNDED}[where](data.draw)
+    gram_fn, ip = pair(data.draw)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def stack():
+        rows = rng.standard_normal((data.draw(st.integers(1, 6)), dom.grid_size))
+        return rows + 1j * rng.standard_normal(rows.shape) if data.draw(st.booleans()) \
+            else rows
+
+    a, b = stack(), stack()
+    got = gram_fn(dom, a, b)
+    ref = _entrywise_gram(dom, a, b, ip)
+    norm_a = np.sqrt(np.diag(_entrywise_gram(dom, a, a, ip)).real)
+    norm_b = np.sqrt(np.diag(_entrywise_gram(dom, b, b, ip)).real)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.outer(norm_a, norm_b))

@@ -10,6 +10,8 @@ at the ``CrossCheck1D`` gates, and the torus SVD's span inner product is
 ``sobolev_inner``.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,9 +113,9 @@ def gram_ops(draw):
     n = draw(SIZES)
     dom = Domain.torus(1, n)
     kmax = draw(st.integers(0, min(6, (n - 1) // 2)))  # no aliased modes
-    fns, _ = discrete.fourier_mode_basis(dom, kmax)
-    ip = multiplier.adjoint_linop(dom, draw(specs())).codomain_inner
-    return discrete.adjoint_linop(discrete.assemble(fns, fns, ip)), 1e-10
+    basis, _ = discrete.fourier_mode_basis(dom, kmax)
+    gram = partial(multiplier.sobolev_gram, spec=draw(specs()))
+    return discrete.adjoint_linop(discrete.assemble(dom, basis, basis, gram)), 1e-10
 
 
 BACKENDS = {"multiplier": multiplier_ops(), "kernel": kernel_ops(), "bvp": bvp_ops(),
@@ -196,8 +198,9 @@ def test_backends_agree_on_bandlimited_input(n, s, data):
     u = GridFn(dom, vals if data.draw(st.booleans()) else vals.real)
     spec = SobolevSpec(s, NormVariant.BESSEL_V1)
     reference = multiplier.adjoint_linop(dom, spec)
-    fns, _ = discrete.fourier_mode_basis(dom, kmax)
-    gram = discrete.assemble(fns, fns, reference.codomain_inner)
+    basis, _ = discrete.fourier_mode_basis(dom, kmax)
+    gram = discrete.assemble(dom, basis, basis,
+                             partial(multiplier.sobolev_gram, spec=spec))
     expected = reference.apply(u).values
     # the kernel and BVP routes are also held to 1e-2 of the smoothed output
     output_gate = 1e-2 * np.linalg.norm(expected) / np.linalg.norm(u.values)
@@ -209,3 +212,47 @@ def test_backends_agree_on_bandlimited_input(n, s, data):
     for op, gate in gated:
         assert np.linalg.norm(op.apply(u).values - expected) \
             <= gate * np.linalg.norm(u.values)
+
+
+_NON_FINITE = st.sampled_from([np.nan, np.inf])
+
+
+@st.composite
+def invalid_factory_calls(draw):
+    """A factory call with one argument out of range, and that argument's name."""
+    dom = Domain.torus(1, draw(SIZES))
+    factory = draw(st.sampled_from(["kernel", "multiplier", "bvp", "discrete"]))
+    if factory == "kernel":
+        where, s = draw(periodic_1d()), draw(_NON_FINITE | st.floats(max_value=0.0))
+        return lambda: kernel.adjoint_linop(where, s), "s"
+    if factory == "multiplier":
+        scale = draw(_NON_FINITE | st.floats(max_value=-5e-324))
+        spec = draw(specs())
+        return lambda: multiplier.adjoint_linop(dom, spec, scale), "scale"
+    if factory == "bvp":
+        m = draw(st.integers(max_value=-1) | _NON_FINITE
+                 | st.floats(0.0, 3.0).filter(lambda x: x != int(x)))
+        where = draw(st.sampled_from([dom, Domain.interval(0.0, 1.0, draw(SIZES))]))
+        return lambda: bvp.adjoint_linop(where, m), "order_m"
+    name = draw(st.sampled_from(["basis_x", "basis_y"]))
+    kmax = draw(st.integers(0, (dom.shape[0] - 1) // 2))
+    basis, _ = discrete.fourier_mode_basis(dom, kmax)
+    bad = draw(st.sampled_from(["empty", "1-D", "size", "nan", "inf"]))
+    if bad in ("nan", "inf"):
+        bad_basis = basis.copy()
+        bad_basis[draw(st.integers(0, len(basis) - 1)),
+                  draw(st.integers(0, dom.grid_size - 1))] = float(bad)
+    else:
+        bad_basis = {"empty": basis[:0], "1-D": basis[0],
+                     "size": basis[:, :draw(st.integers(0, dom.grid_size - 1))]}[bad]
+    gram = partial(multiplier.sobolev_gram, spec=SobolevSpec(1.0))
+    bases = {"basis_x": basis, "basis_y": basis, name: bad_basis}
+    return lambda: discrete.assemble(dom, gram_x=gram, **bases), name
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(call=invalid_factory_calls())
+def test_factories_reject_bad_arguments_by_name(call):
+    build, name = call
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        build()

@@ -23,9 +23,17 @@ Second-order finite differences throughout.  The trapezoid-lumped mass turns
 ``M^{-1} A`` of order 1 into a sum of per-axis second differences, which the
 DCT-I (reflecting boundary) and the DST-I (zero boundary) diagonalize, so the
 order-1 solves are exact fast-Poisson solves (Buzbee, Golub & Nielson 1970).
-Order 2 goes through banded Cholesky.  The torus solve and its inner product
-are ``multiplier.fourier_multiply`` and ``multiplier.weighted_inner`` with the
-symbol of ``I - Laplace_h`` to the powers -m and m.
+Both transforms are real FFTs from ``numpy.fft``, taken along each axis of
+the even extension of the samples (length 2(n - 1) for n nodes) or of the
+odd extension of the interior samples (length 2(n + 1) for n interior
+nodes); see ``_trig1``.  Order 2 goes through banded Cholesky.  The torus
+solve and its inner product are ``multiplier.fourier_multiply`` and
+``multiplier.weighted_inner`` with the symbol of ``I - Laplace_h`` to the
+powers -m and m.
+
+Only the order-2 solves and the assembled forms (``variational_gap``,
+``h1_inner``, ``h1_gram``) build sparse matrices, so ``scipy.sparse`` is
+imported on their first use.
 """
 
 from __future__ import annotations
@@ -33,12 +41,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .core import Domain, DomainKind, GridFn, LinOp, _require_counts, _same_domain, inner
 from .multiplier import fourier_multiply, weighted_inner
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "BoundaryKind",
@@ -94,6 +105,7 @@ def _mass_diag_1d(n: int, h: float) -> np.ndarray:
 
 
 def _stiffness_1d(n: int, h: float) -> scipy.sparse.csr_matrix:
+    import scipy.sparse  # deferred: only the assembled forms need it
     main = np.full(n, 2.0 / h)
     main[0] = main[-1] = 1.0 / h
     off = np.full(n - 1, -1.0 / h)
@@ -101,6 +113,7 @@ def _stiffness_1d(n: int, h: float) -> scipy.sparse.csr_matrix:
 
 
 def _clamped_biharmonic_1d(n_interior: int, h: float) -> scipy.sparse.csr_matrix:
+    import scipy.sparse  # deferred: only the order-2 solves need it
     # rows scaled by h so the right-hand side pairs with the h-weighted mass
     c = h / h**4
     main = np.full(n_interior, 6.0 * c)
@@ -112,6 +125,7 @@ def _clamped_biharmonic_1d(n_interior: int, h: float) -> scipy.sparse.csr_matrix
 
 
 def _free_second_difference(n: int, h: float) -> scipy.sparse.csr_matrix:
+    import scipy.sparse  # deferred: only the order-2 solves need it
     # maps nodal values to interior second differences, no boundary assumptions
     return scipy.sparse.diags([1.0 / h**2, -2.0 / h**2, 1.0 / h**2], [0, 1, 2],
                               shape=(n - 2, n)).tocsr()
@@ -129,6 +143,7 @@ def _forms_for_spec(spec: BvpSpec):
     Order 1 is ``sum_d (M_1 x ... x K_d x ... x M_N)``, plus ``M`` for
     natural conditions, restricted to the interior for Dirichlet ones.
     """
+    import scipy.sparse  # deferred: only order-2 solves and assembled forms need it
     dom, neumann = spec.domain, spec.bc is BoundaryKind.NEUMANN_LIKE
     m_diag = _mass_weights(dom)
     active = slice(None) if neumann else _interior(dom)
@@ -147,7 +162,7 @@ def _forms_for_spec(spec: BvpSpec):
 
 
 def _solve_banded_spd(A: scipy.sparse.spmatrix, b: np.ndarray) -> np.ndarray:
-    import scipy.linalg  # deferred: the tomography path never needs it
+    import scipy.linalg  # deferred: only the order-2 solves need it
     dia = A.todia()
     bands = int(max(dia.offsets.max(), 1))
     n = A.shape[0]
@@ -167,16 +182,47 @@ def _second_difference_eigs(n: int, h: float, k: np.ndarray) -> np.ndarray:
     return (2.0 - 2.0 * np.cos(np.pi * k / (n - 1))) / h**2
 
 
+def _trig1(x: np.ndarray, odd: bool, inverse: bool = False) -> np.ndarray:
+    """The type-1 DCT of ``x`` along every axis, or the DST with ``odd``:
+    scipy's ``dctn``/``dstn`` with ``type=1``, or with ``inverse`` their
+    inverses, in at least double precision.
+
+    Along an axis of n samples the DCT-I is the real FFT of the even
+    extension x_0 .. x_{n-1}, x_{n-2} .. x_1 (length 2(n - 1)), read at
+    modes 0 .. n-1, and the DST-I is minus the imaginary part of the real
+    FFT of the odd extension 0, x_0 .. x_{n-1}, 0, -x_{n-1} .. -x_0 (length
+    2(n + 1)), read at modes 1 .. n.  Each is its own inverse up to the
+    extension length, which ``norm="forward"`` divides by.
+    """
+    x = np.asarray(x, np.result_type(x, np.float64))
+    if np.iscomplexobj(x):
+        return _trig1(x.real, odd, inverse) + 1j * _trig1(x.imag, odd, inverse)
+    norm = "forward" if inverse else "backward"
+    for axis in range(x.ndim):
+        v = np.moveaxis(x, axis, -1)
+        n = v.shape[-1]
+        if odd:
+            zero = np.zeros_like(v[..., :1])
+            ext = np.concatenate([zero, v, zero, -v[..., ::-1]], axis=-1)
+            y = -np.fft.rfft(ext, norm=norm).imag[..., 1:n + 1]
+        else:
+            ext = np.concatenate([v, v[..., -2:0:-1]], axis=-1)
+            y = np.fft.rfft(ext, norm=norm).real
+        x = np.moveaxis(y, -1, axis)
+    return x
+
+
 def _solve_order1(u: GridFn, spec: BvpSpec) -> np.ndarray:
     """Exact order-1 solve of ``A z = M u``, as nodal values.
 
     ``M^{-1} A`` is ``I + sum_d L_d`` (Neumann) or ``sum_d L_d`` on the
     interior (Dirichlet), with ``L_d`` the second difference along axis d.
+    The DCT-I of all nodes (reflecting ends) or the DST-I of the interior
+    ones (zero ends) diagonalizes every ``L_d`` at once, so z is the
+    transform of u divided by the eigenvalue sums and transformed back
+    (``_trig1``: real FFTs of the even or odd extension along each axis).
     """
-    import scipy.fft  # deferred: the tomography path never needs it
     dom, neumann = spec.domain, spec.bc is BoundaryKind.NEUMANN_LIKE
-    # at least double precision, as the order-2 path's mass product gives
-    vals = np.asarray(u.values, np.result_type(u.values, np.float64)).reshape(dom.shape)
     part = (slice(None) if neumann else slice(1, -1),) * dom.ndim
     lam = 1.0 if neumann else 0.0
     for d, (n, h) in enumerate(zip(dom.shape, dom.spacing)):
@@ -184,11 +230,11 @@ def _solve_order1(u: GridFn, spec: BvpSpec) -> np.ndarray:
         axis_shape = [1] * dom.ndim
         axis_shape[d] = k.size
         lam = lam + _second_difference_eigs(n, h, k).reshape(axis_shape)
-    forward, inverse = ((scipy.fft.dctn, scipy.fft.idctn) if neumann
-                        else (scipy.fft.dstn, scipy.fft.idstn))
-    z = np.zeros_like(vals)
-    if vals[part].size:
-        z[part] = inverse(forward(vals[part], type=1) / lam, type=1)
+    # at least double precision, as the order-2 path's mass product gives
+    z = np.zeros(dom.shape, np.result_type(u.values, np.float64))
+    vals = u.values.reshape(dom.shape)[part]
+    if vals.size:
+        z[part] = _trig1(_trig1(vals, not neumann) / lam, not neumann, inverse=True)
     return z
 
 

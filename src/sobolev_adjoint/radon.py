@@ -55,11 +55,14 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .core import Domain, GridFn, LinOp, inner, quad_weight
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "RadonGeometry",
@@ -322,6 +325,7 @@ def _row_bounds(geom: RadonGeometry, edges: np.ndarray) -> np.ndarray:
 def _angle_block(phi: float, offsets: np.ndarray, edges: np.ndarray,
                  px: float, idx) -> scipy.sparse.csr_matrix:
     """One angle's rays at ``offsets`` as a canonical (len(offsets) x n^2) CSR block."""
+    import scipy.sparse  # deferred: loaded by _system_matrix before the build threads
     n = len(edges) - 1
     perp, origin, hit, lo, hi, crossings = _clip_rays(phi, offsets, edges)
     t = [lo, hi] + [np.where(inside, tcross, hi) for tcross, inside in crossings]
@@ -373,6 +377,7 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
     offsets, writing only its rows of the bounds and its own slots.  Every
     row is traced as it is on one thread, so the matrix is the same bytes.
     """
+    import scipy.sparse  # deferred: only the matrix build needs it, here before _map
     n = geom.n_pixels
     px = geom.pixel_size
     edges = -1.0 + px * np.arange(n + 1)
@@ -422,6 +427,7 @@ def _shared(cls, shape, data, indices, indptr):
 
 def _row_prefix(matrix: scipy.sparse.csr_matrix, rows: int) -> scipy.sparse.csr_matrix:
     """The first ``rows`` CSR rows of ``matrix``, on views of its arrays."""
+    import scipy.sparse  # deferred: only the matrix build needs it
     end = matrix.indptr[rows]
     return _shared(scipy.sparse.csr_matrix, (rows, matrix.shape[1]),
                    matrix.data[:end], matrix.indices[:end], matrix.indptr[:rows + 1])
@@ -439,6 +445,7 @@ class RadonOperator:
     """
 
     def __init__(self, geometry: RadonGeometry):
+        import scipy.sparse  # deferred: only the matrix build needs it
         self.geometry = geometry
         self.matrix = _system_matrix(geometry)
         n_off = geometry.n_offsets

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Domain, DomainKind, GridFn, LinOp, _same_domain, frequency_axes,
-                   inner, quad_weight)
+from .core import (Domain, DomainKind, GridFn, LinOp, _require_counts, _same_domain,
+                   frequency_axes, inner, quad_weight)
 from .multiplier import SobolevSpec, weight_grid
 
 __all__ = [
@@ -105,12 +105,6 @@ class SingularSystem:
                      self.domain, self.domain)
 
 
-def _require_at_least(low: int, **counts: int) -> None:
-    for name, count in counts.items():
-        if count < low:
-            raise ValueError(f"{name}={count} must be >= {low}")
-
-
 def _from_eigenvalues(grid: Domain, lams: np.ndarray, basis: np.ndarray) -> SingularSystem:
     order = np.argsort(lams, kind="stable")
     return SingularSystem(grid, lams[order] ** -0.5, basis[order])
@@ -126,7 +120,7 @@ def rectangle_dirichlet_eigs(grid: Domain, max_m: int, max_n: int) -> SingularSy
     """
     if grid.kind is not DomainKind.RECTANGLE:
         raise ValueError("grid must be a rectangle domain")
-    _require_at_least(1, max_m=max_m, max_n=max_n)
+    _require_counts(1, max_m=max_m, max_n=max_n)
     a, b = grid.lengths
     m, n = np.arange(1, max_m + 1), np.arange(1, max_n + 1)
     lams = np.pi**2 * ((m[:, None] / a) ** 2 + (n[None, :] / b) ** 2)
@@ -150,8 +144,8 @@ def disk_dirichlet_eigs(grid: Domain, max_m: int, max_n: int) -> SingularSystem:
     adjoint identity holds to rounding; the rows are Dirichlet
     eigenfunctions to the quadrature error.
     """
-    _require_at_least(0, max_m=max_m)
-    _require_at_least(1, max_n=max_n)
+    _require_counts(0, max_m=max_m)
+    _require_counts(1, max_n=max_n)
     radius = grid.lengths[0] / 2
     if (grid.kind is not DomainKind.CELLS or grid.ndim != 2
             or grid.shape[0] != grid.shape[1] or grid.lengths[1] != grid.lengths[0]
@@ -187,8 +181,9 @@ def svd_from_multiplier(spec: SobolevSpec, domain: Domain, K: int) -> SingularSy
     """The K largest singular triples of the embedding, ordered by |k|."""
     if domain.kind is not DomainKind.TORUS:
         raise ValueError("the explicit SVD lives on torus domains")
-    if K < 1 or K > domain.grid_size:
-        raise ValueError("K must be between 1 and the number of grid modes")
+    _require_counts(1, K=K)
+    if K > domain.grid_size:
+        raise ValueError(f"K={K} must be at most the {domain.grid_size} grid modes")
     grids = np.meshgrid(*frequency_axes(domain), indexing="ij")
     kvecs = np.stack([g.ravel() for g in grids], axis=-1)
     order = np.lexsort(tuple(kvecs[:, d] for d in range(kvecs.shape[1] - 1, -1, -1)))

@@ -73,8 +73,8 @@ DB4 = WaveletBasis(
 
 
 def _check_order(s: float) -> None:
-    if not s >= 0:  # NaN fails this too
-        raise ValueError(f"s={s} must be >= 0")
+    if not 0 <= s < np.inf:  # NaN fails this too
+        raise ValueError(f"s={s} must be finite and >= 0")
 
 
 def _check_wavelet_domain(domain: Domain, levels: int) -> None:

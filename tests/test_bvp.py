@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse.linalg
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sobolev_adjoint import bvp
 from sobolev_adjoint.core import Domain, GridFn, l2_norm
@@ -152,6 +154,33 @@ def test_order1_solves_match_sparse_direct_solve(dom, dtype):
             A.tocsc(), (m_diag * vals)[active].astype(np.complex128))
         assert np.linalg.norm(z.values - ref) < 1e-10 * np.linalg.norm(ref)
         assert variational_gap(z, u, spec) < 1e-12
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(odd=st.booleans(), dtype=st.sampled_from([np.float64, np.float32, np.complex128]),
+       points=st.lists(st.integers(2, 40), min_size=1, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+@example(odd=True, dtype=np.float64, points=[3], seed=0)
+@example(odd=True, dtype=np.complex128, points=[3, 10], seed=1)
+def test_type1_transforms_match_scipy(odd, dtype, points, seed):
+    # per axis of a grid: the DCT-I takes every point, the DST-I the interior
+    shape = tuple(n - 2 if odd else n for n in points)
+    assume(min(shape) > 0)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    if dtype is np.complex128:
+        x = x + 1j * rng.standard_normal(shape)
+    x = x.astype(dtype)
+    exact = x.astype(np.result_type(dtype, np.float64))
+    forward, inverse = ((scipy.fft.dstn, scipy.fft.idstn) if odd
+                        else (scipy.fft.dctn, scipy.fft.idctn))
+    bound = 1e-13 * np.linalg.norm(exact)
+    y = bvp._trig1(x, odd)
+    assert y.dtype == exact.dtype
+    assert np.linalg.norm(y - forward(exact, type=1)) <= bound
+    assert np.linalg.norm(bvp._trig1(x, odd, inverse=True)
+                          - inverse(exact, type=1)) <= bound
+    assert np.linalg.norm(bvp._trig1(y, odd, inverse=True) - exact) <= bound
 
 
 def test_variational_gap_solver_vs_perturbed():

@@ -1,7 +1,8 @@
 """Every imported name is used, every exported name is bound and every
 definition is referenced: a small stand-in for a linter's unused-import,
-undefined-export and dead-code checks.  Importing the CLI loads no scipy
-submodule that the tomography path does not use."""
+undefined-export and dead-code checks.  Importing the CLI loads no SciPy
+module at all, and each experiment loads only the SciPy subpackages it
+calls."""
 
 import ast
 import importlib
@@ -134,11 +135,34 @@ def test_benchmark_hooks_exist():
     assert hooks and missing == []
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # the tomography path needs only scipy.sparse; the rest is imported on first use
-    deferred = ("scipy.linalg", "scipy.special", "scipy.fft", "scipy.sparse.linalg")
-    code = ("import sys, sobolev_adjoint.cli; "
-            f"print(*[m for m in {deferred!r} if m in sys.modules])")
+def _loaded_scipy(code: str, cwd: Path) -> set[str]:
+    """The ``scipy`` and ``scipy.*`` modules loaded after ``code`` runs in a
+    fresh interpreter, read from the last line it prints."""
+    code += "\nimport sys; print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
-    assert out.stdout.split() == []
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=cwd,
+                         check=True)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    # every scipy module is imported where a run first calls it, never at import
+    assert _loaded_scipy("import sobolev_adjoint, sobolev_adjoint.cli", tmp_path) == set()
+
+
+@pytest.mark.parametrize("experiment, config, unloaded", [
+    # the kernel and discrete routes: scipy.special and scipy.linalg only
+    ("CrossCheck1D", "n=128\ns=0.75\n", ("scipy.sparse", "scipy.fft")),
+    # the order-1 solve runs on numpy.fft; only the gap check assembles a form
+    ("AdjointSmoothing2D", "n=33\n", ("scipy.fft", "scipy.special", "scipy.linalg")),
+    ("selftest", None, ("scipy.fft",)),
+], ids=["CrossCheck1D", "AdjointSmoothing2D", "selftest"])
+def test_experiments_load_only_the_scipy_they_use(experiment, config, unloaded, tmp_path):
+    args = ["selftest"]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(f"experiment={experiment}\n{config}seed=0\n")
+        args = ["run", "--config", "run.cfg", "--out", "out"]
+    loaded = _loaded_scipy(f"import sobolev_adjoint.cli as cli\n"
+                           f"assert cli.main({args!r}) == 0", tmp_path)
+    assert "scipy" in loaded
+    assert sorted(loaded.intersection(unloaded)) == []

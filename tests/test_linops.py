@@ -221,7 +221,11 @@ _NON_FINITE = st.sampled_from([np.nan, np.inf])
 def invalid_factory_calls(draw):
     """A factory call with one argument out of range, and that argument's name."""
     dom = Domain.torus(1, draw(SIZES))
-    factory = draw(st.sampled_from(["kernel", "multiplier", "bvp", "discrete"]))
+    factory = draw(st.sampled_from(["kernel", "multiplier", "bvp", "discrete", "svd",
+                                    "rectangle", "disk", "wavelet"]))
+    # a count is invalid below its least value, or as a non-integer
+    counts = lambda least: (st.integers(max_value=least - 1) | _NON_FINITE
+                            | st.floats(least, 6.0).filter(lambda x: x != int(x)))
     if factory == "kernel":
         where, s = draw(periodic_1d()), draw(_NON_FINITE | st.floats(max_value=0.0))
         return lambda: kernel.adjoint_linop(where, s), "s"
@@ -234,6 +238,22 @@ def invalid_factory_calls(draw):
                  | st.floats(0.0, 3.0).filter(lambda x: x != int(x)))
         where = draw(st.sampled_from([dom, Domain.interval(0.0, 1.0, draw(SIZES))]))
         return lambda: bvp.adjoint_linop(where, m), "order_m"
+    if factory == "svd":
+        K, spec = draw(counts(1) | st.integers(dom.grid_size + 1, 10**6)), draw(specs())
+        return lambda: spectral.svd_from_multiplier(spec, dom, K), "K"
+    if factory in ("rectangle", "disk"):
+        least = {"max_m": int(factory == "rectangle"), "max_n": 1}
+        name = draw(st.sampled_from(sorted(least)))
+        args = {key: draw(st.integers(low, 3)) for key, low in least.items()}
+        args[name] = draw(counts(least[name]))
+        if factory == "rectangle":
+            grid = Domain.rectangle(1.0, 1.0, 9, 9)
+            return lambda: spectral.rectangle_dirichlet_eigs(grid, **args), name
+        grid = Domain.cells((2.0, 2.0), (9, 9), (-1.0, -1.0))
+        return lambda: spectral.disk_dirichlet_eigs(grid, **args), name
+    if factory == "wavelet":
+        s = draw(_NON_FINITE | st.floats(max_value=-5e-324))
+        return lambda: wavelet.adjoint_linop(Domain.torus(1, 64), s, wavelet.DB4, 2), "s"
     name = draw(st.sampled_from(["basis_x", "basis_y"]))
     kmax = draw(st.integers(0, (dom.shape[0] - 1) // 2))
     basis, _ = discrete.fourier_mode_basis(dom, kmax)
@@ -250,7 +270,7 @@ def invalid_factory_calls(draw):
     return lambda: discrete.assemble(dom, gram_x=gram, **bases), name
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(call=invalid_factory_calls())
 def test_factories_reject_bad_arguments_by_name(call):
     build, name = call

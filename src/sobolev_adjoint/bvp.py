@@ -134,14 +134,19 @@ def _free_second_difference(n: int, h: float) -> scipy.sparse.csr_matrix:
 def _interior(domain: Domain) -> np.ndarray:
     mask = np.zeros(domain.shape, dtype=bool)
     mask[(slice(1, -1),) * domain.ndim] = True
-    return mask.ravel()
+    mask = mask.ravel()
+    mask.flags.writeable = False  # shared by every caller through the cache
+    return mask
 
 
+@lru_cache(maxsize=16)
 def _forms_for_spec(spec: BvpSpec):
     """(A, mass_diag, active) with ``A z[active] = (M u)[active]`` the problem.
 
     Order 1 is ``sum_d (M_1 x ... x K_d x ... x M_N)``, plus ``M`` for
     natural conditions, restricted to the interior for Dirichlet ones.
+    Cached per spec: the order-2 solves, ``variational_gap``, ``h1_inner``
+    and ``h1_gram`` share one assembly, which callers must not modify.
     """
     import scipy.sparse  # deferred: only order-2 solves and assembled forms need it
     dom, neumann = spec.domain, spec.bc is BoundaryKind.NEUMANN_LIKE
@@ -314,11 +319,6 @@ def _mass_weights(domain: Domain) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=16)
-def _h1_form(domain: Domain) -> scipy.sparse.csr_matrix:
-    return _forms_for_spec(BvpSpec(1, BoundaryKind.NEUMANN_LIKE, domain))[0]
-
-
 def mass_inner(u: GridFn, v: GridFn) -> complex:
     """Trapezoid-weighted discrete L2 inner product on interval/rectangle grids."""
     _same_domain(u, v)
@@ -333,12 +333,14 @@ def mass_gram(domain: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def h1_inner(u: GridFn, v: GridFn) -> complex:
     """Discrete H^1 inner product (mass + difference-quotient stiffness)."""
     _same_domain(u, v)
-    return complex(np.sum((_h1_form(u.domain) @ u.values) * np.conj(v.values)))
+    form = _forms_for_spec(BvpSpec(1, BoundaryKind.NEUMANN_LIKE, u.domain))[0]
+    return complex(np.sum((form @ u.values) * np.conj(v.values)))
 
 
 def h1_gram(domain: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram matrix of :func:`h1_inner`, ``G[k, j] = <b_j, a_k>``, on stacks of rows."""
-    return np.conj(a) @ (_h1_form(domain) @ b.T)
+    form = _forms_for_spec(BvpSpec(1, BoundaryKind.NEUMANN_LIKE, domain))[0]
+    return np.conj(a) @ (form @ b.T)
 
 
 def adjoint_linop(domain: Domain, order_m: int) -> LinOp:

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridFn, LinOp, inner, l2_norm
+from .core import GridFn, LinOp, _require_counts, inner, l2_norm
 from .multiplier import SobolevSpec, adjoint_linop
 
 __all__ = [
@@ -69,8 +69,8 @@ class DiscrepancyStop:
     tau: float = 1.01
 
     def __post_init__(self):
-        if self.tau <= 1.0:
-            raise ValueError("tau must exceed 1")
+        if not 1.0 < self.tau < np.inf:
+            raise ValueError(f"tau={self.tau} must exceed 1 and be finite")
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ class InverseProblem:
     embedding: Optional[LinOp] = None
 
     def __post_init__(self):
-        if self.noise_level < 0:
-            raise ValueError("noise level must be >= 0")
+        if not 0.0 <= self.noise_level < np.inf:
+            raise ValueError(f"noise level {self.noise_level} must be finite and >= 0")
         if self.embedding is not None and self.embedding.domain != self.forward.domain:
             raise ValueError("the embedding must act on the forward map's domain")
 
@@ -173,6 +173,9 @@ def landweber(problem: InverseProblem, step: Optional[float] = None,
     log then records both.  For linear forward maps the residual decreases
     monotonically for any step below 2 / ||A||^2.
     """
+    if step is not None and not 0.0 < step < np.inf:
+        raise ValueError(f"step={step} must be positive and finite")
+    _require_counts(0, max_iter=max_iter)
     threshold = None
     if stop is not None:
         if problem.noise_level <= 0:
@@ -181,6 +184,9 @@ def landweber(problem: InverseProblem, step: Optional[float] = None,
     log = IterationLog()
     if step is None:
         log.norm_estimate = estimate_operator_norm(problem)
+        if log.norm_estimate == 0.0:
+            raise ValueError(f"operator norm estimate {log.norm_estimate} leaves no "
+                             "default step: smooth(G* G .) vanishes; pass a step")
         step = log.step = 0.9 / log.norm_estimate ** 2
     fw, y = problem.forward, problem.data
     u = GridFn(fw.domain, np.zeros(fw.domain.grid_size))
@@ -222,8 +228,10 @@ def tikhonov(problem: InverseProblem, alpha: float, tol: float = 1e-12) -> GridF
     inner product, in which CG runs; the returned minimizer satisfies the
     stated equation to a relative residual below 1e-10.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha={alpha} must be positive and finite")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol={tol} must be positive and finite")
     fw = problem.forward
 
     def op(v: GridFn) -> GridFn:

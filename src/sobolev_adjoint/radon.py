@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Domain, GridFn, LinOp, inner, quad_weight
+from .core import Domain, GridFn, LinOp, _require_counts, inner, quad_weight
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -83,8 +83,8 @@ class RadonGeometry:
     s_max: float = 1.0
 
     def __post_init__(self):
-        if self.n_pixels < 2 or self.n_offsets < 1 or self.n_angles < 1:
-            raise ValueError("invalid radon geometry")
+        _require_counts(2, n_pixels=self.n_pixels)
+        _require_counts(1, n_offsets=self.n_offsets, n_angles=self.n_angles)
         if not 0.0 < self.s_max < np.inf:
             raise ValueError(f"s_max={self.s_max} must be positive and finite")
 
@@ -249,21 +249,6 @@ _MAPS = (
 _THREAD_MAPS = ((0, 3), (1, 2))  # one product by each map on each thread
 
 
-def _column_runs(cols: list[int]) -> list[tuple[int, int, slice]]:
-    """``cols`` cut into runs of step +1 or -1: (first, stop, column slice)."""
-    runs, a = [], 0
-    while a < len(cols):
-        b, step = a + 1, 1
-        if b < len(cols) and abs(cols[b] - cols[a]) == 1:
-            step = cols[b] - cols[a]
-        while b < len(cols) and cols[b] - cols[b - 1] == step:
-            b += 1
-        stop = cols[b - 1] + step
-        runs.append((a, b, slice(cols[a], None if stop < 0 else stop, step)))
-        a = b
-    return runs
-
-
 @lru_cache(maxsize=8)
 def _orbits(n_angles: int):
     """The angles to trace, in stored order, and each map's use of them.
@@ -277,7 +262,8 @@ def _orbits(n_angles: int):
     rounding that a quarter turn of the 0-degree rows does not reproduce.
     Representatives are stored by how many maps use them, most first, so
     map k reads a prefix of the rows.  Returns the stored angle indices
-    and, per map, (map index, angles read, column runs).
+    and, per map, (map index, cols): a read-only integer array whose entry
+    a is the sinogram angle that the map writes stored angle a to.
     """
     claimed = [False] * n_angles
     orbits = []
@@ -295,9 +281,10 @@ def _orbits(n_angles: int):
     orbits.sort(key=len, reverse=True)
     uses = []
     for k in range(len(_MAPS)):
-        cols = [orbit[k] for orbit in orbits if len(orbit) > k]
-        if cols:
-            uses.append((k, len(cols), tuple(_column_runs(cols))))
+        cols = np.array([orbit[k] for orbit in orbits if len(orbit) > k], dtype=np.intp)
+        cols.flags.writeable = False  # shared by every caller through the cache
+        if cols.size:
+            uses.append((k, cols))
     return tuple(orbit[0] for orbit in orbits), tuple(uses)
 
 
@@ -438,10 +425,11 @@ class RadonOperator:
 
     ``matrix`` holds the stored angles' rows only.  Each symmetry map is one
     product of a row prefix of it with the permuted image, whose rows are
-    copied into the map's sinogram columns; the adjoint gathers those
-    columns, multiplies by the prefix's transpose and undoes the
-    permutation, adding the maps' images in map order.  On two threads each
-    takes two maps, so both products are the same bytes as on one.
+    written to the map's sinogram angles through its index array; the
+    adjoint gathers those angles, multiplies by the prefix's transpose and
+    undoes the permutation, adding the maps' images in map order.  On two
+    threads each takes two maps, so both products are the same bytes as on
+    one.
     """
 
     def __init__(self, geometry: RadonGeometry):
@@ -449,14 +437,14 @@ class RadonOperator:
         self.geometry = geometry
         self.matrix = _system_matrix(geometry)
         n_off = geometry.n_offsets
-        # per map: (permutation, inverse, angles read, column runs, the prefix
-        # rows and a CSC view of their transpose), all on the matrix's arrays:
-        # a CSR copy of the transpose would be ~15% faster per adjoint but
-        # hold the matrix a second time
+        # per map: (permutation, inverse, the sinogram angle of each stored
+        # angle read, the prefix rows and a CSC view of their transpose), all
+        # on the matrix's arrays: a CSR copy of the transpose would be ~15%
+        # faster per adjoint but hold the matrix a second time
         self._maps = {}
-        for k, count, runs in _orbits(geometry.n_angles)[1]:
-            block = _row_prefix(self.matrix, count * n_off)
-            self._maps[k] = (*_MAPS[k][:2], count, runs, block, _shared(
+        for k, cols in _orbits(geometry.n_angles)[1]:
+            block = _row_prefix(self.matrix, cols.size * n_off)
+            self._maps[k] = (*_MAPS[k][:2], cols, block, _shared(
                 scipy.sparse.csc_matrix, block.shape[::-1],
                 block.data, block.indices, block.indptr))
         groups = [[self._maps[k] for k in grp if k in self._maps]
@@ -475,12 +463,11 @@ class RadonOperator:
         image = u.values.reshape(n, n)
         sino = np.empty((n_off, self.geometry.n_angles),
                         dtype=np.result_type(u.values, self.matrix.data))
+        angles = sino.T
 
         def project(group) -> None:
-            for permute, _, count, runs, block, _ in group:
-                rows = (block @ permute(image).ravel()).reshape(count, n_off)
-                for a, b, cols in runs:
-                    sino[:, cols] = rows[a:b].T
+            for permute, _, cols, block, _ in group:
+                angles[cols] = (block @ permute(image).ravel()).reshape(-1, n_off)
 
         _map(project, self._groups)
         return GridFn(self._data_domain, sino)
@@ -489,16 +476,11 @@ class RadonOperator:
         if g.domain != self._data_domain:
             raise ValueError("sinogram grid does not match the radon geometry")
         n, n_off = self.geometry.n_pixels, self.geometry.n_offsets
-        sino = g.values.reshape(n_off, self.geometry.n_angles)
+        angles = g.values.reshape(n_off, self.geometry.n_angles).T
 
         def backproject(group) -> list:
-            images = []
-            for _, unpermute, count, runs, _, transpose in group:
-                rows = np.empty((count, n_off), dtype=sino.dtype)
-                for a, b, cols in runs:
-                    rows[a:b] = sino[:, cols].T
-                images.append(unpermute((transpose @ rows.ravel()).reshape(n, n)))
-            return images
+            return [unpermute((transpose @ angles[cols].ravel()).reshape(n, n))
+                    for _, unpermute, cols, _, transpose in group]
 
         # each image is a view of a fresh product: add them in one order,
         # whatever the thread count

@@ -208,6 +208,23 @@ def test_variational_gap_other_specs():
     assert variational_gap(z2, u, spec2) < 1e-9
 
 
+def test_forms_are_assembled_once_per_spec():
+    dom = Domain.rectangle(1.0, 1.5, 23, 19)
+    u = GridFn(dom, np.random.default_rng(3).standard_normal(dom.grid_size))
+    z = solve_neumann_helmholtz(u)
+    spec = BvpSpec(1, BoundaryKind.NEUMANN_LIKE, dom)
+    bvp._forms_for_spec.cache_clear()
+    gaps = [variational_gap(z, u, spec) for _ in range(2)]
+    # the H^1 inner product reads the same Neumann form
+    h1_inner(z, u)
+    bvp.h1_gram(dom, z.values[None], u.values[None])
+    info = bvp._forms_for_spec.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert gaps[0] == gaps[1] < 1e-12
+    _, _, active = bvp._forms_for_spec(BvpSpec(1, BoundaryKind.DIRICHLET, dom))
+    assert not active.flags.writeable  # shared through the cache
+
+
 def test_bvpspec_invariants():
     dom = Domain.interval(0.0, 1.0, 33)
     with pytest.raises(ValueError):

@@ -3,11 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sobolev_adjoint import cli, kernel
 from sobolev_adjoint.core import Domain, GridFn
 from sobolev_adjoint.cli import (
+    EXPERIMENTS,
+    PHANTOMS,
     ConfigError,
+    RunConfig,
     main,
     parse_config,
     run,
@@ -55,6 +59,32 @@ def test_parse_rejects_duplicate_keys_and_an_empty_out_dir():
     # the experiment argument overrides the file's key; it is no duplicate
     cfg = parse_config("experiment=RadonRecon\nseed=3", experiment="CrossCheck1D")
     assert (cfg.experiment, cfg.seed) == ("CrossCheck1D", 3)
+
+
+_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
+_PLAIN = ("2", "16", "64", "100", "0.5", "1.01", "1 # note")
+_BOUNDARY = ("nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-0",
+             "1", "-1", "1.5", "99999999999999999999", "0x10", "1_000",
+             "\u0663\u0660", "", "abc", "multiplier", *EXPERIMENTS, *PHANTOMS)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(lines=st.dictionaries(st.sampled_from(_KEYS),
+                             st.sampled_from(_PLAIN) | st.sampled_from(_BOUNDARY),
+                             max_size=6),
+       extra=st.sampled_from((None,) * 4 + ("unknown=1", "=1", "no equals", "n=2")),
+       experiment=st.sampled_from(EXPERIMENTS + (None, "Nope")))
+def test_config_text_gives_a_config_or_a_config_error(lines, extra, experiment):
+    # parse_config alone, with no compute: boundary values, unknown keys and
+    # malformed lines must fail as a ConfigError, never as another exception
+    text = "".join(f"{key}={value}\n" for key, value in lines.items())
+    if extra is not None:
+        text += extra + "\n"
+    try:
+        cfg = parse_config(text, experiment)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_radon_geometry_cap():

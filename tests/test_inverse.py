@@ -265,8 +265,8 @@ def test_landweber_discrepancy_stop_and_nontermination():
 
 
 def test_discrepancy_rule_rejects_tau_at_most_one_and_clean_data():
-    for tau in (0.9, 1.0):
-        with pytest.raises(ValueError):
+    for tau in (0.9, 1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau"):
             DiscrepancyStop(tau)
     calls = []
     dom = Domain.torus(1, 32)
@@ -275,6 +275,36 @@ def test_discrepancy_rule_rejects_tau_at_most_one_and_clean_data():
     with pytest.raises(ValueError, match="noise level"):
         landweber(problem, max_iter=5, stop=DiscrepancyStop(1.01))
     assert calls == []  # rejected before the step estimate touches G
+
+
+def test_solvers_reject_bad_inputs_at_entry():
+    calls = []
+    dom = Domain.torus(1, 32)
+    op = LinOp(lambda u: calls.append(1) or u, lambda u: u, inner, inner, dom, dom)
+    y = rand_fn(32, 25)
+    for level in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="noise level"):
+            InverseProblem(op, y, noise_level=level)
+    problem = InverseProblem(op, y)
+    for step in (np.nan, np.inf, 0.0, -0.5):
+        with pytest.raises(ValueError, match="step"):
+            landweber(problem, step=step)
+    for max_iter in (-5, 2.5):
+        with pytest.raises(ValueError, match="max_iter"):
+            landweber(problem, step=0.5, max_iter=max_iter)
+    for alpha in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="alpha"):
+            tikhonov(problem, alpha)
+    for tol in (np.nan, np.inf, 0.0, -1e-12):
+        with pytest.raises(ValueError, match="tol"):
+            tikhonov(problem, 1.0, tol=tol)
+    assert calls == []  # every one is rejected before G is applied
+    # a map whose smooth(G* G .) vanishes has no default step
+    zero = LinOp(lambda u: 0.0 * u, lambda u: 0.0 * u, inner, inner, dom, dom)
+    with pytest.raises(ValueError, match="norm estimate 0.0"):
+        landweber(InverseProblem(zero, y), max_iter=1)
+    _, log = landweber(InverseProblem(zero, y), step=0.5, max_iter=0)
+    assert log.residuals == [l2_norm(y)]
 
 
 def test_landweber_smoother_backend_override():

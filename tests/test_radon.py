@@ -48,6 +48,16 @@ def test_geometry_rejects_bad_s_max(s_max):
         RadonGeometry(8, 12, 6, s_max=s_max)
 
 
+@pytest.mark.parametrize("counts, name", [
+    ((16.5, 24, 8), "n_pixels"), ((16, 24, 8.0), "n_angles"), ((16, "24", 8), "n_offsets"),
+    ((1, 24, 8), "n_pixels"), ((16, 0, 8), "n_offsets"), ((16, 24, 0), "n_angles"),
+])
+def test_geometry_rejects_bad_counts(counts, name):
+    # a float or string count used to construct and fail later in the build
+    with pytest.raises(ValueError, match=f"{name}="):
+        RadonGeometry(*counts)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(n_pixels=st.integers(2, 12), n_offsets=st.integers(1, 16),
        n_angles=st.integers(1, 12), s_max=st.floats(0.25, 2.0))
@@ -147,17 +157,14 @@ def test_orbits_cover_every_angle_once():
 
 def _check_orbits(n_angles):
     stored, uses = radon._orbits(n_angles)
-    assert uses[0][:2] == (0, len(stored))  # the identity reads every stored row
+    k, cols = uses[0]
+    assert (k, len(cols)) == (0, len(stored))  # the identity reads every stored row
     claimed = []
-    for k, count, runs in uses:
-        cols = []
-        for a, b, sl in runs:
-            assert abs(sl.step) == 1 and b - a == len(range(n_angles)[sl])
-            cols += range(n_angles)[sl]
-        assert len(cols) == count
-        for a, j in enumerate(stored[:count]):  # map k reads a row prefix
+    for k, cols in uses:
+        assert not cols.flags.writeable  # shared through the cache
+        for a, j in enumerate(stored[:len(cols)]):  # map k reads a row prefix
             assert cols[a] == _MAP_TARGETS[k](j, n_angles)
-        claimed += cols
+        claimed += cols.tolist()
     assert sorted(claimed) == list(range(n_angles)), n_angles
     # the stored angles: [0, pi/4] and 90 degrees on an even grid, [0, pi/2]
     # on an odd one
@@ -275,7 +282,7 @@ def test_operator_shares_the_cached_matrix():
     op, peak = _traced_peak(RadonOperator, geom)
     assert op.matrix is mat
     assert peak < 0.1 * _matrix_bytes(mat)  # no transposed copy
-    for _, _, _, _, block, transpose in op._maps.values():
+    for _, _, _, block, transpose in op._maps.values():
         for part in (block, transpose):  # views, not copies
             assert np.shares_memory(part.data, mat.data)
             assert np.shares_memory(part.indices, mat.indices)

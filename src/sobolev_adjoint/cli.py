@@ -26,8 +26,6 @@ from .inverse import (
 )
 from .multiplier import NormVariant, SobolevSpec
 
-EXPERIMENTS = ("CrossCheck1D", "AdjointSmoothing2D", "RadonRecon",
-               "NormEquivalence", "KernelAsymptotics")
 PHANTOMS = ("smooth", "shepp_logan")
 
 
@@ -51,14 +49,6 @@ class RunConfig:
     phantom: str = "smooth"
     out_dir: str = "out"
 
-
-_EXPERIMENT_DEFAULTS = {
-    "CrossCheck1D": {"n": 1024, "s": 1.0},
-    "AdjointSmoothing2D": {"n": 65, "s": 1.0},
-    "RadonRecon": {"n": 64, "s": 0.5},
-    "NormEquivalence": {},
-    "KernelAsymptotics": {},
-}
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
@@ -145,14 +135,8 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
         values["experiment"] = experiment
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
-    merged = dict(_EXPERIMENT_DEFAULTS.get(values["experiment"], {}))
-    merged.update(values)
-    return _validate(RunConfig(**merged))
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(RunConfig)]
-    return "\n".join(lines) + "\n"
+    _, defaults = _EXPERIMENTS.get(values["experiment"], (None, {}))
+    return _validate(RunConfig(**{**defaults, **values}))
 
 
 # -- backends for the 1D cross check ---------------------------------------------
@@ -341,25 +325,26 @@ def _summary(out: Path, cfg: RunConfig, payload: dict) -> None:
         fh.write("\n")
 
 
-_RUNNERS = {
-    "CrossCheck1D": _run_crosscheck,
-    "AdjointSmoothing2D": _run_smoothing_2d,
-    "RadonRecon": _run_radon,
-    "NormEquivalence": _run_norm_equivalence,
-    "KernelAsymptotics": _run_kernel_asymptotics,
+# each experiment's runner and the RunConfig defaults it overrides
+_EXPERIMENTS = {
+    "CrossCheck1D": (_run_crosscheck, {"n": 1024, "s": 1.0}),
+    "AdjointSmoothing2D": (_run_smoothing_2d, {"n": 65, "s": 1.0}),
+    "RadonRecon": (_run_radon, {"n": 64, "s": 0.5}),
+    "NormEquivalence": (_run_norm_equivalence, {}),
+    "KernelAsymptotics": (_run_kernel_asymptotics, {}),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    runner, _ = _EXPERIMENTS[cfg.experiment]
     try:
-        return _RUNNERS[cfg.experiment](cfg, out)
+        return runner(cfg, out)
     except StoppingRuleNotMet as exc:
         print(f"stopping rule not satisfied: {exc}", file=sys.stderr)
         return 4
-    except ConfigError:
-        raise
     except (RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -114,8 +114,8 @@ def add_noise(y: GridFn, rel: float, seed: int):
 
     Returns the perturbed data and the absolute noise level rel * ||y||.
     """
-    if rel < 0:
-        raise ValueError("relative noise level must be >= 0")
+    if not 0.0 <= rel < np.inf:
+        raise ValueError(f"rel={rel} must be finite and >= 0")
     if rel == 0.0:
         return y, 0.0
     y_norm = l2_norm(y)
@@ -242,10 +242,9 @@ def tikhonov(problem: InverseProblem, alpha: float, tol: float = 1e-12) -> GridF
     dot = lambda p, q: ip(p, q).real
     n = b.values.size
     x = b.with_values(np.zeros(n))
-    r = b - op(x)
-    p = r
+    r = p = b
     rr = dot(r, r)
-    b_norm = np.sqrt(dot(b, b))
+    b_norm = np.sqrt(rr)
     if b_norm == 0.0:
         return x
     for _ in range(10 * n):

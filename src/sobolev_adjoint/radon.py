@@ -45,7 +45,7 @@ Images are grid functions on the 2D unit torus, so the spectral smoothing
 backends apply directly.  A sinogram is a grid function on the data grid,
 a box of (offset, angle) cells whose midpoints are the ray parameters, so
 the L2 inner product of ``core`` is the bin quadrature of the data space.
-Both serialize as CSV and 16-bit PGM (P2/P5).
+Both serialize as CSV and binary 16-bit PGM (P5).
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ __all__ = [
     "smooth_phantom",
     "write_pgm",
     "write_csv",
-    "read_csv",
 ]
 
 
@@ -560,42 +559,22 @@ def smooth_phantom(N: int, seed: int = 0) -> GridFn:
 
 # -- serialization ---------------------------------------------------------------
 
-def write_pgm(path, arr: np.ndarray, binary: bool = True,
-              comment: str = "") -> None:
-    """16-bit PGM (P5 binary or P2 text), linearly rescaled to [0, 65535]."""
+def write_pgm(path, arr: np.ndarray, comment: str) -> None:
+    """Binary 16-bit PGM (P5), linearly rescaled to [0, 65535]."""
     arr = np.asarray(arr, dtype=np.float64)
     lo, hi = float(arr.min()), float(arr.max())
     scale = 65535.0 / (hi - lo) if hi > lo else 0.0
-    pix = np.round((arr - lo) * scale).astype(np.uint16)
-    header = f"{'P5' if binary else 'P2'}\n"
-    if comment:
-        header += f"# {comment}\n"
-    header += f"{arr.shape[1]} {arr.shape[0]}\n65535\n"
+    pix = np.round((arr - lo) * scale).astype(">u2")
+    header = f"P5\n# {comment}\n{arr.shape[1]} {arr.shape[0]}\n65535\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(pix.astype(">u2").tobytes())
-        else:
-            for row in pix:
-                fh.write((" ".join(str(v) for v in row) + "\n").encode("ascii"))
+        fh.write(pix.tobytes())
 
 
-def write_csv(path, arr: np.ndarray, header: str = "") -> None:
+def write_csv(path, arr: np.ndarray, header: str) -> None:
     arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
     with open(path, "w", encoding="ascii") as fh:
-        if header:
-            fh.write(f"# {header}\n")
+        fh.write(f"# {header}\n")
         line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
         for row in arr:  # not arr.tolist(): that holds every value as an object
             fh.write(line % tuple(row.tolist()))
-
-
-def read_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    return np.array(rows)

@@ -150,19 +150,25 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
     assert _loaded_scipy("import sobolev_adjoint, sobolev_adjoint.cli", tmp_path) == set()
 
 
-@pytest.mark.parametrize("experiment, config, unloaded", [
-    # the kernel and discrete routes: scipy.special and scipy.linalg only
-    ("CrossCheck1D", "n=128\ns=0.75\n", ("scipy.sparse", "scipy.fft")),
+_SUBPACKAGES = {"scipy.sparse", "scipy.special", "scipy.linalg", "scipy.fft"}
+
+
+@pytest.mark.parametrize("experiment, config, used", [
+    # the kernel and discrete routes
+    ("CrossCheck1D", "n=128\ns=0.75\n", {"scipy.special", "scipy.linalg"}),
     # the order-1 solve runs on numpy.fft; only the gap check assembles a form
-    ("AdjointSmoothing2D", "n=33\n", ("scipy.fft", "scipy.special", "scipy.linalg")),
-    ("selftest", None, ("scipy.fft",)),
-], ids=["CrossCheck1D", "AdjointSmoothing2D", "selftest"])
-def test_experiments_load_only_the_scipy_they_use(experiment, config, unloaded, tmp_path):
+    ("AdjointSmoothing2D", "n=33\n", {"scipy.sparse"}),
+    ("selftest", None, {"scipy.sparse", "scipy.special", "scipy.linalg"}),
+    ("RadonRecon", "n=16\nn_offsets=24\nn_angles=8\n", {"scipy.sparse"}),
+    ("KernelAsymptotics", "", {"scipy.special"}),
+    ("NormEquivalence", "", set()),
+], ids=["CrossCheck1D", "AdjointSmoothing2D", "selftest", "RadonRecon",
+        "KernelAsymptotics", "NormEquivalence"])
+def test_experiments_load_only_the_scipy_they_use(experiment, config, used, tmp_path):
     args = ["selftest"]
     if config is not None:
         (tmp_path / "run.cfg").write_text(f"experiment={experiment}\n{config}seed=0\n")
         args = ["run", "--config", "run.cfg", "--out", "out"]
     loaded = _loaded_scipy(f"import sobolev_adjoint.cli as cli\n"
                            f"assert cli.main({args!r}) == 0", tmp_path)
-    assert "scipy" in loaded
-    assert sorted(loaded.intersection(unloaded)) == []
+    assert loaded & _SUBPACKAGES == used

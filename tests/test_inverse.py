@@ -83,6 +83,12 @@ def test_add_noise_rejects_zero_data():
         add_noise(y, 0.1, seed=0)
 
 
+@pytest.mark.parametrize("rel", [np.nan, np.inf, -0.1])
+def test_add_noise_rejects_a_level_that_is_not_finite_and_nonnegative(rel):
+    with pytest.raises(ValueError, match="rel="):
+        add_noise(rand_fn(8, 0), rel, seed=0)
+
+
 # -- landweber -------------------------------------------------------------------
 
 def test_landweber_identity_scalar_recursion():
@@ -399,9 +405,13 @@ def test_problem_rejects_embedding_on_another_domain():
 # -- tikhonov ---------------------------------------------------------------------
 
 def test_tikhonov_identity_scalar():
+    dom, calls = Domain.torus(1, 64), []
+    op = LinOp(lambda u: calls.append(1) or u, lambda u: u, inner, inner, dom, dom)
     y = rand_fn(64, 16)
-    u = tikhonov(InverseProblem(identity_linop(), y), alpha=0.3)
+    u = tikhonov(InverseProblem(op, y), alpha=0.3)
     assert np.max(np.abs(u.values - y.values / 1.3)) < 1e-10
+    # CG converges in one step, and the zero start costs no forward product
+    assert len(calls) == 1
 
 
 def test_tikhonov_diagonal_per_mode_formula():

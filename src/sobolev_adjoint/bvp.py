@@ -31,9 +31,9 @@ solve and its inner product are ``multiplier.fourier_multiply`` and
 ``multiplier.weighted_inner`` with the symbol of ``I - Laplace_h`` to the
 powers -m and m.
 
-Only the order-2 solves and the assembled forms (``variational_gap``,
-``h1_inner``, ``h1_gram``) build sparse matrices, so ``scipy.sparse`` is
-imported on their first use.
+Each form is stored per axis as bands, the layout the order-2 solves hand to
+``scipy.linalg.solveh_banded``; ``variational_gap`` and the H^1 products apply
+them axis by axis, apart from the transforms of the order-1 solves they check.
 """
 
 from __future__ import annotations
@@ -41,15 +41,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Domain, DomainKind, GridFn, LinOp, _require_counts, _same_domain, inner
 from .multiplier import fourier_multiply, weighted_inner
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = [
     "BoundaryKind",
@@ -104,81 +100,79 @@ def _mass_diag_1d(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _stiffness_1d(n: int, h: float) -> scipy.sparse.csr_matrix:
-    import scipy.sparse  # deferred: only the assembled forms need it
-    main = np.full(n, 2.0 / h)
-    main[0] = main[-1] = 1.0 / h
-    off = np.full(n - 1, -1.0 / h)
-    return scipy.sparse.diags([off, main, off], [-1, 0, 1]).tocsr()
-
-
-def _clamped_biharmonic_1d(n_interior: int, h: float) -> scipy.sparse.csr_matrix:
-    import scipy.sparse  # deferred: only the order-2 solves need it
-    # rows scaled by h so the right-hand side pairs with the h-weighted mass
-    c = h / h**4
-    main = np.full(n_interior, 6.0 * c)
-    main[0] = main[-1] = 7.0 * c
-    off1 = np.full(n_interior - 1, -4.0 * c)
-    off2 = np.full(n_interior - 2, 1.0 * c)
-    return scipy.sparse.diags([off2, off1, main, off1, off2],
-                              [-2, -1, 0, 1, 2]).tocsr()
-
-
-def _free_second_difference(n: int, h: float) -> scipy.sparse.csr_matrix:
-    import scipy.sparse  # deferred: only the order-2 solves need it
-    # maps nodal values to interior second differences, no boundary assumptions
-    return scipy.sparse.diags([1.0 / h**2, -2.0 / h**2, 1.0 / h**2], [0, 1, 2],
-                              shape=(n - 2, n)).tocsr()
-
-
-def _interior(domain: Domain) -> np.ndarray:
-    mask = np.zeros(domain.shape, dtype=bool)
-    mask[(slice(1, -1),) * domain.ndim] = True
-    mask = mask.ravel()
-    mask.flags.writeable = False  # shared by every caller through the cache
-    return mask
+def _difference_gram(n: int, h: float, m: int) -> np.ndarray:
+    """``h^(1-2m) D^T D`` for the m-th difference D on n nodes, as upper bands."""
+    c = np.diff(np.eye(m + 1), m, axis=0)[0]  # the stencil, [-1, 1] or [1, -2, 1]
+    bands = np.zeros((m + 1, n))
+    for k in range(m + 1):  # each row of D adds c_j c_{j+k} to superdiagonal k
+        for j in range(m + 1 - k):
+            bands[m - k, j + k:j + k + n - m] += c[j] * c[j + k]
+    return bands * h ** (1 - 2 * m)
 
 
 @lru_cache(maxsize=16)
 def _forms_for_spec(spec: BvpSpec):
-    """(A, mass_diag, active) with ``A z[active] = (M u)[active]`` the problem.
+    """(terms, mass_diag, active) with ``A z[active] = (M u)[active]`` the problem.
 
-    Order 1 is ``sum_d (M_1 x ... x K_d x ... x M_N)``, plus ``M`` for
-    natural conditions, restricted to the interior for Dirichlet ones.
-    Cached per spec: the order-2 solves, ``variational_gap``, ``h1_inner``
-    and ``h1_gram`` share one assembly, which callers must not modify.
+    ``A`` sums the Kronecker products of each term's per-axis bands
+    (``_apply_bands``): ``sum_d M_1 x ... x G_d x ... x M_N``, with ``G_d``
+    the order-m difference Gram and ``M_d`` the trapezoid mass, plus ``M``
+    for natural conditions, on the interior nodes for Dirichlet ones.  Cached
+    per spec and read-only: every order-2 solve and form check shares one build.
     """
-    import scipy.sparse  # deferred: only order-2 solves and assembled forms need it
     dom, neumann = spec.domain, spec.bc is BoundaryKind.NEUMANN_LIKE
-    m_diag = _mass_weights(dom)
-    active = slice(None) if neumann else _interior(dom)
-    if spec.order_m == 2:
-        (n,), (h,) = dom.shape, dom.spacing
+    grams, masses = [], []
+    for n, h in zip(dom.shape, dom.spacing):
+        g, w = _difference_gram(n, h, spec.order_m), _mass_diag_1d(n, h)[None]
         if not neumann:
-            return _clamped_biharmonic_1d(n - 2, h), m_diag, active
-        D2 = _free_second_difference(n, h)
-        return (h * (D2.T @ D2) + scipy.sparse.diags(m_diag)).tocsr(), m_diag, active
-    axes = list(zip(dom.shape, dom.spacing))
-    masses = [scipy.sparse.diags(_mass_diag_1d(n, h)) for n, h in axes]
-    A = sum(reduce(scipy.sparse.kron, masses[:d] + [_stiffness_1d(n, h)] + masses[d + 1:])
-            for d, (n, h) in enumerate(axes))
-    A = A + scipy.sparse.diags(m_diag) if neumann else A.tocsr()[active][:, active]
-    return A.tocsr(), m_diag, active
+            g, w = g[:, 1:-1].copy(), w[:, 1:-1]
+            if spec.order_m == 2:
+                # clamped ends: the boundary node's second difference 2 z_1 / h^2
+                # (its ghost node mirrored) squared, at the end weight h / 2
+                g[-1, [0, -1]] += 2.0 / h**3
+        g.flags.writeable = w.flags.writeable = False
+        grams.append(g)
+        masses.append(w)
+    terms = tuple(tuple(masses[:d] + [g] + masses[d + 1:]) for d, g in enumerate(grams))
+    if neumann:  # the value term of the full norm
+        return terms + (tuple(masses),), _mass_weights(dom), slice(None)
+    interior = np.pad(np.ones([n - 2 for n in dom.shape], bool), 1).ravel()
+    interior.flags.writeable = False
+    return terms, _mass_weights(dom), interior
 
 
-def _solve_banded_spd(A: scipy.sparse.spmatrix, b: np.ndarray) -> np.ndarray:
+def _apply_bands(x: np.ndarray, axis: int, bands: np.ndarray) -> np.ndarray:
+    """``B x`` along ``axis`` for the symmetric B stored as upper bands:
+    ``bands[-1]`` is the diagonal and ``bands[-1 - k, k:]`` the k-th
+    superdiagonal, the layout ``scipy.linalg.solveh_banded`` reads."""
+    x = np.moveaxis(x, axis, -1)
+    y = bands[-1] * x
+    for k in range(1, len(bands)):
+        y[..., :-k] += bands[-1 - k, k:] * x[..., k:]
+        y[..., k:] += bands[-1 - k, k:] * x[..., :-k]
+    return np.moveaxis(y, -1, axis)
+
+
+def _apply_form(terms, x: np.ndarray) -> np.ndarray:
+    """``A x`` for a stack of rows ``x`` on the active nodes (``_forms_for_spec``):
+    each term applies its factors one axis at a time."""
+    rows = x.shape
+    x = x.reshape(rows[:-1] + tuple(bands.shape[1] for bands in terms[0]))
+    y = sum(reduce(lambda t, f: _apply_bands(t, *f), enumerate(term, -len(term)), x)
+            for term in terms)
+    return y.reshape(rows)
+
+
+def _form_diagonal(terms) -> np.ndarray:
+    """``diag(A)``: the sum over terms of the Kronecker products of the main bands."""
+    return sum(reduce(np.kron, [bands[-1] for bands in term]) for term in terms)
+
+
+def _solve_banded_spd(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
     import scipy.linalg  # deferred: only the order-2 solves need it
-    dia = A.todia()
-    bands = int(max(dia.offsets.max(), 1))
-    n = A.shape[0]
-    ab = np.zeros((bands + 1, n))
-    for off, data in zip(dia.offsets, dia.data):
-        if off >= 0:
-            ab[bands - off, :] = data
     if np.iscomplexobj(b):
-        return (scipy.linalg.solveh_banded(ab, b.real, lower=False)
-                + 1j * scipy.linalg.solveh_banded(ab, b.imag, lower=False))
-    return scipy.linalg.solveh_banded(ab, b, lower=False)
+        return _solve_banded_spd(bands, b.real) + 1j * _solve_banded_spd(bands, b.imag)
+    return scipy.linalg.solveh_banded(bands, b, lower=False)
 
 
 def _second_difference_eigs(n: int, h: float, k: np.ndarray) -> np.ndarray:
@@ -246,9 +240,12 @@ def _solve_order1(u: GridFn, spec: BvpSpec) -> np.ndarray:
 def _run_solve(u: GridFn, spec: BvpSpec) -> GridFn:
     if spec.order_m == 1:
         return GridFn(spec.domain, _solve_order1(u, spec))
-    A, m_diag, active = _forms_for_spec(spec)
+    terms, m_diag, active = _forms_for_spec(spec)
+    bands = np.zeros_like(terms[0][0])
+    for (b,) in terms:  # the 1D form is the sum of its terms' bands
+        bands[-len(b):] += b
     z = np.zeros(u.values.size, dtype=np.result_type(u.values, np.float64))
-    z[active] = _solve_banded_spd(A, (m_diag * u.values)[active])
+    z[active] = _solve_banded_spd(bands, (m_diag * u.values)[active])
     return GridFn(spec.domain, z)
 
 
@@ -302,9 +299,9 @@ def variational_gap(z: GridFn, u: GridFn, spec: BvpSpec) -> float:
     """
     _same_domain(z, u)
     _same_domain(z, spec)
-    A, m_diag, active = _forms_for_spec(spec)
-    r = A @ z.values[active] - (m_diag * u.values)[active]
-    scale = np.sqrt(A.diagonal())
+    terms, m_diag, active = _forms_for_spec(spec)
+    r = _apply_form(terms, z.values[active]) - (m_diag * u.values)[active]
+    scale = np.sqrt(_form_diagonal(terms))
     return float(np.max(np.abs(r) / scale)) if r.size else 0.0
 
 
@@ -333,14 +330,14 @@ def mass_gram(domain: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def h1_inner(u: GridFn, v: GridFn) -> complex:
     """Discrete H^1 inner product (mass + difference-quotient stiffness)."""
     _same_domain(u, v)
-    form = _forms_for_spec(BvpSpec(1, BoundaryKind.NEUMANN_LIKE, u.domain))[0]
-    return complex(np.sum((form @ u.values) * np.conj(v.values)))
+    terms = _forms_for_spec(BvpSpec(1, BoundaryKind.NEUMANN_LIKE, u.domain))[0]
+    return complex(np.sum(_apply_form(terms, u.values) * np.conj(v.values)))
 
 
 def h1_gram(domain: Domain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram matrix of :func:`h1_inner`, ``G[k, j] = <b_j, a_k>``, on stacks of rows."""
-    form = _forms_for_spec(BvpSpec(1, BoundaryKind.NEUMANN_LIKE, domain))[0]
-    return np.conj(a) @ (form @ b.T)
+    terms = _forms_for_spec(BvpSpec(1, BoundaryKind.NEUMANN_LIKE, domain))[0]
+    return np.conj(a) @ _apply_form(terms, b).T
 
 
 def adjoint_linop(domain: Domain, order_m: int) -> LinOp:

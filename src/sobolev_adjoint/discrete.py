@@ -17,7 +17,7 @@ BVP route).
 A basis is a ``(K, grid_size)`` array, one function per row, and an inner
 product enters as its Gram function (see ``core``).  ``assemble`` builds the
 three Gram matrices, one matrix product each, and Cholesky-factors H_X and H_Y
-once; an apply is a Gram with the input, triangular solves and a basis product.
+once; an apply is a Gram with the input, solves with the factors and a basis product.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Domain, DomainKind, GridFn, LinOp, _same_domain, gram
+from .core import Domain, DomainKind, GridFn, LinOp, _require_counts, _same_domain, gram
 
 __all__ = [
     "DiscreteSetting",
@@ -54,8 +54,8 @@ class DiscreteSetting:
     h_x: np.ndarray
     h_y: np.ndarray
     cross: np.ndarray
-    chol_x: tuple[np.ndarray, bool]
-    chol_y: tuple[np.ndarray, bool]
+    chol_x: np.ndarray
+    chol_y: np.ndarray
 
 
 def _checked_basis(domain: Domain, basis, name: str) -> np.ndarray:
@@ -68,13 +68,16 @@ def _checked_basis(domain: Domain, basis, name: str) -> np.ndarray:
     return b
 
 
-def _spd_cholesky(mat: np.ndarray, name: str):
-    import scipy.linalg  # deferred: the tomography path never needs it
+def _spd_cholesky(mat: np.ndarray, name: str) -> np.ndarray:
     try:
-        return scipy.linalg.cho_factor(mat)
-    except scipy.linalg.LinAlgError as exc:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
         raise ValueError(f"{name} Gram matrix is not positive definite "
                          "(linearly dependent basis?)") from exc
+
+
+def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, b))
 
 
 def assemble(domain: Domain, basis_x, basis_y, gram_x: GramFn,
@@ -90,19 +93,16 @@ def assemble(domain: Domain, basis_x, basis_y, gram_x: GramFn,
 
 
 def _coefficients(setting: DiscreteSetting, v: GridFn, gram_fn: GramFn,
-                  chol: tuple[np.ndarray, bool], basis: np.ndarray) -> np.ndarray:
+                  chol: np.ndarray, basis: np.ndarray) -> np.ndarray:
     # c = H^{-1} (<v, b_k>)_k: the projection of v onto span(basis) is c @ basis
-    import scipy.linalg  # deferred: the tomography path never needs it
     _same_domain(v, setting)
-    rhs = gram_fn(setting.domain, basis, v.values[None])[:, 0]
-    return scipy.linalg.cho_solve(chol, rhs)
+    return _cholesky_solve(chol, gram_fn(setting.domain, basis, v.values[None])[:, 0])
 
 
 def projected_adjoint(setting: DiscreteSetting, u: GridFn) -> tuple[np.ndarray, GridFn]:
     """Coefficients z = H_X^{-1} M H_Y^{-1} u and the represented function."""
-    import scipy.linalg  # deferred: the tomography path never needs it
     v = _coefficients(setting, u, setting.gram_y, setting.chol_y, setting.basis_y)
-    z = scipy.linalg.cho_solve(setting.chol_x, setting.cross @ v)
+    z = _cholesky_solve(setting.chol_x, setting.cross @ v)
     return z, GridFn(setting.domain, z @ setting.basis_x)
 
 
@@ -134,6 +134,7 @@ def fourier_mode_basis(domain: Domain, kmax: int) -> tuple[np.ndarray, list]:
     """Complex exponentials with |k_i| <= kmax, zero mode first, one per row."""
     if domain.kind is not DomainKind.TORUS:
         raise ValueError("Fourier mode basis lives on torus domains")
+    _require_counts(0, kmax=kmax)
     coords = np.reshape(np.meshgrid(*domain.axes(), indexing="ij"), (domain.ndim, -1))
     kvecs = sorted(itertools.product(range(-kmax, kmax + 1), repeat=domain.ndim),
                    key=lambda kv: (sum(c**2 for c in kv), kv))
@@ -144,5 +145,6 @@ def hat_basis(domain: Domain, stride: int = 1) -> np.ndarray:
     """Piecewise-linear nodal hats on an interval grid, one per row."""
     if domain.kind is not DomainKind.INTERVAL:
         raise ValueError("hat basis lives on interval domains")
+    _require_counts(1, stride=stride)
     x, h = domain.axes()[0], domain.spacing[0] * stride
     return np.maximum(0.0, 1.0 - np.abs(x - x[::stride, None]) / h)

@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Domain, DomainKind, GridFn, LinOp, inner
+from .core import (Domain, DomainKind, GridFn, LinOp, _require_counts,
+                   _require_positive_finite, inner)
 from .multiplier import fourier_multiply, weighted_inner
 
 __all__ = [
@@ -81,10 +82,8 @@ class KernelSpec:
     eval_mode: EvalMode = EvalMode.INTEGRAL_KNU
 
     def __post_init__(self):
-        if self.order_s <= 0:
-            raise ValueError("kernel order must be positive")
-        if self.dim_N < 1:
-            raise ValueError("dimension must be >= 1")
+        _require_positive_finite(order_s=self.order_s)
+        _require_counts(1, dim_N=self.dim_N)
         if self.eval_mode is EvalMode.CLOSED_FORM and not self.has_closed_form:
             raise ValueError("closed form available only for N=1, s in {2, 4}")
 

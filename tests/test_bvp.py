@@ -1,6 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -119,6 +122,43 @@ def test_dirichlet_poisson_2d_analytic():
     assert errs[1] < 5e-4
 
 
+def _sparse_form(spec):
+    """(A, mass, active) of ``A z[active] = (M u)[active]``, assembled as
+    sparse matrices independently of ``bvp``'s bands: Kronecker sums of
+    three-point stiffness and trapezoid mass for order 1, ``h D2^T D2`` and
+    the clamped 7/6/-4/1 stencil for order 2."""
+    dom, neumann = spec.domain, spec.bc is BoundaryKind.NEUMANN_LIKE
+    masses = []
+    for n, h in zip(dom.shape, dom.spacing):
+        w = np.full(n, h)
+        w[0] = w[-1] = h / 2
+        masses.append(scipy.sparse.diags(w))
+    m_diag = reduce(scipy.sparse.kron, masses).diagonal()
+    interior = np.zeros(dom.shape, bool)
+    interior[(slice(1, -1),) * dom.ndim] = True
+    active = slice(None) if neumann else interior.ravel()
+    if spec.order_m == 2:
+        (n,), (h,) = dom.shape, dom.spacing
+        if not neumann:
+            main = np.full(n - 2, 6.0)
+            main[0] = main[-1] = 7.0
+            return scipy.sparse.diags(
+                [np.ones(n - 4), np.full(n - 3, -4.0), main, np.full(n - 3, -4.0),
+                 np.ones(n - 4)], [-2, -1, 0, 1, 2]).tocsr() / h**3, m_diag, active
+        D2 = scipy.sparse.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n - 2, n)) / h**2
+        return (h * (D2.T @ D2) + scipy.sparse.diags(m_diag)).tocsr(), m_diag, active
+    stiffness = []
+    for n, h in zip(dom.shape, dom.spacing):
+        main = np.full(n, 2.0 / h)
+        main[0] = main[-1] = 1.0 / h
+        off = np.full(n - 1, -1.0 / h)
+        stiffness.append(scipy.sparse.diags([off, main, off], [-1, 0, 1]))
+    A = sum(reduce(scipy.sparse.kron, masses[:d] + [K] + masses[d + 1:])
+            for d, K in enumerate(stiffness))
+    A = A + scipy.sparse.diags(m_diag) if neumann else A.tocsr()[active][:, active]
+    return A.tocsr(), m_diag, active
+
+
 def _order1_solve(u, bc):
     if bc is BoundaryKind.NEUMANN_LIKE:
         return solve_neumann_helmholtz(u)
@@ -148,11 +188,49 @@ def test_order1_solves_match_sparse_direct_solve(dom, dtype):
         spec = BvpSpec(1, bc, dom)
         z = _order1_solve(u, bc)
         assert z.values.dtype == np.result_type(dtype, np.float64)
-        A, m_diag, active = bvp._forms_for_spec(spec)
+        A, m_diag, active = _sparse_form(spec)
         ref = np.zeros(dom.grid_size, dtype=np.complex128)
         ref[active] = scipy.sparse.linalg.spsolve(
             A.tocsc(), (m_diag * vals)[active].astype(np.complex128))
         assert np.linalg.norm(z.values - ref) < 1e-10 * np.linalg.norm(ref)
+        assert variational_gap(z, u, spec) < 1e-12
+
+
+@st.composite
+def form_specs(draw):
+    """A BvpSpec: both orders and conditions on intervals, order 1 on rectangles."""
+    bc = draw(st.sampled_from(list(BoundaryKind)))
+    length = draw(st.sampled_from([1.0, 0.75, 2.0]))
+    if draw(st.booleans()):
+        nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+        return BvpSpec(1, bc, Domain.rectangle(length, 1.0, nx, ny))
+    m = draw(st.integers(1, 2))
+    least = 4 if (m, bc) == (2, BoundaryKind.DIRICHLET) else 2
+    return BvpSpec(m, bc, Domain.interval(0.0, length, draw(st.integers(least, 40))))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(spec=form_specs(), rows=st.integers(1, 3), complex_=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_bands_match_the_sparse_form(spec, rows, complex_, seed):
+    A, m_diag, active = _sparse_form(spec)
+    terms, mass, band_active = bvp._forms_for_spec(spec)
+    assert np.array_equal(mass, m_diag)
+    assert np.array_equal(np.arange(spec.domain.grid_size)[active],
+                          np.arange(spec.domain.grid_size)[band_active])
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, A.shape[0]))
+    if complex_:
+        x = x + 1j * rng.standard_normal(x.shape)
+    ref = (A @ x.T).T
+    assert np.max(np.abs(bvp._apply_form(terms, x) - ref), initial=0.0) <= \
+        1e-14 * np.max(np.abs(ref), initial=0.0)
+    diag = A.diagonal()
+    assert np.max(np.abs(bvp._form_diagonal(terms) - diag), initial=0.0) <= \
+        1e-14 * np.max(diag, initial=0.0)
+    if spec.order_m == 2:
+        u = GridFn(spec.domain, rng.standard_normal(spec.domain.grid_size))
+        z = solve_1d_order2m(u, 2, spec.bc)
         assert variational_gap(z, u, spec) < 1e-12
 
 

@@ -222,7 +222,8 @@ def invalid_factory_calls(draw):
     """A factory call with one argument out of range, and that argument's name."""
     dom = Domain.torus(1, draw(SIZES))
     factory = draw(st.sampled_from(["kernel", "multiplier", "bvp", "discrete", "svd",
-                                    "rectangle", "disk", "wavelet"]))
+                                    "rectangle", "disk", "wavelet", "kernel_spec",
+                                    "hat_basis", "mode_basis"]))
     # a count is invalid below its least value, or as a non-integer
     counts = lambda least: (st.integers(max_value=least - 1) | _NON_FINITE
                             | st.floats(least, 6.0).filter(lambda x: x != int(x)))
@@ -251,6 +252,18 @@ def invalid_factory_calls(draw):
             return lambda: spectral.rectangle_dirichlet_eigs(grid, **args), name
         grid = Domain.cells((2.0, 2.0), (9, 9), (-1.0, -1.0))
         return lambda: spectral.disk_dirichlet_eigs(grid, **args), name
+    if factory == "kernel_spec":
+        if draw(st.booleans()):
+            s = draw(_NON_FINITE | st.floats(max_value=0.0))
+            return lambda: kernel.KernelSpec(s), "order_s"
+        dim = draw(counts(1))
+        return lambda: kernel.KernelSpec(3.0, dim), "dim_N"
+    if factory == "hat_basis":
+        where, stride = Domain.interval(0.0, 1.0, draw(SIZES)), draw(counts(1))
+        return lambda: discrete.hat_basis(where, stride), "stride"
+    if factory == "mode_basis":
+        kmax = draw(counts(0))
+        return lambda: discrete.fourier_mode_basis(dom, kmax), "kmax"
     if factory == "wavelet":
         s = draw(_NON_FINITE | st.floats(max_value=-5e-324))
         return lambda: wavelet.adjoint_linop(Domain.torus(1, 64), s, wavelet.DB4, 2), "s"

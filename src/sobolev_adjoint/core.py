@@ -149,7 +149,7 @@ def _require_counts(least: int, **counts: int) -> None:
     # (e.g. 201x201 tomography grids); numpy's mixed-radix FFT handles them
     # and the Nyquist-mode convention only arises for even counts.
     for name, n in counts.items():
-        if not isinstance(n, numbers.Integral) or n < least:
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < least:
             raise ValueError(f"{name}={n} must be an integer >= {least}")
 
 

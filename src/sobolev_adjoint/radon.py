@@ -28,13 +28,15 @@ is the exact transpose of that map rescaled by the quadrature weights, so
 that the discrete adjoint identity holds to rounding; it runs on
 transposed views that share the matrix's arrays.
 
-Geometries whose entry bound (``RadonGeometry.entry_bound``) reaches
-``_THREAD_ENTRIES``, such as the full-scale one, use two threads when the
-process may run on two CPUs.  Each thread traces half of the offsets in
-both build passes, so the matrix is the same bytes, and runs two of the
-maps' products; the adjoint adds the maps' images in one fixed order, so
-both products are the same bytes on one thread or two.  Smaller geometries
-run on the calling thread alone.
+When the process may run on two CPUs, work large enough to pay for a
+second thread is split in two: the calling thread runs the first half and
+one pool thread the second.  The build splits once the geometry's entry
+bound (``RadonGeometry.entry_bound``) reaches ``_THREAD_ENTRIES``, as at
+full scale; each thread traces half of the offsets in both passes, so the
+matrix is the same bytes.  The products split once the stored matrix holds
+``_THREAD_NNZ`` entries, as at desk and full scale; each thread runs two of
+the maps' products, and the adjoint adds the maps' images in one fixed
+order, so both products are the same bytes on one thread or two.
 
 Per-angle mass consistency (sum of ray sums times the offset spacing equals
 the pixel mass) is exact when the rays align with the pixel lattice
@@ -170,12 +172,17 @@ def _clip_rays(phi: float, offsets: np.ndarray, edges: np.ndarray):
     return perp, origin, hit, lo, hi, crossings
 
 
-# Geometries with at least this many bounded entries split their build and
-# products over two threads.  Full scale (21.9M) gains on 2 vCPUs: forward
-# 11.3 -> 7.2 ms and adjoint 14.8 -> 9.0 ms, medians of 40 alternating
-# bursts.  At desk scale (0.79M) the same bursts gave 584 -> 567 us and
-# 716 -> 642 us, unresolved, so it stays on the calling thread.
+# Geometries with at least this many bounded entries split their build over
+# two threads.  On 2 vCPUs full scale (21.9M) builds in ~100 ms on two
+# threads against ~140 ms on one; desk scale (0.79M), whose many small
+# chunks hold the GIL, took 30 ms on two against 16 ms on one.
 _THREAD_ENTRIES = 4_000_000
+# Operators whose stored matrix holds at least this many entries split their
+# products over two threads, the caller running one map group.  On 2 vCPUs
+# (48, 75, 45) at 98,574 entries broke even, and desk scale at 128,468 went
+# 240 -> 193 us per forward and 285 -> 213 us per adjoint.  Splitting every
+# geometry made a (16, 24, 8) product pair 46 -> 150 us.
+_THREAD_NNZ = 100_000
 _MAX_THREADS = 2
 # The build traces rays in chunks holding at most this share of the matrix's
 # bounded entries: at most 15 rays at desk scale and 130 at full scale.  A
@@ -201,19 +208,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_executor)
 
 
+def _thread_count(size: int, least: int) -> int:
+    """Threads for work of ``size``: one below ``least``, else as many as the
+    process may run on, up to ``_MAX_THREADS``."""
+    if size < least:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # no affinity mask on macOS or Windows
+    return min(_MAX_THREADS, cpus)
+
+
 def _offset_blocks(geom: RadonGeometry) -> list[slice]:
-    """Offset ranges, one per thread the geometry runs on."""
-    count = 1
-    if geom.entry_bound >= _THREAD_ENTRIES:
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)  # no affinity mask on macOS or Windows
-        count = min(_MAX_THREADS, cpus)
+    """Offset ranges, one per thread the geometry's build runs on."""
+    count = _thread_count(geom.entry_bound, _THREAD_ENTRIES)
     cuts = [k * geom.n_offsets // count for k in range(count + 1)]
     return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def _map(fn, parts) -> list:
-    """``fn`` over ``parts``, on the module's threads when there are several.
+    """``fn`` over ``parts``: the first on the calling thread, the rest on the
+    module's pool of ``_MAX_THREADS - 1`` threads.
 
     Returns once every call has ended, raising the first part's error if any.
     ``fn`` must call numpy and scipy only: perfbench's tracing wraps package
@@ -224,10 +238,13 @@ def _map(fn, parts) -> list:
         return [fn(parts[0])]
     with _executor_lock:
         if _executor is None:
-            _executor = ThreadPoolExecutor(_MAX_THREADS, thread_name_prefix="radon")
-    futures = [_executor.submit(fn, part) for part in parts]
-    wait(futures)
-    return [future.result() for future in futures]
+            _executor = ThreadPoolExecutor(_MAX_THREADS - 1, thread_name_prefix="radon")
+    futures = [_executor.submit(fn, part) for part in parts[1:]]
+    try:
+        return [fn(parts[0])] + [future.result() for future in futures]
+    except BaseException:
+        wait(futures)  # the build's parts write into shared arrays
+        raise
 
 
 # The square's symmetries that map the angle grid onto itself, in the order
@@ -448,7 +465,7 @@ class RadonOperator:
                 block.data, block.indices, block.indptr))
         groups = [[self._maps[k] for k in grp if k in self._maps]
                   for grp in _THREAD_MAPS]
-        if len(_offset_blocks(geometry)) == 1:  # the same maps in the same order
+        if _thread_count(self.matrix.nnz, _THREAD_NNZ) == 1:  # the same maps in order
             groups = [groups[0] + groups[1]]
         self._groups = [group for group in groups if group]
         self._domain = geometry.image_domain

@@ -295,12 +295,13 @@ def test_cell_box_rejects_non_finite_origin(origin):
 @pytest.mark.parametrize("build, args, name", [
     (Domain.torus, (1, 64.0), "points_per_dim="),
     (Domain.torus, (1.0, 64), "n_dims="),
+    (Domain.torus, (True, 8), "n_dims="),  # bool is an Integral, but no count
     (Domain.interval, (0.0, 1.0, 4.5), "points="),
     (Domain.rectangle, (1.0, 1.0, 4.0, 4), "nx="),
     (Domain.rectangle, (1.0, 1.0, 4, np.float64(4)), "ny="),
     (Domain.real_line, (1.0, 8.0), "points="),
     (Domain.cells, ((1.0, 1.0), (4, 4.0), (0.0, 0.0)), r"shape\[1\]="),
-], ids=["torus-points", "torus-dims", "interval", "rectangle-nx", "rectangle-ny",
+], ids=["torus-points", "torus-dims", "torus-bool", "interval", "rectangle-nx", "rectangle-ny",
         "real_line", "cells"])
 def test_constructors_reject_non_integer_counts(build, args, name):
     with pytest.raises(ValueError, match=name):

@@ -289,3 +289,13 @@ def test_factories_reject_bad_arguments_by_name(call):
     build, name = call
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         build()
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: kernel.KernelSpec(1.0, True), "dim_N"),
+    (lambda: discrete.hat_basis(Domain.interval(0.0, 1.0, 16), True), "stride"),
+], ids=["kernel_spec", "hat_basis"])
+def test_factories_reject_a_bool_count(build, name):
+    # True is a numbers.Integral equal to 1, but no count
+    with pytest.raises(ValueError, match=rf"\b{name}=True\b"):
+        build()

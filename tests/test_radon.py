@@ -1,5 +1,6 @@
 import multiprocessing
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -50,6 +51,7 @@ def test_geometry_rejects_bad_s_max(s_max):
 @pytest.mark.parametrize("counts, name", [
     ((16.5, 24, 8), "n_pixels"), ((16, 24, 8.0), "n_angles"), ((16, "24", 8), "n_offsets"),
     ((1, 24, 8), "n_pixels"), ((16, 0, 8), "n_offsets"), ((16, 24, 0), "n_angles"),
+    ((True, 24, 8), "n_pixels"),
 ])
 def test_geometry_rejects_bad_counts(counts, name):
     # a float or string count used to construct and fail later in the build
@@ -296,6 +298,7 @@ def test_operator_shares_the_cached_matrix():
 def _two_threads(monkeypatch):
     """Send every geometry down the two-thread path, whatever the CPU count."""
     monkeypatch.setattr(radon, "_THREAD_ENTRIES", 0)
+    monkeypatch.setattr(radon, "_THREAD_NNZ", 0)
     monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {0, 1})
 
 
@@ -303,11 +306,17 @@ def test_thread_count_follows_the_entry_bound(monkeypatch):
     desk, full = RadonGeometry.desk_scale(), RadonGeometry.full_scale()
     assert (desk.entry_bound, full.entry_bound) == (786_000, 21_870_000)
     assert desk.entry_bound < radon._THREAD_ENTRIES <= full.entry_bound
+    small = RadonGeometry(16, 24, 8)
+    assert _system_matrix(small).nnz < radon._THREAD_NNZ <= _system_matrix(desk).nnz
     monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    # the desk build stays on one thread, while its products take two
     assert radon._offset_blocks(desk) == [slice(0, 100)]
     assert radon._offset_blocks(full) == [slice(0, 150), slice(150, 300)]
+    assert len(RadonOperator(desk)._groups) == 2
+    assert len(RadonOperator(small)._groups) == 1
     monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {3})
     assert radon._offset_blocks(full) == [slice(0, 300)]
+    assert len(RadonOperator(desk)._groups) == 1
     # platforms without an affinity mask count the machine's CPUs
     monkeypatch.delattr(radon.os, "sched_getaffinity")
     monkeypatch.setattr(radon.os, "cpu_count", lambda: 2)
@@ -326,6 +335,7 @@ def test_thread_count_follows_the_entry_bound(monkeypatch):
     RadonGeometry(8, 1, 6),  # the first thread has no offsets
 ], ids=lambda g: f"{g.n_pixels}-{g.n_offsets}-{g.n_angles}-{g.s_max:g}")
 def test_two_threads_match_one(geom, monkeypatch):
+    monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {0})
     one = RadonOperator(geom)
     mat = one.matrix
     _two_threads(monkeypatch)
@@ -405,6 +415,35 @@ def test_map_ends_every_part_before_raising(monkeypatch):
         with pytest.raises(RuntimeError, match="part 0"):
             radon._map(part, [0, 1])
         assert done == [1]
+    finally:
+        radon._executor.shutdown()
+
+
+def test_map_raises_the_pool_error_after_the_callers_part(monkeypatch):
+    monkeypatch.setattr(radon, "_executor", None)
+    done = []
+
+    def part(k):
+        if k == 1:
+            raise RuntimeError("part 1")
+        time.sleep(0.2)
+        done.append(k)
+
+    try:
+        with pytest.raises(RuntimeError, match="part 1"):
+            radon._map(part, [0, 1])
+        assert done == [0]
+    finally:
+        radon._executor.shutdown()
+
+
+def test_map_runs_the_first_part_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(radon, "_executor", None)
+    try:
+        got = radon._map(lambda k: (k, threading.get_ident()), [0, 1])
+        assert [k for k, _ in got] == [0, 1]
+        assert got[0][1] == threading.get_ident() != got[1][1]
+        assert radon._executor._max_workers == 1
     finally:
         radon._executor.shutdown()
 

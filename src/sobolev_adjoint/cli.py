@@ -195,6 +195,8 @@ def _run_crosscheck(cfg: RunConfig, out: Path) -> int:
         "pairs": {f"{a}|{b}": rel for a, b, rel in rows},
         "failures": failures,
     })
+    for failure in failures:
+        print(f"backends disagree: {failure}", file=sys.stderr)
     return 3 if failures else 0
 
 
@@ -345,7 +347,7 @@ def run(cfg: RunConfig) -> int:
     except StoppingRuleNotMet as exc:
         print(f"stopping rule not satisfied: {exc}", file=sys.stderr)
         return 4
-    except (RuntimeError, ValueError) as exc:
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

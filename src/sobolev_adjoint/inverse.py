@@ -1,9 +1,9 @@
 """Iterative and variational regularization built on the smoothing adjoint.
 
 A linear problem couples a forward map G on L2 with an optional embedding,
-any backend's ``adjoint_linop``: its ``apply`` is the smoother E^* and its
-``codomain_inner`` the inner product of the space E^* maps into.  Seeking
-the solution there replaces G* by smooth(G*(.)), and Landweber iterates
+any backend's ``adjoint_linop``, whose ``apply`` is the smoother E^*.
+Seeking the solution in the space E^* maps into replaces G* by
+smooth(G*(.)), and Landweber iterates
 
     u_{k+1} = u_k + step * smooth(G*(y - G u_k)),      u_0 = 0,
 
@@ -17,8 +17,8 @@ normal equation
 
     smooth(G* G u) + alpha u = smooth(G* y)
 
-is solved by conjugate gradients in the embedding's own inner product, in
-which the operator is symmetric positive definite.  Its minimizer lies in
+is solved by damped CGLS on L2 products with the smoother, since
+<E* g, E* h> = <g, smooth h> in the embedding's space.  Its minimizer lies in
 the range of the smoothing operator: u = (1/alpha) smooth(G* y - G* G u).
 """
 
@@ -47,7 +47,7 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Residual grew by 10x over its start; carries the iteration log."""
+    """Residual grew tenfold over its start or is not finite; carries the log."""
 
     def __init__(self, message: str, log: "IterationLog"):
         super().__init__(message)
@@ -171,7 +171,8 @@ def landweber(problem: InverseProblem, step: Optional[float] = None,
     The step defaults to 0.9 / ||A||^2 for the iterated operator
     A = smooth(G* G .), with the norm from ``estimate_operator_norm``; the
     log then records both.  For linear forward maps the residual decreases
-    monotonically for any step below 2 / ||A||^2.
+    monotonically for any step below 2 / ||A||^2.  A residual norm that is
+    not finite, or ten times the start's, raises ``DivergenceError``.
     """
     if step is not None and not 0.0 < step < np.inf:
         raise ValueError(f"step={step} must be positive and finite")
@@ -193,14 +194,16 @@ def landweber(problem: InverseProblem, step: Optional[float] = None,
     # not r = y: perfbench's traced stop index counts this forward, then one per step
     r = y - fw.apply(u)
     log.residuals.append(l2_norm(r))
+    if not np.isfinite(log.residuals[0]):
+        raise DivergenceError("landweber residual is not finite", log)
     if threshold is not None and log.residuals[0] <= threshold:
         return u, log
     for _ in range(max_iter):
         u = u + step * problem.smooth(fw.apply_adjoint(r))
         r = y - fw.apply(u)
         log.residuals.append(l2_norm(r))
-        if log.residuals[-1] > 10.0 * log.residuals[0]:
-            raise DivergenceError("landweber residual grew tenfold", log)
+        if not log.residuals[-1] <= 10.0 * log.residuals[0]:  # NaN fails too
+            raise DivergenceError("landweber residual grew tenfold or is not finite", log)
         if threshold is not None and log.residuals[-1] <= threshold:
             return u, log
     if threshold is not None:
@@ -222,40 +225,32 @@ def landweber_hilbert_scale(problem: InverseProblem, spec: SobolevSpec, a: float
 
 
 def tikhonov(problem: InverseProblem, alpha: float, tol: float = 1e-12) -> GridFn:
-    """Solve smooth(G* G u) + alpha u = smooth(G* y) by conjugate gradients.
+    """Solve smooth(G* G u) + alpha u = smooth(G* y) by damped CGLS.
 
-    The operator is symmetric positive definite in the embedding's codomain
-    inner product, in which CG runs; the returned minimizer satisfies the
-    stated equation to a relative residual below 1e-10.
+    u = smooth(z) is kept beside z and the data residual r = y - G u.  The
+    equation's residual is smooth(g), g = G* r - alpha z, of embedding norm^2
+    <g, smooth g>; the loop stops once that norm is ``tol`` times its start,
+    and raises when it is not finite or has not fallen within 10 n steps.
     """
     if not 0.0 < alpha < np.inf:
         raise ValueError(f"alpha={alpha} must be positive and finite")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol={tol} must be positive and finite")
-    fw = problem.forward
-
-    def op(v: GridFn) -> GridFn:
-        return problem.smooth(fw.apply_adjoint(fw.apply(v))) + alpha * v
-
-    b = problem.smooth(fw.apply_adjoint(problem.data))
-    ip = inner if problem.embedding is None else problem.embedding.codomain_inner
-    dot = lambda p, q: ip(p, q).real
-    n = b.values.size
-    x = b.with_values(np.zeros(n))
-    r = p = b
-    rr = dot(r, r)
-    b_norm = np.sqrt(rr)
-    if b_norm == 0.0:
-        return x
-    for _ in range(10 * n):
-        if np.sqrt(rr) <= tol * b_norm:
-            return x
-        Ap = op(p)
-        alpha_cg = rr / dot(p, Ap)
-        x = x + alpha_cg * p
-        r = r - alpha_cg * Ap
-        rr_new = dot(r, r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise RuntimeError("conjugate gradients did not converge for the "
-                       "regularized normal equation")
+    fw, r = problem.forward, problem.data
+    q = fw.apply_adjoint(r)
+    p = problem.smooth(q)
+    u = z = 0.0 * p
+    gamma = gamma0 = inner(q, p).real
+    for _ in range(10 * p.values.size):
+        if not np.isfinite(gamma):
+            raise RuntimeError(f"damped CGLS residual norm^2 {gamma} is not finite")
+        if gamma <= tol * tol * gamma0:  # sqrt(gamma) <= tol sqrt(gamma0)
+            return u
+        w = fw.apply(p)
+        step = gamma / (inner(w, w).real + alpha * inner(q, p).real)
+        u, z, r = u + step * p, z + step * q, r - step * w
+        g = fw.apply_adjoint(r) - alpha * z
+        s = problem.smooth(g)
+        gamma_prev, gamma = gamma, inner(g, s).real
+        q, p = g + (gamma / gamma_prev) * q, s + (gamma / gamma_prev) * p
+    raise RuntimeError("damped CGLS did not converge for the regularized normal equation")

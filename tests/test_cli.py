@@ -328,6 +328,30 @@ def test_main_exit_codes(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message, overflows", [
+    # every residual norm overflows to inf, and inf > 10 * inf is false:
+    # a numerical failure, not the stopping rule
+    ("experiment=RadonRecon\nn=16\nn_offsets=8\nn_angles=5\nnoise_rel=1e300\n"
+     "max_iter=50", "numerical failure: landweber residual is not finite", True),
+    # the kernel's tail asymptote overflows a Python float (OverflowError)
+    ("experiment=CrossCheck1D\nn=64\ns=2000", "numerical failure", True),
+    # a failed backend gate names its pair on stderr
+    ("experiment=CrossCheck1D\nn=64\ns=7.5", "multiplier vs kernel", False),
+], ids=["radon-overflow", "kernel-overflow", "crosscheck-gate"])
+def test_numerical_failures_exit_3_with_a_message(tmp_path, capsys, text, message,
+                                                   overflows):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if overflows:
+        with pytest.warns(RuntimeWarning):
+            code = main(argv)
+    else:
+        code = main(argv)
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
 def test_main_selftest():
     assert main(["selftest"]) == 0
 

@@ -83,7 +83,8 @@ class BvpSpec:
         max_order = _MAX_ORDER.get(self.domain.kind)
         if max_order is None:
             raise ValueError("BVP solves support interval and rectangle domains")
-        if not 1 <= self.order_m <= max_order:
+        _require_counts(1, order_m=self.order_m)
+        if self.order_m > max_order:
             raise ValueError(f"{self.domain.kind.value} solves support "
                              f"order_m from 1 to {max_order}")
         n = self.domain.shape[0]

@@ -1,8 +1,8 @@
 """Experiment runner: cross-validation of the smoothing backends and the
 tomography reproduction, driven by key=value config files.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 stopping rule
-never satisfied.
+Exit codes: 0 success, 2 config error (naming its key), 3 numerical failure,
+4 stopping rule never satisfied.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bvp, discrete, kernel, multiplier, radon, spectral, wavelet
-from .core import Domain, GridFn, check_adjoint, l2_norm
+from .core import (Domain, GridFn, _require_counts, _require_nonnegative_finite,
+                   check_adjoint, l2_norm)
 from .inverse import (
     DiscrepancyStop,
     InverseProblem,
@@ -80,18 +81,18 @@ def _validate(cfg: RunConfig) -> RunConfig:
                           "is accepted")
     if cfg.phantom not in PHANTOMS:
         raise ConfigError(f"unknown phantom {cfg.phantom!r}")
-    for key, kind in _FIELD_TYPES.items():
-        if kind == "float" and not np.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"{key}={getattr(cfg, key)} must be finite")
-    if cfg.tau <= 1.0:
-        raise ConfigError("tau must exceed 1")
-    if cfg.noise_rel < 0:
-        raise ConfigError("noise_rel must be >= 0")
-    if cfg.s < 0 or (cfg.s == 0 and cfg.experiment == "CrossCheck1D"):
-        raise ConfigError(f"s={cfg.s} must be >= 0 (> 0 for CrossCheck1D's kernel route)")
-    for key, least in (("n", 2), ("n_offsets", 1), ("n_angles", 1), ("seed", 0)):
-        if getattr(cfg, key) < least:
-            raise ConfigError(f"{key}={getattr(cfg, key)} must be >= {least}")
+    try:  # each message names its key: step=0 selects the automatic step
+        _require_nonnegative_finite(s=cfg.s, noise_rel=cfg.noise_rel, step=cfg.step)
+        DiscrepancyStop(cfg.tau)
+        _require_counts(2, n=cfg.n)
+        _require_counts(1, n_offsets=cfg.n_offsets, n_angles=cfg.n_angles,
+                        max_iter=cfg.max_iter)
+        _require_counts(0, seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if cfg.experiment == "CrossCheck1D" and cfg.s == 0:
+        raise ConfigError("s=0 leaves CrossCheck1D's kernel route nothing to "
+                          "smooth: use s > 0")
     if cfg.experiment == "CrossCheck1D" and cfg.n <= 2 * _CROSSCHECK_KMAX:
         raise ConfigError(f"CrossCheck1D needs n > {2 * _CROSSCHECK_KMAX}, got n={cfg.n}")
     if cfg.experiment == "RadonRecon":
@@ -107,10 +108,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
                               f"n_angles={cfg.n_angles} allow a Radon matrix of "
                               f"{bound:,} entries, above the cap of "
                               f"{_RADON_MAX_ENTRIES:,}")
-    if cfg.max_iter < 1:
-        raise ConfigError("max_iter must be >= 1")
-    if cfg.step < 0:
-        raise ConfigError("step must be >= 0 (0 selects the automatic step)")
     if not cfg.out_dir:
         raise ConfigError("out_dir is empty: name the output directory")
     return cfg

@@ -21,6 +21,10 @@ Conventions used throughout the package:
   beside its inner product (:func:`gram` beside :func:`inner`,
   ``multiplier.sobolev_gram`` beside ``sobolev_inner``) and is one matrix
   product, so it calls BLAS; the scalar products stay off BLAS.
+* Every count, size and order the package takes is checked here:
+  ``_require_counts`` wants an integer, not a bool, at or above its least
+  value; ``_require_positive_finite`` and ``_require_nonnegative_finite``
+  reject NaN and inf.  Each message names the argument and its value.
 """
 
 from __future__ import annotations
@@ -142,6 +146,12 @@ def _require_positive_finite(**sizes: float) -> None:
     for name, size in sizes.items():
         if not 0.0 < size < math.inf:
             raise ValueError(f"{name}={size} must be positive and finite")
+
+
+def _require_nonnegative_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name}={value} must be finite and >= 0")
 
 
 def _require_counts(least: int, **counts: int) -> None:
@@ -325,8 +335,7 @@ def _random_on(domain: Domain, rng: np.random.Generator) -> GridFn:
 
 def check_adjoint(op: LinOp, trials: int = 20, seed: int = 0) -> float:
     """Max relative defect of <u, A v> = <A* u, v> over random trial pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_counts(1, trials=trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridFn, LinOp, _require_counts, inner, l2_norm
+from .core import (GridFn, LinOp, _require_counts, _require_nonnegative_finite,
+                   _require_positive_finite, inner, l2_norm)
 from .multiplier import SobolevSpec, adjoint_linop
 
 __all__ = [
@@ -88,8 +89,7 @@ class InverseProblem:
     embedding: Optional[LinOp] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.noise_level < np.inf:
-            raise ValueError(f"noise level {self.noise_level} must be finite and >= 0")
+        _require_nonnegative_finite(noise_level=self.noise_level)
         if self.embedding is not None and self.embedding.domain != self.forward.domain:
             raise ValueError("the embedding must act on the forward map's domain")
 
@@ -114,8 +114,7 @@ def add_noise(y: GridFn, rel: float, seed: int):
 
     Returns the perturbed data and the absolute noise level rel * ||y||.
     """
-    if not 0.0 <= rel < np.inf:
-        raise ValueError(f"rel={rel} must be finite and >= 0")
+    _require_nonnegative_finite(rel=rel)
     if rel == 0.0:
         return y, 0.0
     y_norm = l2_norm(y)
@@ -174,8 +173,8 @@ def landweber(problem: InverseProblem, step: Optional[float] = None,
     monotonically for any step below 2 / ||A||^2.  A residual norm that is
     not finite, or ten times the start's, raises ``DivergenceError``.
     """
-    if step is not None and not 0.0 < step < np.inf:
-        raise ValueError(f"step={step} must be positive and finite")
+    if step is not None:
+        _require_positive_finite(step=step)
     _require_counts(0, max_iter=max_iter)
     threshold = None
     if stop is not None:
@@ -232,10 +231,7 @@ def tikhonov(problem: InverseProblem, alpha: float, tol: float = 1e-12) -> GridF
     <g, smooth g>; the loop stops once that norm is ``tol`` times its start,
     and raises when it is not finite or has not fallen within 10 n steps.
     """
-    if not 0.0 < alpha < np.inf:
-        raise ValueError(f"alpha={alpha} must be positive and finite")
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol={tol} must be positive and finite")
+    _require_positive_finite(alpha=alpha, tol=tol)
     fw, r = problem.forward, problem.data
     q = fw.apply_adjoint(r)
     p = problem.smooth(q)

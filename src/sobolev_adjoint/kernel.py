@@ -10,10 +10,14 @@ from the origin, exponentially decaying, and square-integrable iff
 ``s > N/2``.  Smoothing a function by order ``s`` convolves it with
 ``G_{2s}``, which reproduces the Fourier-multiplier route up to grid and
 truncation error.  Its Fourier eigenvalues, computed once per grid and order,
-go through ``multiplier.fourier_multiply`` and ``multiplier.weighted_inner``.
+go through ``multiplier.fourier_multiply`` and ``multiplier.weighted_inner``;
+at large orders (from s = 52 on 64 points, s = 43.5 on 1024) K_nu
+overflows, and eigenvalues that are not finite raise a ``ValueError`` naming
+the grid size and the order.
 
 The Gamma function and K_nu come from ``scipy.special``; the wrappers
-here only reject arguments outside the domain the kernel formulas use.
+here only reject arguments outside the domain the kernel formulas use, NaN
+included.
 """
 
 from __future__ import annotations
@@ -45,15 +49,14 @@ __all__ = [
 
 def gamma_fn(x: float) -> float:
     """Gamma function for real x > 0."""
-    if x <= 0:
-        raise ValueError("gamma_fn requires x > 0")
+    _require_positive_finite(x=x)
     import scipy.special  # deferred: the tomography path never needs it
     return float(scipy.special.gamma(x))
 
 
 def _bessel_k_vec(nu: float, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
-    if np.any(xs <= 0):
+    if not (xs > 0).all():  # NaN fails this too
         raise ValueError("bessel_k requires x > 0")
     import scipy.special  # deferred: the tomography path never needs it
     return scipy.special.kv(abs(float(nu)), xs)
@@ -91,10 +94,6 @@ class KernelSpec:
     def has_closed_form(self) -> bool:
         return self.dim_N == 1 and self.order_s in (2.0, 4.0)
 
-    @property
-    def in_l2(self) -> bool:
-        return self.order_s > self.dim_N / 2.0
-
 
 def _kernel_at_zero(spec: KernelSpec) -> float:
     s, n = spec.order_s, spec.dim_N
@@ -110,7 +109,9 @@ def _kernel_vec(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         if s == 2.0:
             return 0.5 * np.exp(-r)
         return 0.25 * np.exp(-r) * (r + 1.0)
-    pre = 1.0 / (2.0 ** ((n + s - 2.0) / 2.0) * np.pi ** (n / 2.0) * gamma_fn(s / 2.0))
+    # numpy powers overflow to inf at large s, where Python floats raise
+    pre = 1.0 / (np.float64(2.0) ** ((n + s - 2.0) / 2.0) * np.pi ** (n / 2.0)
+                 * gamma_fn(s / 2.0))
     return pre * _bessel_k_vec((n - s) / 2.0, r) * r ** ((s - n) / 2.0)
 
 
@@ -139,20 +140,15 @@ def _asymptote(spec: KernelSpec, regime: AsymptoticRegime, r: np.ndarray) -> np.
         return c * np.log(1.0 / r)
     if regime is AsymptoticRegime.SMALL_X_S_GT_N:
         return np.full_like(r, _kernel_at_zero(spec))
-    c = 1.0 / (2.0 ** ((n + s - 1.0) / 2.0) * np.pi ** ((n - 1.0) / 2.0)
+    # a numpy power, as in _kernel_vec: inf at large s, not an OverflowError
+    c = 1.0 / (np.float64(2.0) ** ((n + s - 1.0) / 2.0) * np.pi ** ((n - 1.0) / 2.0)
                * gamma_fn(s / 2.0))
     return c * r ** ((s - n - 1.0) / 2.0) * np.exp(-r)
 
 
-def _default_sample(regime: AsymptoticRegime) -> np.ndarray:
-    if regime is AsymptoticRegime.LARGE_X:
-        return np.geomspace(12.0, 20.0, 8)
-    return np.geomspace(3e-3, 1e-3, 8)
-
-
 def kernel_asymptotics_check(spec: KernelSpec, regime: AsymptoticRegime,
-                             xs: np.ndarray | None = None) -> float:
-    """Max ratio deviation |G_s(x)/asymptote(x) - 1| over a log-spaced sample."""
+                             xs: np.ndarray) -> float:
+    """Max ratio deviation |G_s(x)/asymptote(x) - 1| over the sample ``xs``."""
     s, n = spec.order_s, spec.dim_N
     consistent = {
         AsymptoticRegime.SMALL_X_S_LT_N: s < n,
@@ -162,7 +158,7 @@ def kernel_asymptotics_check(spec: KernelSpec, regime: AsymptoticRegime,
     }
     if not consistent[regime]:
         raise ValueError(f"regime {regime.name} inconsistent with s={s}, N={n}")
-    r = np.asarray(xs, dtype=np.float64) if xs is not None else _default_sample(regime)
+    r = np.asarray(xs, dtype=np.float64)
     ratio = _kernel_vec(spec, r) / _asymptote(spec, regime, r)
     return float(np.max(np.abs(ratio - 1.0)))
 
@@ -235,13 +231,14 @@ def _convolution_eigenvalues(dom: Domain, s: float) -> np.ndarray:
     """Eigenvalues ``h * Re DFT`` of the periodized G_{2s}; computed once, read-only."""
     if dom.kind not in (DomainKind.TORUS, DomainKind.REAL_LINE) or dom.ndim != 1:
         raise ValueError("convolution route supports 1D periodic domains only")
-    if not 0 < s < np.inf:
-        raise ValueError(f"convolution route requires a finite s > 0, got s={s} "
-                         "(s=0 is the identity)")
+    _require_positive_finite(s=s)
     order = 2.0 * s
     mode = EvalMode.CLOSED_FORM if order in (2.0, 4.0) else EvalMode.INTEGRAL_KNU
     g = periodized_kernel_samples(KernelSpec(order, dom.ndim, mode), dom)
     lam = dom.spacing[0] * np.fft.fft(g).real  # g is even: its DFT is real
+    if not np.isfinite(lam).all():
+        raise ValueError(f"the convolution eigenvalues at n={dom.shape[0]}, s={s} are "
+                         "not finite: the kernel overflows at this order")
     lam.flags.writeable = False
     return lam
 

@@ -27,6 +27,7 @@ from .core import (
     DomainKind,
     GridFn,
     LinOp,
+    _require_nonnegative_finite,
     _same_domain,
     fft_forward,
     fft_inverse,
@@ -71,8 +72,7 @@ class SobolevSpec:
     variant: NormVariant = NormVariant.TORUS_S
 
     def __post_init__(self):
-        if not 0 <= self.order_s < np.inf:
-            raise ValueError(f"order_s={self.order_s} must be finite and >= 0")
+        _require_nonnegative_finite(order_s=self.order_s)
         if self.variant is NormVariant.BESSEL_V2 and self.order_s < 1:
             raise ValueError("BESSEL_V2 norm equivalence requires s >= 1")
         if self.variant is NormVariant.SERIES_M and self.order_s != int(self.order_s):
@@ -187,8 +187,7 @@ def adjoint_linop(domain: Domain, spec: SobolevSpec, scale: float = 1.0) -> LinO
     """E^* from L2 onto the space weighted by ``w(k)**scale``; at ``scale != 1``
     adjoint only to about ``eps * sqrt(max w**scale)``, as the codomain inner
     product scales each transformed mode's rounding by ``w**scale``."""
-    if not 0 <= scale < np.inf:
-        raise ValueError(f"scale={scale} must be finite and >= 0")
+    _require_nonnegative_finite(scale=scale)
     weight = _weight_power(domain, spec, float(scale))  # validates the grid
     if scale == 1.0:
         return LinOp(lambda u: adjoint_embedding(u, spec), lambda u: u, inner,

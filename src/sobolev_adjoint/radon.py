@@ -61,7 +61,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Domain, GridFn, LinOp, _require_counts, inner, quad_weight
+from .core import (Domain, GridFn, LinOp, _require_counts, _require_positive_finite,
+                   inner, quad_weight)
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -86,8 +87,7 @@ class RadonGeometry:
     def __post_init__(self):
         _require_counts(2, n_pixels=self.n_pixels)
         _require_counts(1, n_offsets=self.n_offsets, n_angles=self.n_angles)
-        if not 0.0 < self.s_max < np.inf:
-            raise ValueError(f"s_max={self.s_max} must be positive and finite")
+        _require_positive_finite(s_max=self.s_max)
 
     @staticmethod
     def full_scale() -> "RadonGeometry":
@@ -417,6 +417,8 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
     matrix = scipy.sparse.csr_matrix((data, indices, indptr),
                                      shape=(n_rows, n * n))
     matrix.eliminate_zeros()
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False  # every RadonOperator of geom shares it
     return matrix
 
 

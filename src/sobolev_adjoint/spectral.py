@@ -50,17 +50,14 @@ def _bessel_j_vec(m: int, x: np.ndarray) -> np.ndarray:
 
 def bessel_j(m: int, x: float) -> float:
     """Bessel function of the first kind of integer order m."""
-    if m < 0:
-        raise ValueError("order must be >= 0")
+    _require_counts(0, m=m)
     return float(_bessel_j_vec(m, float(x)))
 
 
 def bessel_j_zero(m: int, n: int) -> float:
     """n-th positive zero of J_m."""
-    if m < 0:
-        raise ValueError("order must be >= 0")
-    if n < 1:
-        raise ValueError("zero index must be >= 1")
+    _require_counts(0, m=m)
+    _require_counts(1, n=n)
     import scipy.special  # deferred: the tomography path never needs it
     return float(scipy.special.jn_zeros(m, n)[n - 1])
 

@@ -20,12 +20,12 @@ the basis; Haar (regularity 0) is shipped as a pedagogical backend, the
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Domain, DomainKind, GridFn, LinOp, _same_domain, inner, quad_weight
+from .core import (Domain, DomainKind, GridFn, LinOp, _require_counts,
+                   _require_nonnegative_finite, _same_domain, inner, quad_weight)
 
 __all__ = [
     "WaveletBasis",
@@ -72,16 +72,10 @@ DB4 = WaveletBasis(
 )
 
 
-def _check_order(s: float) -> None:
-    if not 0 <= s < np.inf:  # NaN fails this too
-        raise ValueError(f"s={s} must be finite and >= 0")
-
-
 def _check_wavelet_domain(domain: Domain, levels: int) -> None:
     if domain.kind is not DomainKind.TORUS or domain.ndim != 1:
         raise ValueError("wavelet transform runs on 1D torus grids")
-    if not isinstance(levels, numbers.Integral) or levels < 1:
-        raise ValueError(f"levels={levels!r} must be an integer >= 1")
+    _require_counts(1, levels=levels)
     n = domain.shape[0]
     if n % (1 << levels) != 0:
         raise ValueError(f"grid length {n} not divisible by 2^{levels}")
@@ -136,7 +130,7 @@ def _detail_weights(levels: int, s: float) -> list[float]:
 def adjoint_embedding_wavelet(u: GridFn, s: float, basis: WaveletBasis,
                               levels: int) -> GridFn:
     """Diagonal smoothing in the wavelet basis: level-j details times 2^(-2js)."""
-    _check_order(s)
+    _require_nonnegative_finite(s=s)
     approx, details = fwt(u, basis, levels)
     return ifwt(u.domain, basis, approx,
                 [d / w for d, w in zip(details, _detail_weights(levels, s))])
@@ -145,7 +139,7 @@ def adjoint_embedding_wavelet(u: GridFn, s: float, basis: WaveletBasis,
 def wavelet_sobolev_inner(u: GridFn, v: GridFn, s: float, basis: WaveletBasis,
                           levels: int) -> complex:
     """Dyadically weighted inner product matching the smoothing operator."""
-    _check_order(s)
+    _require_nonnegative_finite(s=s)
     _same_domain(u, v)
     au, du = fwt(u, basis, levels)
     av, dv = fwt(v, basis, levels)
@@ -163,7 +157,7 @@ def wavelet_sobolev_norm(u: GridFn, s: float, basis: WaveletBasis,
 def adjoint_linop(domain: Domain, s: float, basis: WaveletBasis,
                   levels: int) -> LinOp:
     """E^* as wavelet-detail scaling, paired with :func:`wavelet_sobolev_inner`."""
-    _check_order(s)
+    _require_nonnegative_finite(s=s)
     _check_wavelet_domain(domain, levels)
     return LinOp(lambda u: adjoint_embedding_wavelet(u, s, basis, levels), lambda u: u,
                  inner, lambda u, v: wavelet_sobolev_inner(u, v, s, basis, levels),

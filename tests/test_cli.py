@@ -1,9 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sobolev_adjoint import cli, kernel
 from sobolev_adjoint.core import Domain, GridFn
@@ -333,11 +338,18 @@ def test_main_exit_codes(tmp_path, capsys):
     # a numerical failure, not the stopping rule
     ("experiment=RadonRecon\nn=16\nn_offsets=8\nn_angles=5\nnoise_rel=1e300\n"
      "max_iter=50", "numerical failure: landweber residual is not finite", True),
-    # the kernel's tail asymptote overflows a Python float (OverflowError)
-    ("experiment=CrossCheck1D\nn=64\ns=2000", "numerical failure", True),
+    # the kernel's K_nu overflows, so its convolution eigenvalues are not
+    # finite: from s=52 on 64 points; at s=2000 its tail asymptote
+    # overflows first (to inf, no longer as an OverflowError)
+    ("experiment=CrossCheck1D\nn=64\ns=2000",
+     "numerical failure: the convolution eigenvalues at n=64, s=2000.0 are not finite",
+     True),
+    ("experiment=CrossCheck1D\nn=64\ns=100",
+     "numerical failure: the convolution eigenvalues at n=64, s=100.0 are not finite",
+     True),
     # a failed backend gate names its pair on stderr
     ("experiment=CrossCheck1D\nn=64\ns=7.5", "multiplier vs kernel", False),
-], ids=["radon-overflow", "kernel-overflow", "crosscheck-gate"])
+], ids=["radon-overflow", "kernel-overflow", "kernel-nan", "crosscheck-gate"])
 def test_numerical_failures_exit_3_with_a_message(tmp_path, capsys, text, message,
                                                    overflows):
     cfg = tmp_path / "run.cfg"
@@ -350,6 +362,62 @@ def test_numerical_failures_exit_3_with_a_message(tmp_path, capsys, text, messag
         code = main(argv)
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+# reals at the ends of their ranges: the least subnormal, a tiny and a huge
+# normal, and a negative zero
+_EDGES = st.sampled_from([5e-324, 1e-300, 1e300, -0.0])
+_SMALL_SIZES = {"RadonRecon": st.integers(16, 20), "CrossCheck1D": st.integers(33, 64),
+                "AdjointSmoothing2D": st.integers(2, 9)}
+
+
+@st.composite
+def run_configs(draw):
+    """Key-value pairs of a config that parses, for each experiment at a small
+    size, with its reals drawn near the ends of their ranges."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    values = {
+        "experiment": experiment,
+        "s": draw(_EDGES | st.floats(0.0, 4.0) | st.floats(0.0, 1e300)),
+        "noise_rel": draw(_EDGES | st.floats(0.0, 1.0)),
+        "tau": draw(st.just(float(np.nextafter(1.0, 2.0)))
+                    | st.floats(1.0, 2.0, exclude_min=True)),
+        "step": draw(_EDGES | st.floats(0.0, 10.0)),
+        "max_iter": draw(st.integers(1, 200)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    if experiment in _SMALL_SIZES:
+        values["n"] = draw(_SMALL_SIZES[experiment])
+    if experiment == "RadonRecon":
+        values.update(n_offsets=draw(st.integers(1, 8)), n_angles=draw(st.integers(1, 5)),
+                      phantom=draw(st.sampled_from(PHANTOMS)))
+    return values
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(values=run_configs())
+@example(values={"experiment": "RadonRecon", "n": 16, "n_offsets": 8, "n_angles": 5,
+                 "noise_rel": 1e300, "max_iter": 50})
+@example(values={"experiment": "CrossCheck1D", "n": 64, "s": 2000.0})
+@example(values={"experiment": "CrossCheck1D", "n": 64, "s": 100.0})
+@example(values={"experiment": "CrossCheck1D", "n": 64, "s": 7.5})
+def test_every_run_ends_in_a_documented_exit(values):
+    # 0 success, 2 config error, 3 numerical failure, 4 stopping rule; never
+    # an exception.  The CLI does not turn warnings into errors, so overflow
+    # warnings are ignored here as they are in a run.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
+              contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        if code == 2:
+            assert not out.exists()
+        if code in (3, 4):
+            assert err.getvalue().strip()
 
 
 def test_main_selftest():

@@ -13,7 +13,7 @@ from sobolev_adjoint.core import (
     l2_norm,
     quad_weight,
 )
-from sobolev_adjoint import bvp
+from sobolev_adjoint import bvp, cli, inverse, kernel, radon, spectral, wavelet
 from sobolev_adjoint.multiplier import (
     NormVariant,
     SobolevSpec,
@@ -343,3 +343,61 @@ def test_check_adjoint_identity_and_multiplier():
 def test_check_adjoint_deterministic():
     op = adjoint_linop(Domain.torus(1, 16), SobolevSpec(0.5))
     assert check_adjoint(op, 7, seed=42) == check_adjoint(op, 7, seed=42)
+
+
+# Every count, size and order check goes through core's _require_* helpers.
+# A count rejects True (an Integral equal to 1) and any float, integer-valued
+# or not; a real rejects NaN and inf.  Each message names the argument.
+_COUNTS = (True, 1.5, 2.0, np.nan, np.inf)
+_REALS = (np.nan, np.inf)
+_DOM = Domain.torus(1, 16)
+_U = GridFn(_DOM, np.cos(np.arange(16.0)))
+_IV = Domain.interval(0.0, 1.0, 9)
+_PROBLEM = inverse.InverseProblem(identity_linop(_DOM), _U)
+_SITES = [  # (site, argument named in the message, bad values, call)
+    ("check_adjoint", "trials", _COUNTS, lambda v: check_adjoint(identity_linop(_DOM), v)),
+    ("InverseProblem", "noise_level", _REALS,
+     lambda v: inverse.InverseProblem(identity_linop(_DOM), _U, noise_level=v)),
+    ("add_noise", "rel", _REALS, lambda v: inverse.add_noise(_U, v, seed=0)),
+    ("landweber", "step", _REALS, lambda v: inverse.landweber(_PROBLEM, step=v)),
+    ("tikhonov", "alpha", _REALS, lambda v: inverse.tikhonov(_PROBLEM, v)),
+    ("tikhonov", "tol", _REALS, lambda v: inverse.tikhonov(_PROBLEM, 1.0, v)),
+    ("SobolevSpec", "order_s", _REALS, lambda v: SobolevSpec(v)),
+    ("multiplier.adjoint_linop", "scale", _REALS,
+     lambda v: adjoint_linop(_DOM, SobolevSpec(1.0), v)),
+    ("adjoint_embedding_wavelet", "s", _REALS,
+     lambda v: wavelet.adjoint_embedding_wavelet(_U, v, wavelet.HAAR, 1)),
+    ("wavelet_sobolev_inner", "s", _REALS,
+     lambda v: wavelet.wavelet_sobolev_inner(_U, _U, v, wavelet.HAAR, 1)),
+    ("wavelet.adjoint_linop", "s", _REALS,
+     lambda v: wavelet.adjoint_linop(_DOM, v, wavelet.HAAR, 1)),
+    ("wavelet.adjoint_linop", "levels", _COUNTS,
+     lambda v: wavelet.adjoint_linop(_DOM, 1.0, wavelet.HAAR, v)),
+    ("fwt", "levels", _COUNTS, lambda v: wavelet.fwt(_U, wavelet.HAAR, v)),
+    ("RadonGeometry", "s_max", _REALS, lambda v: radon.RadonGeometry(4, 4, 4, v)),
+    ("gamma_fn", "x", _REALS, kernel.gamma_fn),
+    ("bessel_k", "x", (np.nan,), lambda v: kernel.bessel_k(1.0, v)),
+    ("kernel.adjoint_linop", "s", _REALS, lambda v: kernel.adjoint_linop(_DOM, v)),
+    ("bessel_j", "m", _COUNTS, lambda v: spectral.bessel_j(v, 2.0)),
+    ("bessel_j_zero", "m", _COUNTS, lambda v: spectral.bessel_j_zero(v, 1)),
+    ("bessel_j_zero", "n", _COUNTS, lambda v: spectral.bessel_j_zero(0, v)),
+    ("BvpSpec", "order_m", _COUNTS,
+     lambda v: bvp.BvpSpec(v, bvp.BoundaryKind.NEUMANN_LIKE, _IV)),
+    ("solve_1d_order2m", "order_m", _COUNTS,
+     lambda v: bvp.solve_1d_order2m(GridFn(_IV, np.ones(9)), v,
+                                    bvp.BoundaryKind.NEUMANN_LIKE)),
+    *(("cli._validate", key, _REALS,
+       lambda v, key=key: cli._validate(cli.RunConfig("NormEquivalence", **{key: v})))
+      for key in ("s", "noise_rel", "step", "tau")),
+    *(("cli._validate", key, _COUNTS,
+       lambda v, key=key: cli._validate(cli.RunConfig("NormEquivalence", **{key: v})))
+      for key in ("n", "n_offsets", "n_angles", "max_iter", "seed")),
+]
+
+
+@pytest.mark.parametrize("name, value, call", [
+    pytest.param(name, value, call, id=f"{site}-{name}={value}")
+    for site, name, values, call in _SITES for value in values])
+def test_argument_checks_name_the_argument(name, value, call):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(value)

@@ -289,7 +289,7 @@ def test_solvers_reject_bad_inputs_at_entry():
     op = LinOp(lambda u: calls.append(1) or u, lambda u: u, inner, inner, dom, dom)
     y = rand_fn(32, 25)
     for level in (np.nan, np.inf, -1.0):
-        with pytest.raises(ValueError, match="noise level"):
+        with pytest.raises(ValueError, match="noise_level"):
             InverseProblem(op, y, noise_level=level)
     problem = InverseProblem(op, y)
     for step in (np.nan, np.inf, 0.0, -0.5):

@@ -277,6 +277,15 @@ def _desk_reference():
     return _reference_matrix(RadonGeometry.desk_scale())
 
 
+def test_cached_matrix_is_read_only():
+    # every RadonOperator of a geometry holds the one cached matrix: a write
+    # through one operator would change the products of every later one
+    op = RadonOperator(RadonGeometry(32, 48, 30))
+    for array in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] *= 2
+
+
 def test_operator_shares_the_cached_matrix():
     geom = RadonGeometry.desk_scale()
     mat = _system_matrix(geom)

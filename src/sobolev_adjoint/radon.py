@@ -25,18 +25,21 @@ its slot, and scipy's ``eliminate_zeros`` drops the unfilled slot ends in
 place, so the build holds the matrix only once.  Each map is one product
 of a row prefix of the stored matrix with the permuted image.  The adjoint
 is the exact transpose of that map rescaled by the quadrature weights, so
-that the discrete adjoint identity holds to rounding; it runs on
-transposed views that share the matrix's arrays.
+that the discrete adjoint identity holds to rounding.  Both call scipy's
+CSR and CSC matvec kernels on the prefix's arrays directly, as ``@`` would
+with the same arguments, so no transposed copy or per-call matrix object
+is made.
 
 When the process may run on two CPUs, work large enough to pay for a
 second thread is split in two: the calling thread runs the first half and
-one pool thread the second.  The build splits once the geometry's entry
-bound (``RadonGeometry.entry_bound``) reaches ``_THREAD_ENTRIES``, as at
-full scale; each thread traces half of the offsets in both passes, so the
-matrix is the same bytes.  The products split once the stored matrix holds
-``_THREAD_NNZ`` entries, as at desk and full scale; each thread runs two of
-the maps' products, and the adjoint adds the maps' images in one fixed
-order, so both products are the same bytes on one thread or two.
+the module's one worker thread the second.  The build splits once the
+geometry's entry bound (``RadonGeometry.entry_bound``) reaches
+``_THREAD_ENTRIES``, as at full scale; each thread traces half of the
+offsets in both passes, so the matrix is the same bytes.  The products
+split once the stored matrix holds ``_THREAD_NNZ`` entries, as at desk and
+full scale; each thread runs two of the maps' products, and the adjoint
+adds the maps' images in one fixed order, so both products are the same
+bytes on one thread or two.
 
 Per-angle mass consistency (sum of ray sums times the offset spacing equals
 the pixel mass) is exact when the rays align with the pixel lattice
@@ -53,8 +56,8 @@ Both serialize as CSV and binary 16-bit PGM (P5).
 from __future__ import annotations
 
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -178,11 +181,14 @@ def _clip_rays(phi: float, offsets: np.ndarray, edges: np.ndarray):
 # chunks hold the GIL, took 30 ms on two against 16 ms on one.
 _THREAD_ENTRIES = 4_000_000
 # Operators whose stored matrix holds at least this many entries split their
-# products over two threads, the caller running one map group.  On 2 vCPUs
-# (48, 75, 45) at 98,574 entries broke even, and desk scale at 128,468 went
-# 240 -> 193 us per forward and 285 -> 213 us per adjoint.  Splitting every
-# geometry made a (16, 24, 8) product pair 46 -> 150 us.
-_THREAD_NNZ = 100_000
+# products over two threads, the caller running one map group.  Per
+# forward+adjoint pair on 2 vCPUs (medians of 30 interleaved 20-call bursts),
+# one thread against two: (42, 64, 40), 37,870 entries, broke even at 153
+# against 158 us (two faster in 14/30); (44, 68, 40), 42,158 entries, went
+# 170 -> 157 us and desk scale, 128,468 entries, 503 -> 377 us.  Splitting
+# would take (32, 48, 30), 16,070 entries, 84 -> 136 us and (16, 24, 8),
+# 1,730 entries, 34 -> 93 us.
+_THREAD_NNZ = 40_000
 _MAX_THREADS = 2
 # The build traces rays in chunks holding at most this share of the matrix's
 # bounded entries: at most 15 rays at desk scale and 130 at full scale.  A
@@ -193,19 +199,19 @@ _MAX_THREADS = 2
 # chunks made the (16, 24, 8) build 15 ms instead of 2.
 _CHUNK_SHARE = 1 / 64
 _CHUNK_MIN_RAYS = 8
-_executor = None
-_executor_lock = threading.Lock()
+_jobs = None  # the worker thread's queue, made when work is first split
+_jobs_lock = threading.Lock()
 
 
-def _drop_executor() -> None:
-    # a forked child has none of the pool's threads: work sent to the
-    # inherited pool would wait forever
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
+def _drop_worker() -> None:
+    # a forked child has no worker thread: work queued for the inherited
+    # one would wait forever
+    global _jobs, _jobs_lock
+    _jobs, _jobs_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_executor)
+    os.register_at_fork(after_in_child=_drop_worker)
 
 
 def _thread_count(size: int, least: int) -> int:
@@ -225,26 +231,54 @@ def _offset_blocks(geom: RadonGeometry) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
+def _work(jobs: queue.SimpleQueue) -> None:
+    """The worker thread: run each job and release its lock once its slot
+    holds the result, or the error for the caller to raise."""
+    while True:
+        fn, part, slot, done = jobs.get()
+        try:
+            slot += (fn(part), None)
+        except BaseException as exc:  # handed over: the caller raises it
+            slot += (None, exc)
+        finally:
+            done.release()
+
+
 def _map(fn, parts) -> list:
-    """``fn`` over ``parts``: the first on the calling thread, the rest on the
-    module's pool of ``_MAX_THREADS - 1`` threads.
+    """``fn`` over ``parts``: the first on the calling thread, the rest in
+    turn on the module's one worker thread, a daemon started by the first
+    call with more than one part.
 
     Returns once every call has ended, raising the first part's error if any.
-    ``fn`` must call numpy and scipy only: perfbench's tracing wraps package
-    functions with a span stack that is not thread-safe.
+    Each call hands over its own result slot and held lock, so a caller whose
+    wait is interrupted (by a signal handler that raises) leaves nothing that
+    a later call reads: the worker ends that part, fills the abandoned slot
+    and goes on.  ``fn`` must call numpy and scipy only: perfbench's tracing
+    wraps package functions with a span stack that is not thread-safe.
     """
-    global _executor
+    global _jobs
     if len(parts) == 1:
         return [fn(parts[0])]
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(_MAX_THREADS - 1, thread_name_prefix="radon")
-    futures = [_executor.submit(fn, part) for part in parts[1:]]
+    with _jobs_lock:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_work, args=(_jobs,), name="radon",
+                             daemon=True).start()
+        jobs = _jobs
+    handed = [([], threading.Lock()) for _ in parts[1:]]
+    for part, (slot, done) in zip(parts[1:], handed):
+        done.acquire()
+        jobs.put((fn, part, slot, done))
     try:
-        return [fn(parts[0])] + [future.result() for future in futures]
-    except BaseException:
-        wait(futures)  # the build's parts write into shared arrays
-        raise
+        results = [fn(parts[0])]
+    finally:
+        for _, done in handed:  # the build's parts write into shared arrays
+            done.acquire()
+    for (result, error), _ in handed:
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
 
 
 # The square's symmetries that map the angle grid onto itself, in the order
@@ -422,22 +456,6 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
     return matrix
 
 
-def _shared(cls, shape, data, indices, indptr):
-    """A ``cls`` matrix over these arrays as they are.  scipy's constructor
-    would copy a view holding less than half of its buffer."""
-    mat = cls(shape, dtype=data.dtype)
-    mat.data, mat.indices, mat.indptr = data, indices, indptr
-    return mat
-
-
-def _row_prefix(matrix: scipy.sparse.csr_matrix, rows: int) -> scipy.sparse.csr_matrix:
-    """The first ``rows`` CSR rows of ``matrix``, on views of its arrays."""
-    import scipy.sparse  # deferred: only the matrix build needs it
-    end = matrix.indptr[rows]
-    return _shared(scipy.sparse.csr_matrix, (rows, matrix.shape[1]),
-                   matrix.data[:end], matrix.indices[:end], matrix.indptr[:rows + 1])
-
-
 class RadonOperator:
     """Forward projector and its matched (transpose) adjoint.
 
@@ -451,20 +469,21 @@ class RadonOperator:
     """
 
     def __init__(self, geometry: RadonGeometry):
-        import scipy.sparse  # deferred: only the matrix build needs it
         self.geometry = geometry
         self.matrix = _system_matrix(geometry)
         n_off = geometry.n_offsets
+        indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
         # per map: (permutation, inverse, the sinogram angle of each stored
-        # angle read, the prefix rows and a CSC view of their transpose), all
-        # on the matrix's arrays: a CSR copy of the transpose would be ~15%
-        # faster per adjoint but hold the matrix a second time
+        # angle read, the prefix's row count and its CSR arrays, views of the
+        # matrix's).  Read as CSC, the same arrays are the prefix's transpose:
+        # a CSR copy of it would be ~15% faster per adjoint but hold the
+        # matrix a second time
         self._maps = {}
         for k, cols in _orbits(geometry.n_angles)[1]:
-            block = _row_prefix(self.matrix, cols.size * n_off)
-            self._maps[k] = (*_MAPS[k][:2], cols, block, _shared(
-                scipy.sparse.csc_matrix, block.shape[::-1],
-                block.data, block.indices, block.indptr))
+            rows = cols.size * n_off
+            end = indptr[rows]
+            self._maps[k] = (*_MAPS[k][:2], cols, rows,
+                             (indptr[:rows + 1], indices[:end], data[:end]))
         groups = [[self._maps[k] for k in grp if k in self._maps]
                   for grp in _THREAD_MAPS]
         if _thread_count(self.matrix.nnz, _THREAD_NNZ) == 1:  # the same maps in order
@@ -475,30 +494,39 @@ class RadonOperator:
         self._adjoint_scale = quad_weight(self._data_domain) / quad_weight(self._domain)
 
     def forward(self, u: GridFn) -> GridFn:
+        from scipy.sparse._sparsetools import csr_matvec  # loaded by the build
         if u.domain != self._domain:
             raise ValueError("image grid does not match the radon geometry")
         n, n_off = self.geometry.n_pixels, self.geometry.n_offsets
         image = u.values.reshape(n, n)
-        sino = np.empty((n_off, self.geometry.n_angles),
-                        dtype=np.result_type(u.values, self.matrix.data))
+        dtype = np.result_type(u.values, self.matrix.data)
+        sino = np.empty((n_off, self.geometry.n_angles), dtype=dtype)
         angles = sino.T
 
         def project(group) -> None:
-            for permute, _, cols, block, _ in group:
-                angles[cols] = (block @ permute(image).ravel()).reshape(-1, n_off)
+            for permute, _, cols, rows, prefix in group:
+                out = np.zeros(rows, dtype=dtype)
+                csr_matvec(rows, n * n, *prefix, permute(image).ravel(), out)
+                angles[cols] = out.reshape(-1, n_off)
 
         _map(project, self._groups)
         return GridFn(self._data_domain, sino)
 
     def adjoint(self, g: GridFn) -> GridFn:
+        from scipy.sparse._sparsetools import csc_matvec  # loaded by the build
         if g.domain != self._data_domain:
             raise ValueError("sinogram grid does not match the radon geometry")
         n, n_off = self.geometry.n_pixels, self.geometry.n_offsets
         angles = g.values.reshape(n_off, self.geometry.n_angles).T
+        dtype = np.result_type(g.values, self.matrix.data)
 
         def backproject(group) -> list:
-            return [unpermute((transpose @ angles[cols].ravel()).reshape(n, n))
-                    for _, unpermute, cols, _, transpose in group]
+            images = []
+            for _, unpermute, cols, rows, prefix in group:
+                out = np.zeros(n * n, dtype=dtype)
+                csc_matvec(n * n, rows, *prefix, angles[cols].ravel(), out)
+                images.append(unpermute(out.reshape(n, n)))
+            return images
 
         # each image is a view of a fresh product: add them in one order,
         # whatever the thread count

@@ -135,10 +135,12 @@ def test_benchmark_hooks_exist():
     assert hooks and missing == []
 
 
-def _loaded_scipy(code: str, cwd: Path) -> set[str]:
-    """The ``scipy`` and ``scipy.*`` modules loaded after ``code`` runs in a
-    fresh interpreter, read from the last line it prints."""
-    code += "\nimport sys; print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+def _loaded(code: str, cwd: Path, packages=("scipy",)) -> set[str]:
+    """The modules of ``packages`` (``scipy`` and ``scipy.*`` by default)
+    loaded after ``code`` runs in a fresh interpreter, read from the last
+    line it prints."""
+    code += ("\nimport sys; print(*[m for m in sys.modules"
+             f" if m.split('.')[0] in {packages!r}])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=cwd,
                          check=True)
@@ -147,7 +149,13 @@ def _loaded_scipy(code: str, cwd: Path) -> set[str]:
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
     # every scipy module is imported where a run first calls it, never at import
-    assert _loaded_scipy("import sobolev_adjoint, sobolev_adjoint.cli", tmp_path) == set()
+    assert _loaded("import sobolev_adjoint, sobolev_adjoint.cli", tmp_path) == set()
+
+
+def test_cli_import_loads_no_thread_pool_or_logging(tmp_path):
+    # the Radon products hand work to one plain thread: concurrent.futures,
+    # and the logging it imports, would only add start-up time
+    assert _loaded("import sobolev_adjoint.cli", tmp_path, ("concurrent", "logging")) == set()
 
 
 _SUBPACKAGES = {"scipy.sparse", "scipy.special", "scipy.linalg", "scipy.fft"}
@@ -169,6 +177,6 @@ def test_experiments_load_only_the_scipy_they_use(experiment, config, used, tmp_
     if config is not None:
         (tmp_path / "run.cfg").write_text(f"experiment={experiment}\n{config}seed=0\n")
         args = ["run", "--config", "run.cfg", "--out", "out"]
-    loaded = _loaded_scipy(f"import sobolev_adjoint.cli as cli\n"
-                           f"assert cli.main({args!r}) == 0", tmp_path)
+    loaded = _loaded(f"import sobolev_adjoint.cli as cli\n"
+                     f"assert cli.main({args!r}) == 0", tmp_path)
     assert loaded & _SUBPACKAGES == used

@@ -1,10 +1,13 @@
 import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,10 +295,10 @@ def test_operator_shares_the_cached_matrix():
     op, peak = _traced_peak(RadonOperator, geom)
     assert op.matrix is mat
     assert peak < 0.1 * _matrix_bytes(mat)  # no transposed copy
-    for _, _, _, block, transpose in op._maps.values():
-        for part in (block, transpose):  # views, not copies
-            assert np.shares_memory(part.data, mat.data)
-            assert np.shares_memory(part.indices, mat.indices)
+    for *_, rows, prefix in op._maps.values():  # views, not copies
+        for part, whole in zip(prefix, (mat.indptr, mat.indices, mat.data)):
+            assert np.shares_memory(part, whole)
+        assert prefix[0].size == rows + 1
     # the derived angles' rows permute the stored ones: the adjoint matches the
     # transpose of the matrix traced ray by ray to rounding, not bitwise
     r = GridFn(geom.data_domain, np.random.default_rng(4).standard_normal((100, 60)))
@@ -363,55 +366,140 @@ def test_two_threads_match_one(geom, monkeypatch):
     assert check_adjoint(two.as_linop(), seed=1) < 1e-10
 
 
+def _matmul_products(op, u, r):
+    """The forward and adjoint of ``op`` through scipy's ``@`` on a CSR copy
+    of each map's row prefix and its CSC transpose."""
+    geom = op.geometry
+    n, n_off = geom.n_pixels, geom.n_offsets
+    image = u.values.reshape(n, n)
+    gathered = r.values.reshape(n_off, geom.n_angles).T
+    sino = np.empty(geom.data_domain.shape, dtype=np.result_type(u.values, op.matrix.data))
+    images = {}
+    for k, cols in radon._orbits(geom.n_angles)[1]:
+        permute, unpermute = radon._MAPS[k][:2]
+        block = op.matrix[:cols.size * n_off]
+        sino.T[cols] = (block @ permute(image).ravel()).reshape(-1, n_off)
+        images[k] = unpermute((block.T @ gathered[cols].ravel()).reshape(n, n))
+    # the operator adds the maps' images in the order of its thread groups
+    total, *rest = [images[k] for group in radon._THREAD_MAPS for k in group if k in images]
+    for image in rest:
+        total += image
+    return sino, total * op._adjoint_scale
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("geom", [RadonGeometry(16, 24, 8), RadonGeometry.desk_scale()],
+                         ids=lambda g: f"{g.n_pixels}-{g.n_offsets}-{g.n_angles}")
+def test_products_match_scipy_matmul(geom, dtype, threads, monkeypatch):
+    # the products call scipy's private CSR/CSC matvec kernels: if a SciPy
+    # release changes them, this fails rather than letting outputs move
+    if threads == 2:
+        _two_threads(monkeypatch)
+    else:
+        monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {0})
+    op = RadonOperator(geom)
+    assert len(op._groups) == threads
+    rng = np.random.default_rng(7)
+
+    def draw(shape):
+        values = rng.standard_normal(shape)
+        return values + 1j * rng.standard_normal(shape) if dtype is np.complex128 else values
+
+    u = GridFn(geom.image_domain, draw(geom.n_pixels**2))
+    r = GridFn(geom.data_domain, draw(geom.data_domain.shape))
+    sino, image = _matmul_products(op, u, r)
+    got_sino, got_image = op.forward(u).values, op.adjoint(r).values
+    assert got_sino.dtype == got_image.dtype == dtype
+    assert got_sino.tobytes() == sino.tobytes()
+    assert got_image.tobytes() == image.ravel().tobytes()
+
+
 def test_two_thread_build_peak_memory(monkeypatch):
     _two_threads(monkeypatch)
     mat, peak = _traced_peak(_system_matrix.__wrapped__, RadonGeometry.desk_scale())
     assert peak <= 1.3 * _matrix_bytes(mat)
 
 
-def test_two_thread_products_from_many_callers(monkeypatch):
-    # eight callers share the module's one lazily created two-thread pool
-    geom = RadonGeometry(16, 24, 8)
-    one = RadonOperator(geom)
-    _two_threads(monkeypatch)
-    created = []
-
-    class CountedPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            created.append(self)
-
-    monkeypatch.setattr(radon, "_executor", None)
-    monkeypatch.setattr(radon, "ThreadPoolExecutor", CountedPool)
-    op = RadonOperator(geom)
-    rng = np.random.default_rng(5)
-    us = [GridFn(geom.image_domain, rng.standard_normal(256)) for _ in range(8)]
-    rs = [GridFn(geom.data_domain, rng.standard_normal((24, 8))) for _ in range(8)]
-    want = [(one.forward(u).values, one.adjoint(r).values) for u, r in zip(us, rs)]
-
-    def call(k):
-        got = [(op.forward(us[k]).values, op.adjoint(rs[k]).values) for _ in range(20)]
-        return all(f.tobytes() == want[k][0].tobytes()
-                   and a.tobytes() == want[k][1].tobytes() for f, a in got)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(8) as callers:
-            results = [f.result(timeout=60) for f in
-                       [callers.submit(call, k) for k in range(8)]]
-    finally:
-        sys.setswitchinterval(interval)
-        for pool in created:
-            pool.shutdown()
-    assert results == [True] * 8
-    assert len(created) == 1
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout's package and
+    return what it prints; it must exit 0 within a minute."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
-def test_map_ends_every_part_before_raising(monkeypatch):
+def test_two_thread_products_from_many_callers():
+    # eight callers in a fresh process share the module's one lazily started
+    # worker thread, and each gets the bytes of the one-thread products
+    code = """
+import sys, threading
+import numpy as np
+from sobolev_adjoint import radon
+from sobolev_adjoint.core import GridFn
+
+geom = radon.RadonGeometry(16, 24, 8)
+radon.os.sched_getaffinity = lambda pid: {0}
+one = radon.RadonOperator(geom)
+radon._THREAD_NNZ = 0
+radon.os.sched_getaffinity = lambda pid: {0, 1}
+op = radon.RadonOperator(geom)
+assert len(one._groups) == 1 and len(op._groups) == 2 and radon._jobs is None
+rng = np.random.default_rng(5)
+us = [GridFn(geom.image_domain, rng.standard_normal(256)) for _ in range(8)]
+rs = [GridFn(geom.data_domain, rng.standard_normal((24, 8))) for _ in range(8)]
+want = [(one.forward(u).values.tobytes(), one.adjoint(r).values.tobytes())
+        for u, r in zip(us, rs)]
+same = [False] * 8
+
+def call(k):
+    same[k] = all((op.forward(us[k]).values.tobytes(),
+                   op.adjoint(rs[k]).values.tobytes()) == want[k] for _ in range(20))
+
+sys.setswitchinterval(1e-6)
+callers = [threading.Thread(target=call, args=(k,)) for k in range(8)]
+for caller in callers:
+    caller.start()
+for caller in callers:
+    caller.join()
+print(same.count(True), sum(t.name == "radon" for t in threading.enumerate()))
+"""
+    assert _run_python(code).split() == ["8", "1"]  # callers served, radon threads
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_map_survives_an_interrupted_wait():
+    # a signal handler that raises ends the caller's wait while the worker
+    # still runs its part; the calls after it must each get their own results
+    code = """
+import signal, time
+from sobolev_adjoint import radon
+
+def part(k):
+    if k == "slow":
+        time.sleep(0.5)
+    return k
+
+def alarm(signum, frame):
+    raise TimeoutError("alarm")
+
+signal.signal(signal.SIGALRM, alarm)
+signal.setitimer(signal.ITIMER_REAL, 0.1)
+try:
+    radon._map(part, ["first", "slow"])
+except TimeoutError:
+    print("interrupted")
+print(radon._map(part, ["a0", "a1"]), radon._map(part, ["b0", "b1"]))
+"""
+    assert _run_python(code).split("\n")[:2] == ["interrupted", "['a0', 'a1'] ['b0', 'b1']"]
+
+
+def test_map_ends_every_part_before_raising():
     # the build's fill threads write into shared arrays: none may still run
     # once the caller has seen an error
-    monkeypatch.setattr(radon, "_executor", None)
     done = []
 
     def part(k):
@@ -420,16 +508,12 @@ def test_map_ends_every_part_before_raising(monkeypatch):
         time.sleep(0.2)
         done.append(k)
 
-    try:
-        with pytest.raises(RuntimeError, match="part 0"):
-            radon._map(part, [0, 1])
-        assert done == [1]
-    finally:
-        radon._executor.shutdown()
+    with pytest.raises(RuntimeError, match="part 0"):
+        radon._map(part, [0, 1])
+    assert done == [1]
 
 
-def test_map_raises_the_pool_error_after_the_callers_part(monkeypatch):
-    monkeypatch.setattr(radon, "_executor", None)
+def test_map_raises_the_workers_error_after_the_callers_part():
     done = []
 
     def part(k):
@@ -438,23 +522,18 @@ def test_map_raises_the_pool_error_after_the_callers_part(monkeypatch):
         time.sleep(0.2)
         done.append(k)
 
-    try:
-        with pytest.raises(RuntimeError, match="part 1"):
-            radon._map(part, [0, 1])
-        assert done == [0]
-    finally:
-        radon._executor.shutdown()
+    with pytest.raises(RuntimeError, match="part 1"):
+        radon._map(part, [0, 1])
+    assert done == [0]
 
 
-def test_map_runs_the_first_part_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(radon, "_executor", None)
-    try:
-        got = radon._map(lambda k: (k, threading.get_ident()), [0, 1])
-        assert [k for k, _ in got] == [0, 1]
-        assert got[0][1] == threading.get_ident() != got[1][1]
-        assert radon._executor._max_workers == 1
-    finally:
-        radon._executor.shutdown()
+def test_map_runs_the_first_part_on_the_calling_thread():
+    got = radon._map(lambda k: (k, threading.current_thread()), [0, 1, 2])
+    assert [k for k, _ in got] == [0, 1, 2]
+    caller, worker, again = (thread for _, thread in got)
+    assert caller is threading.current_thread()
+    # every other part runs in turn on the module's one daemon worker
+    assert worker is again and worker.name == "radon" and worker.daemon
 
 
 def _forward_sum(op, u, queue):
@@ -470,7 +549,7 @@ def test_forked_child_does_not_reuse_the_parent_pool(monkeypatch):
     _two_threads(monkeypatch)
     op = RadonOperator(geom)
     u = GridFn(geom.image_domain, np.random.default_rng(6).standard_normal(256))
-    want = float(op.forward(u).values.sum())  # the pool now has its threads
+    want = float(op.forward(u).values.sum())  # the worker thread now runs
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_forward_sum, args=(op, u, queue))

@@ -349,8 +349,7 @@ def check_adjoint(op: LinOp, trials: int = 20, seed: int = 0) -> float:
     return worst
 
 
-def identity_linop(domain: Domain,
-                   ip: Callable[[GridFn, GridFn], complex] = inner) -> LinOp:
+def identity_linop(domain: Domain) -> LinOp:
     return LinOp(apply=lambda u: u, apply_adjoint=lambda u: u,
-                 domain_inner=ip, codomain_inner=ip,
+                 domain_inner=inner, codomain_inner=inner,
                  domain=domain, codomain=domain)

@@ -19,27 +19,27 @@ degrees is traced rather than turned from 0 degrees: those rays run along
 pixel edges, where the traversal picks a side by rounding.  The derived
 angles match their traced rows to rounding (~1e-14), not bitwise.
 
-A first pass bounds each stored ray's entry count by its edge crossings;
-each chunk of rays then becomes a small CSR block copied to the front of
-its slot, and scipy's ``eliminate_zeros`` drops the unfilled slot ends in
-place, so the build holds the matrix only once.  Each map is one product
-of a row prefix of the stored matrix with the permuted image.  The adjoint
-is the exact transpose of that map rescaled by the quadrature weights, so
-that the discrete adjoint identity holds to rounding.  Both call scipy's
-CSR and CSC matvec kernels on the prefix's arrays directly, as ``@`` would
-with the same arguments, so no transposed copy or per-call matrix object
-is made.
+Each stored ray's entry count is bounded from its chord length, so each
+ray is traced once: a chunk of rays becomes a small CSR block copied to
+the front of its slot, and scipy's ``eliminate_zeros`` drops the unfilled
+slot ends in place, so the build holds the matrix only once.  Each map is
+one product of a row prefix of the stored matrix with the permuted image.
+The adjoint is the exact transpose of that map rescaled by the quadrature
+weights, so that the discrete adjoint identity holds to rounding.  Both
+call scipy's CSR and CSC matvec kernels on the prefix's arrays directly,
+as ``@`` would with the same arguments, so no transposed copy or per-call
+matrix object is made.
 
 When the process may run on two CPUs, work large enough to pay for a
 second thread is split in two: the calling thread runs the first half and
 the module's one worker thread the second.  The build splits once the
 geometry's entry bound (``RadonGeometry.entry_bound``) reaches
 ``_THREAD_ENTRIES``, as at full scale; each thread traces half of the
-offsets in both passes, so the matrix is the same bytes.  The products
-split once the stored matrix holds ``_THREAD_NNZ`` entries, as at desk and
-full scale; each thread runs two of the maps' products, and the adjoint
-adds the maps' images in one fixed order, so both products are the same
-bytes on one thread or two.
+offsets, so the matrix is the same bytes.  The products split once they
+read ``_THREAD_NNZ`` entries, summed over the maps' row prefixes, as at
+desk and full scale; each thread runs up to two of the maps' products, and
+the adjoint adds the maps' images in one fixed order, so both products are
+the same bytes on one thread or two.
 
 Per-angle mass consistency (sum of ray sums times the offset spacing equals
 the pixel mass) is exact when the rays align with the pixel lattice
@@ -144,20 +144,19 @@ class RadonGeometry:
         return np.meshgrid(c, c, indexing="ij")
 
 
-def _clip_rays(phi: float, offsets: np.ndarray, edges: np.ndarray):
-    """Clip one angle's rays to the square and find their edge crossings.
+def _chords(phi: float, offsets: np.ndarray):
+    """Clip one angle's rays to the square.
 
     Returns the ray direction and origins, the mask of rays that hit the
-    square, their entry and exit parameters ``lo``/``hi`` (columns), and for
-    each axis the rays cross, the crossing parameters with its pixel edges
-    and the mask of those strictly inside ``(lo, hi)``.
+    square, their entry and exit parameters ``lo``/``hi`` (columns), and
+    the axes the rays cross as (direction, origins) pairs.
     """
     perp = (-np.sin(phi), np.cos(phi))
     origin = (offsets * np.cos(phi), offsets * np.sin(phi))
     tmin = np.full(offsets.shape, -np.inf)
     tmax = np.full(offsets.shape, np.inf)
     hit = np.ones(offsets.shape, dtype=bool)
-    crossing_axes = []
+    axes = []
     for d, o in zip(perp, origin):
         if abs(d) < 1e-15:  # the rays run parallel to these edges
             hit &= np.abs(o) < 1.0
@@ -165,14 +164,9 @@ def _clip_rays(phi: float, offsets: np.ndarray, edges: np.ndarray):
         ta, tb = (-1.0 - o) / d, (1.0 - o) / d
         tmin = np.maximum(tmin, np.minimum(ta, tb))
         tmax = np.minimum(tmax, np.maximum(ta, tb))
-        crossing_axes.append((d, o))
+        axes.append((d, o))
     hit &= tmin < tmax
-    lo, hi = tmin[hit, None], tmax[hit, None]
-    crossings = []
-    for d, o in crossing_axes:
-        tcross = (edges - o[hit, None]) / d
-        crossings.append((tcross, (tcross > lo + 1e-13) & (tcross < hi - 1e-13)))
-    return perp, origin, hit, lo, hi, crossings
+    return perp, origin, hit, tmin[hit, None], tmax[hit, None], axes
 
 
 # Geometries with at least this many bounded entries split their build over
@@ -180,21 +174,21 @@ def _clip_rays(phi: float, offsets: np.ndarray, edges: np.ndarray):
 # threads against ~140 ms on one; desk scale (0.79M), whose many small
 # chunks hold the GIL, took 30 ms on two against 16 ms on one.
 _THREAD_ENTRIES = 4_000_000
-# Operators whose stored matrix holds at least this many entries split their
-# products over two threads, the caller running one map group.  Per
-# forward+adjoint pair on 2 vCPUs (medians of 30 interleaved 20-call bursts),
-# one thread against two: (42, 64, 40), 37,870 entries, broke even at 153
-# against 158 us (two faster in 14/30); (44, 68, 40), 42,158 entries, went
-# 170 -> 157 us and desk scale, 128,468 entries, 503 -> 377 us.  Splitting
-# would take (32, 48, 30), 16,070 entries, 84 -> 136 us and (16, 24, 8),
-# 1,730 entries, 34 -> 93 us.
-_THREAD_NNZ = 40_000
+# Operators whose products read at least this many entries (the maps' row
+# prefixes summed: two maps on an odd angle count, four on an even one)
+# split them over two threads, the caller running one map group.  Per
+# forward+adjoint pair on 2 shared vCPUs (medians of 30 interleaved 20-call
+# bursts, four runs), two threads were faster in 0-1 of 30 bursts at
+# (40, 60, 36), 103,200 entries read; 1-19 at (42, 64, 40), 128,408; 14-23
+# at (42, 64, 41), 131,776; and 25-30 at desk scale, 458,920 (1009-1204 ->
+# 775-954 us).  They were faster in 0-2 at (32, 48, 30), 55,064 entries.
+_THREAD_NNZ = 130_000
 _MAX_THREADS = 2
 # The build traces rays in chunks holding at most this share of the matrix's
-# bounded entries: at most 15 rays at desk scale and 130 at full scale.  A
+# bounded entries: at most 15 rays at desk scale and 131 at full scale.  A
 # chunk's transients, ~56 bytes per bounded entry against the matrix's 12,
 # are most of what the build holds beside the matrix: its peak at desk scale
-# is 1.12x the matrix on one thread and 1.18x on two.  Below the minimum, a
+# is 1.15x the matrix on one thread and 1.19x on two.  Below the minimum, a
 # chunk's fixed cost (~0.2 ms) outweighs the little memory it saves: one-ray
 # chunks made the (16, 24, 8) build 15 ms instead of 2.
 _CHUNK_SHARE = 1 / 64
@@ -338,24 +332,21 @@ def _orbits(n_angles: int):
     return tuple(orbit[0] for orbit in orbits), tuple(uses)
 
 
-def _row_bounds(geom: RadonGeometry, edges: np.ndarray) -> np.ndarray:
+def _row_bounds(geom: RadonGeometry) -> np.ndarray:
     """Upper bound on each stored ray's entry count, (stored angles, n_offsets).
 
     A ray's chord is cut into at most one more segment than it has edge
     crossings strictly inside it, and merging segments that share a pixel
-    only lowers the count.
+    only lowers the count.  Along an axis of direction ``d``, the chord's
+    open window of length ``|d| (hi - lo)`` holds at most
+    ``floor(|d| (hi - lo) / px) + 1`` edges ``px`` apart.
     """
     stored, _ = _orbits(geom.n_angles)
     bounds = np.zeros((len(stored), geom.n_offsets), dtype=np.int64)
-
-    def fill(rows: slice) -> None:
-        offsets = geom.offsets[rows]
-        for a, j in enumerate(stored):
-            _, _, hit, _, _, crossings = _clip_rays(geom.angles[j], offsets, edges)
-            bounds[a, rows][hit] = 1 + sum(np.count_nonzero(inside, axis=1)
-                                           for _, inside in crossings)
-
-    _map(fill, _offset_blocks(geom))
+    for a, j in enumerate(stored):
+        _, _, hit, lo, hi, axes = _chords(geom.angles[j], geom.offsets)
+        crossed = (np.floor(abs(d) * (hi - lo)[:, 0] / geom.pixel_size) + 1 for d, _ in axes)
+        bounds[a, hit] = 1 + sum(crossed)
     return bounds
 
 
@@ -364,8 +355,9 @@ def _angle_block(phi: float, offsets: np.ndarray, edges: np.ndarray,
     """One angle's rays at ``offsets`` as a canonical (len(offsets) x n^2) CSR block."""
     import scipy.sparse  # deferred: loaded by _system_matrix before the build threads
     n = len(edges) - 1
-    perp, origin, hit, lo, hi, crossings = _clip_rays(phi, offsets, edges)
-    t = [lo, hi] + [np.where(inside, tcross, hi) for tcross, inside in crossings]
+    perp, origin, hit, lo, hi, axes = _chords(phi, offsets)
+    crossings = ((edges - o[hit, None]) / d for d, o in axes)
+    t = [lo, hi] + [np.where((c > lo + 1e-13) & (c < hi - 1e-13), c, hi) for c in crossings]
     t = np.sort(np.concatenate(t, axis=1), axis=1)
     seg = t[:, 1:] - t[:, :-1]
     tmid = 0.5 * (t[:, :-1] + t[:, 1:])
@@ -399,20 +391,20 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
     are padded with the exit parameter, so the padding only adds zero-length
     segments that the length cut drops.
 
-    The matrix is held once.  A first pass bounds each ray's entry count by
-    its crossing count, without sorting; ``indices``/``data`` are zeroed at
-    the bounds' total, and the running total of the bounds gives each
-    chunk's slot.  A chunk's canonical CSR block is copied to the front of
-    its slot, and its last row is extended to the slot's end.  Every traced
-    length is positive, so the only zeros are the unfilled slot ends, and
-    one in-place ``eliminate_zeros`` drops them.  The entries of a row, their
-    order, and the per-row sort and duplicate sum are those of one global
-    COO-to-CSR conversion, so the rows are bitwise those of tracing each
-    ray on its own.
+    The matrix is held once.  Each ray's entry count is bounded from its
+    chord length (``_row_bounds``), so each ray is traced once;
+    ``indices``/``data`` are zeroed at the bounds' total, and the running
+    total of the bounds gives each chunk's slot.  A chunk's canonical CSR
+    block is copied to the front of its slot, and its last row is extended
+    to the slot's end.  Every traced length is positive, so the only zeros
+    are the unfilled slot ends, and one in-place ``eliminate_zeros`` drops
+    them.  The entries of a row, their order, and the per-row sort and
+    duplicate sum are those of one global COO-to-CSR conversion, so the
+    rows are bitwise those of tracing each ray on its own.
 
-    On two threads each one runs both passes over its own half of the
-    offsets, writing only its rows of the bounds and its own slots.  Every
-    row is traced as it is on one thread, so the matrix is the same bytes.
+    On two threads each one traces its own half of the offsets into its own
+    slots.  Every row is traced as it is on one thread, so the matrix is the
+    same bytes.
     """
     import scipy.sparse  # deferred: only the matrix build needs it, here before _map
     n = geom.n_pixels
@@ -421,7 +413,7 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
     offsets = geom.offsets
     stored, _ = _orbits(geom.n_angles)
     n_rows = len(stored) * geom.n_offsets
-    bounds = _row_bounds(geom, edges)
+    bounds = _row_bounds(geom)
     total = int(bounds.sum())
     idx = (np.int32 if max(n_rows, n * n, total) <= np.iinfo(np.int32).max
            else np.int64)
@@ -486,7 +478,8 @@ class RadonOperator:
                              (indptr[:rows + 1], indices[:end], data[:end]))
         groups = [[self._maps[k] for k in grp if k in self._maps]
                   for grp in _THREAD_MAPS]
-        if _thread_count(self.matrix.nnz, _THREAD_NNZ) == 1:  # the same maps in order
+        read = sum(prefix[2].size for *_, prefix in self._maps.values())
+        if _thread_count(read, _THREAD_NNZ) == 1:  # the same maps in order
             groups = [groups[0] + groups[1]]
         self._groups = [group for group in groups if group]
         self._domain = geometry.image_domain

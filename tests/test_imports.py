@@ -1,8 +1,8 @@
 """Every imported name is used, every exported name is bound and every
-definition is referenced: a small stand-in for a linter's unused-import,
-undefined-export and dead-code checks.  Importing the CLI loads no SciPy
-module at all, and each experiment loads only the SciPy subpackages it
-calls."""
+definition and top-level assigned name is read: a small stand-in for a
+linter's unused-import, undefined-export and dead-code checks.  Importing
+the CLI loads no SciPy module at all, and each experiment loads only the
+SciPy subpackages it calls."""
 
 import ast
 import importlib
@@ -68,31 +68,38 @@ def test_exports_are_bound(path):
 
 
 def _references(node) -> Counter:
+    # reads only: a name that is only ever assigned is not used
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
 
 
 def _definitions(tree):
-    # top-level functions and classes, plus the public methods of those classes
+    # top-level functions, classes and assigned names other than dunders, plus
+    # the public methods of those classes: (label, name, defining node)
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not item.name.startswith("_")):
-                    yield f"{node.name}.{item.name}", item
+                    yield f"{node.name}.{item.name}", item.name, item
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield name, name, node
 
 
 def unreferenced_definitions(sources: list[str], users: list[str]) -> list[str]:
     """Definitions in ``sources`` that no name or attribute in ``sources`` or
-    ``users`` refers to, outside the definition itself (``__all__`` strings
-    are not references)."""
+    ``users`` reads, outside the definition itself (``__all__`` strings are
+    not references)."""
     trees = [ast.parse(s) for s in sources]
     refs = sum((_references(t) for t in trees + [ast.parse(s) for s in users]),
                Counter())
-    return [label for tree in trees for label, node in _definitions(tree)
-            if refs[node.name] <= _references(node)[node.name]]
+    return [label for tree in trees for label, name, node in _definitions(tree)
+            if refs[name] <= _references(node)[name]]
 
 
 def test_scan_flags_an_unreferenced_definition():
@@ -103,6 +110,14 @@ def test_scan_flags_an_unreferenced_definition():
               "    def _private(self):\n        pass\n"
               "    def read(self):\n        return used()\n")
     assert unreferenced_definitions([source], ["C().read()\n"]) == ["dead", "C.size"]
+
+
+def test_scan_flags_an_unread_assignment():
+    source = ("__version__ = '1'\n"
+              "LIVE, _STALE = 1, 2\n"
+              "_WRITTEN = None\n"
+              "def f():\n    global _WRITTEN\n    _WRITTEN = LIVE\n")
+    assert unreferenced_definitions([source], ["f()\n"]) == ["_STALE", "_WRITTEN"]
 
 
 def test_every_definition_is_referenced():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sobolev_adjoint import radon
 from sobolev_adjoint.core import GridFn, check_adjoint, quad_weight
@@ -228,8 +228,35 @@ def test_derived_angles_match_ray_by_ray_traversal(n_pixels, n_offsets, n_angles
 def test_row_bounds_leave_slack_for_the_traversal_test(geom):
     # unfilled slot entries that the build must drop: the bitwise traversal
     # test covers that path on these geometries
-    edges = -1.0 + geom.pixel_size * np.arange(geom.n_pixels + 1)
-    assert radon._row_bounds(geom, edges).sum() > _system_matrix(geom).nnz
+    assert radon._row_bounds(geom).sum() > _system_matrix(geom).nnz
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(n_pixels=st.integers(2, 64), n_offsets=st.integers(1, 64),
+       n_angles=st.integers(1, 40), s_max=st.floats(0.25, 2.5))
+@example(n_pixels=15, n_offsets=23, n_angles=7, s_max=1.5)  # odd, outer rays miss
+@example(n_pixels=64, n_offsets=64, n_angles=40, s_max=1.0)  # rays along pixel edges
+@example(n_pixels=8, n_offsets=2, n_angles=4, s_max=2.4)  # every ray misses
+def test_row_bounds_hold_every_traced_ray(n_pixels, n_offsets, n_angles, s_max):
+    # a ray with more entries than its bound would overflow its slot
+    geom = RadonGeometry(n_pixels, n_offsets, n_angles, s_max)
+    counts = np.diff(_system_matrix.__wrapped__(geom).indptr).reshape(-1, n_offsets)
+    assert (radon._row_bounds(geom) >= counts).all()
+
+
+@lru_cache(maxsize=None)
+def _full_matrix():
+    return _system_matrix.__wrapped__(RadonGeometry.full_scale())
+
+
+@pytest.mark.parametrize("geom, slack", [(RadonGeometry.desk_scale(), 0.03),
+                                         (RadonGeometry.full_scale(), 0.01)],
+                         ids=["desk", "full"])
+def test_row_bounds_are_tight(geom, slack):
+    # the unfilled slot ends are zeroed and dropped: their share is the build's
+    # waste in memory and in the final eliminate_zeros
+    mat = _full_matrix() if geom == RadonGeometry.full_scale() else _system_matrix(geom)
+    assert radon._row_bounds(geom).sum() < (1 + slack) * mat.nnz
 
 
 def _matrix_bytes(mat):
@@ -265,8 +292,8 @@ def test_undercounted_row_bound_raises(monkeypatch):
     j = radon._orbits(geom.n_angles)[0][a]
     row_bounds = radon._row_bounds
 
-    def undercount(g, edges):
-        bounds = row_bounds(g, edges)
+    def undercount(g):
+        bounds = row_bounds(g)
         bounds[a, o] = counts[a, o] - 1
         return bounds
 
@@ -314,18 +341,33 @@ def _two_threads(monkeypatch):
     monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {0, 1})
 
 
+def _read_entries(geom, mat):
+    """The entries one product reads: each map's row prefix, summed."""
+    return sum(int(mat.indptr[cols.size * geom.n_offsets])
+               for _, cols in radon._orbits(geom.n_angles)[1])
+
+
 def test_thread_count_follows_the_entry_bound(monkeypatch):
     desk, full = RadonGeometry.desk_scale(), RadonGeometry.full_scale()
     assert (desk.entry_bound, full.entry_bound) == (786_000, 21_870_000)
     assert desk.entry_bound < radon._THREAD_ENTRIES <= full.entry_bound
-    small = RadonGeometry(16, 24, 8)
-    assert _system_matrix(small).nnz < radon._THREAD_NNZ <= _system_matrix(desk).nnz
+    small, golden = RadonGeometry(16, 24, 8), RadonGeometry(32, 48, 30)
+    reads = [_read_entries(g, _system_matrix(g)) for g in (small, golden, desk)]
+    assert reads == [3_632, 55_064, 458_920]  # an even angle count: four maps
+    # full scale reads at least its stored entries, through the identity map
+    assert max(reads[:2]) < radon._THREAD_NNZ <= min(reads[2], _full_matrix().nnz)
     monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     # the desk build stays on one thread, while its products take two
     assert radon._offset_blocks(desk) == [slice(0, 100)]
     assert radon._offset_blocks(full) == [slice(0, 150), slice(150, 300)]
     assert len(RadonOperator(desk)._groups) == 2
-    assert len(RadonOperator(small)._groups) == 1
+    assert len(RadonOperator(small)._groups) == len(RadonOperator(golden)._groups) == 1
+    # the choice follows the entries read, not those stored: an odd angle
+    # count's two maps read about twice its stored entries, an even one's
+    # four about 3.5 times
+    odd = RadonGeometry(40, 60, 35)
+    assert (_system_matrix(odd).nnz, _read_entries(odd, _system_matrix(odd))) == (51_434, 100_468)
+    assert len(RadonOperator(odd)._groups) == 1
     monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {3})
     assert radon._offset_blocks(full) == [slice(0, 300)]
     assert len(RadonOperator(desk)._groups) == 1
@@ -570,8 +612,8 @@ def test_undercounted_row_bound_raises_on_two_threads(monkeypatch):
     j = radon._orbits(geom.n_angles)[0][1]
     row_bounds = radon._row_bounds
 
-    def undercount(g, edges):
-        bounds = row_bounds(g, edges)
+    def undercount(g):
+        bounds = row_bounds(g)
         bounds[1, -1] = counts[1, -1] - 1  # a ray of the second thread
         return bounds
 

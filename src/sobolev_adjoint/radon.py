@@ -21,14 +21,23 @@ angles match their traced rows to rounding (~1e-14), not bitwise.
 
 Each stored ray's entry count is bounded from its chord length, so each
 ray is traced once: a chunk of rays becomes a small CSR block copied to
-the front of its slot, and scipy's ``eliminate_zeros`` drops the unfilled
-slot ends in place, so the build holds the matrix only once.  Each map is
-one product of a row prefix of the stored matrix with the permuted image.
-The adjoint is the exact transpose of that map rescaled by the quadrature
-weights, so that the discrete adjoint identity holds to rounding.  Both
-call scipy's CSR and CSC matvec kernels on the prefix's arrays directly,
-as ``@`` would with the same arguments, so no transposed copy or per-call
-matrix object is made.
+the front of its slot, the unfilled slot ends are dropped in place, and
+the buffers are shrunk to the entries, so the build holds the matrix only
+once.  The matrix is a read-only record of its CSR arrays (``CSRArrays``).
+Each map is one product of a row prefix of the stored matrix with the
+permuted image.  The adjoint is the exact transpose of that map rescaled
+by the quadrature weights, so that the discrete adjoint identity holds to
+rounding.  Both call scipy's CSR and CSC matvec kernels on the prefix's
+arrays directly, as ``@`` would with the same arguments, so no transposed
+copy or per-call matrix object is made.
+
+The build and the products call only compiled routines of scipy's
+``scipy.sparse._sparsetools`` extension module, which ``_sparsetools``
+loads from SciPy's install directory without importing the
+``scipy.sparse`` package.  That import (~20 MB of RSS and ~0.15 s on a
+2-vCPU x86 VM) goes through SciPy's array-API layer, which loads several
+numpy submodules.  No ``scipy`` entry is left in ``sys.modules``, and the
+package's module is reused when ``scipy.sparse`` is already imported.
 
 When the process may run on two CPUs, work large enough to pay for a
 second thread is split in two: the calling thread runs the first half and
@@ -55,20 +64,21 @@ Both serialize as CSV and binary 16-bit PGM (P5).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 import queue
+import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from types import ModuleType
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (Domain, GridFn, LinOp, _require_counts, _require_positive_finite,
                    inner, quad_weight)
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = [
     "RadonGeometry",
@@ -350,10 +360,57 @@ def _row_bounds(geom: RadonGeometry) -> np.ndarray:
     return bounds
 
 
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+@lru_cache(maxsize=None)
+def _sparsetools() -> ModuleType:
+    """SciPy's compiled sparse routines, without the ``scipy.sparse`` package.
+
+    Finding SciPy's install directory runs no ``scipy/__init__.py``.  CPython
+    files a single-phase extension module under its spec name as it creates
+    it; that entry is removed, so that a later ``import scipy.sparse`` loads
+    the module as its ``_sparsetools`` attribute.  When ``scipy.sparse`` is
+    already imported, its module is reused.  Called before any work is
+    split, so the worker thread never loads it.
+    """
+    if _SPARSETOOLS in sys.modules:
+        return sys.modules[_SPARSETOOLS]
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "sparse"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec(_SPARSETOOLS)
+    if spec is None:  # no SciPy, or one that keeps its kernels elsewhere
+        raise ModuleNotFoundError(f"No module named {_SPARSETOOLS!r}", name=_SPARSETOOLS)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules.pop(_SPARSETOOLS, None)
+    return module
+
+
+class CSRArrays(NamedTuple):
+    """A read-only CSR matrix: the arrays that scipy's CSR kernels take.
+    ``scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)`` wraps
+    them without a copy.  A named tuple, not a dataclass: it is defined at
+    every CLI start, where a frozen dataclass costs ~1.5 ms more."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
 def _angle_block(phi: float, offsets: np.ndarray, edges: np.ndarray,
-                 px: float, idx) -> scipy.sparse.csr_matrix:
-    """One angle's rays at ``offsets`` as a canonical (len(offsets) x n^2) CSR block."""
-    import scipy.sparse  # deferred: loaded by _system_matrix before the build threads
+                 px: float, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One angle's rays at ``offsets`` as a canonical (len(offsets) x n^2)
+    CSR block: (indptr, indices, data)."""
+    tools = _sparsetools()
     n = len(edges) - 1
     perp, origin, hit, lo, hi, axes = _chords(phi, offsets)
     crossings = ((edges - o[hit, None]) / d for d, o in axes)
@@ -365,18 +422,23 @@ def _angle_block(phi: float, offsets: np.ndarray, edges: np.ndarray,
               for d, o in zip(perp, origin))
     keep = seg > 1e-14
     # entries come ray by ray, so this is the CSR layout that a COO-to-CSR
-    # conversion would produce; sum_duplicates finishes it the same way
+    # conversion would produce; finish it as csr_matrix.sum_duplicates does
     per_ray = np.zeros(len(offsets) + 1, dtype=idx)
     per_ray[1:][hit] = keep.sum(axis=1)
-    block = scipy.sparse.csr_matrix(
-        (seg[keep], (ix * n + iy)[keep], np.cumsum(per_ray, dtype=idx)),
-        shape=(len(offsets), n * n))
-    block.sum_duplicates()
-    return block
+    indptr = np.cumsum(per_ray, dtype=idx)
+    indices, data = (ix * n + iy)[keep], seg[keep]
+    rows = len(offsets)
+    if not tools.csr_has_canonical_format(rows, indptr, indices):
+        # the sort is not stable: sorted rows skip it, or equal indices
+        # could swap and change the sums' rounding
+        if not tools.csr_has_sorted_indices(rows, indptr, indices):
+            tools.csr_sort_indices(rows, indptr, indices, data)
+        tools.csr_sum_duplicates(rows, n * n, indptr, indices, data)
+    return indptr, indices[:indptr[-1]], data[:indptr[-1]]
 
 
 @lru_cache(maxsize=8)
-def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
+def _system_matrix(geom: RadonGeometry) -> CSRArrays:
     """Exact pixel-ray intersection lengths of the stored angles' rays.
 
     Only one representative angle per orbit of the square's symmetries is
@@ -397,16 +459,17 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
     total of the bounds gives each chunk's slot.  A chunk's canonical CSR
     block is copied to the front of its slot, and its last row is extended
     to the slot's end.  Every traced length is positive, so the only zeros
-    are the unfilled slot ends, and one in-place ``eliminate_zeros`` drops
-    them.  The entries of a row, their order, and the per-row sort and
-    duplicate sum are those of one global COO-to-CSR conversion, so the
-    rows are bitwise those of tracing each ray on its own.
+    are the unfilled slot ends: scipy's ``csr_eliminate_zeros`` drops them in
+    place, and the buffers are shrunk to the entries in place.  The entries
+    of a row, their order, and the per-row sort and duplicate sum are those
+    of one global COO-to-CSR conversion, so the rows are bitwise those of
+    tracing each ray on its own.
 
     On two threads each one traces its own half of the offsets into its own
     slots.  Every row is traced as it is on one thread, so the matrix is the
     same bytes.
     """
-    import scipy.sparse  # deferred: only the matrix build needs it, here before _map
+    tools = _sparsetools()  # loaded here, before _map
     n = geom.n_pixels
     px = geom.pixel_size
     edges = -1.0 + px * np.arange(n + 1)
@@ -429,35 +492,38 @@ def _system_matrix(geom: RadonGeometry) -> scipy.sparse.csr_matrix:
         cuts = [rows.start + k * size // count for k in range(count + 1)]
         for a, j in enumerate(stored):
             for chunk in map(slice, cuts[:-1], cuts[1:]):
-                block = _angle_block(geom.angles[j], offsets[chunk], edges, px, idx)
-                if (np.diff(block.indptr) > bounds[a, chunk]).any():
+                ptr, cols, lengths = _angle_block(geom.angles[j], offsets[chunk], edges, px, idx)
+                if (np.diff(ptr) > bounds[a, chunk]).any():
                     raise RuntimeError(f"a ray at angle {j} has more entries than "
                                        "its bounded slot holds")
                 first = a * geom.n_offsets + chunk.start
                 start = indptr[first]
-                data[start:start + block.nnz] = block.data
-                indices[start:start + block.nnz] = block.indices
-                indptr[first + 1:first + len(block.indptr) - 1] = start + block.indptr[1:-1]
+                data[start:start + lengths.size] = lengths
+                indices[start:start + cols.size] = cols
+                indptr[first + 1:first + len(ptr) - 1] = start + ptr[1:-1]
 
     _map(fill, _offset_blocks(geom))
-    matrix = scipy.sparse.csr_matrix((data, indices, indptr),
-                                     shape=(n_rows, n * n))
-    matrix.eliminate_zeros()
-    for array in (matrix.data, matrix.indices, matrix.indptr):
+    tools.csr_eliminate_zeros(n_rows, n * n, indptr, indices, data)
+    # no view of the buffers is left: each shrinks in place, never copied
+    nnz = int(indptr[-1])
+    data.resize(nnz)
+    indices.resize(nnz)
+    for array in (indptr, indices, data):
         array.flags.writeable = False  # every RadonOperator of geom shares it
-    return matrix
+    return CSRArrays(indptr, indices, data, (n_rows, n * n))
 
 
 class RadonOperator:
     """Forward projector and its matched (transpose) adjoint.
 
-    ``matrix`` holds the stored angles' rows only.  Each symmetry map is one
-    product of a row prefix of it with the permuted image, whose rows are
-    written to the map's sinogram angles through its index array; the
-    adjoint gathers those angles, multiplies by the prefix's transpose and
-    undoes the permutation, adding the maps' images in map order.  On two
-    threads each takes two maps, so both products are the same bytes as on
-    one.
+    ``matrix`` is a read-only CSR record (``CSRArrays``) of the stored
+    angles' rows only, shared by every operator of the geometry.  Each
+    symmetry map is one product of a row prefix of it with the permuted
+    image, whose rows are written to the map's sinogram angles through its
+    index array; the adjoint gathers those angles, multiplies by the
+    prefix's transpose and undoes the permutation, adding the maps' images
+    in map order.  On two threads each takes two maps, so both products are
+    the same bytes as on one.
     """
 
     def __init__(self, geometry: RadonGeometry):
@@ -487,7 +553,7 @@ class RadonOperator:
         self._adjoint_scale = quad_weight(self._data_domain) / quad_weight(self._domain)
 
     def forward(self, u: GridFn) -> GridFn:
-        from scipy.sparse._sparsetools import csr_matvec  # loaded by the build
+        csr_matvec = _sparsetools().csr_matvec  # loaded by the build
         if u.domain != self._domain:
             raise ValueError("image grid does not match the radon geometry")
         n, n_off = self.geometry.n_pixels, self.geometry.n_offsets
@@ -506,7 +572,7 @@ class RadonOperator:
         return GridFn(self._data_domain, sino)
 
     def adjoint(self, g: GridFn) -> GridFn:
-        from scipy.sparse._sparsetools import csc_matvec  # loaded by the build
+        csc_matvec = _sparsetools().csc_matvec  # loaded by the build
         if g.domain != self._data_domain:
             raise ValueError("sinogram grid does not match the radon geometry")
         n, n_off = self.geometry.n_pixels, self.geometry.n_offsets

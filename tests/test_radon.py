@@ -280,6 +280,17 @@ def test_system_matrix_build_peak_memory():
     assert peak <= 1.3 * _matrix_bytes(mat)
 
 
+def test_matrix_arrays_own_exactly_their_entries():
+    # the unfilled slot ends are dropped and the buffers shrunk in place: no
+    # slack outlives the build, and no array is a view of a larger one
+    geom = RadonGeometry.desk_scale()
+    mat = _system_matrix.__wrapped__(geom)
+    assert radon._row_bounds(geom).sum() > mat.nnz == 128_468
+    for array in (mat.data, mat.indices):
+        assert array.base is None and array.flags.owndata and array.size == mat.nnz
+    assert mat.indptr.size == mat.shape[0] + 1 and mat.shape == (1_700, 4_096)
+
+
 def _stored_counts(geom):
     """Entries per stored ray, shaped (stored angles, n_offsets)."""
     return np.diff(_system_matrix(geom).indptr).reshape(-1, geom.n_offsets)
@@ -408,6 +419,11 @@ def test_two_threads_match_one(geom, monkeypatch):
     assert check_adjoint(two.as_linop(), seed=1) < 1e-10
 
 
+def _csr(mat):
+    """The stored matrix as a scipy CSR matrix on the same arrays."""
+    return scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+
+
 def _matmul_products(op, u, r):
     """The forward and adjoint of ``op`` through scipy's ``@`` on a CSR copy
     of each map's row prefix and its CSC transpose."""
@@ -417,9 +433,10 @@ def _matmul_products(op, u, r):
     gathered = r.values.reshape(n_off, geom.n_angles).T
     sino = np.empty(geom.data_domain.shape, dtype=np.result_type(u.values, op.matrix.data))
     images = {}
+    matrix = _csr(op.matrix)
     for k, cols in radon._orbits(geom.n_angles)[1]:
         permute, unpermute = radon._MAPS[k][:2]
-        block = op.matrix[:cols.size * n_off]
+        block = matrix[:cols.size * n_off]
         sino.T[cols] = (block @ permute(image).ravel()).reshape(-1, n_off)
         images[k] = unpermute((block.T @ gathered[cols].ravel()).reshape(n, n))
     # the operator adds the maps' images in the order of its thread groups
@@ -510,6 +527,47 @@ for caller in callers:
 print(same.count(True), sum(t.name == "radon" for t in threading.enumerate()))
 """
     assert _run_python(code).split() == ["8", "1"]  # callers served, radon threads
+
+
+def test_scipy_sparse_imported_after_the_build_is_whole():
+    # the build loads scipy's compiled kernels without the scipy.sparse
+    # package and leaves no scipy module behind: a later import of the
+    # package must still bind its _sparsetools, whose product matches the
+    # operator's bytes
+    code = """
+import sys
+import numpy as np
+from sobolev_adjoint import radon
+from sobolev_adjoint.core import GridFn
+
+geom = radon.RadonGeometry(16, 24, 8)
+op = radon.RadonOperator(geom)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+import scipy.sparse
+from scipy.sparse import _sparsetools
+assert scipy.sparse._sparsetools is _sparsetools
+u = GridFn(geom.image_domain, np.random.default_rng(3).standard_normal(256))
+stored = list(radon._orbits(geom.n_angles)[0])
+mat = op.matrix
+want = scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape) @ u.values
+got = op.forward(u).to_array()[:, stored].T.ravel()  # the identity map's rows
+print(got.tobytes() == want.tobytes())
+"""
+    assert _run_python(code).split("\n")[:2] == ["[]", "True"]
+
+
+def test_radon_reuses_an_imported_scipy_sparse():
+    code = """
+import sys
+import scipy.sparse
+from sobolev_adjoint import radon
+
+before = set(sys.modules)
+radon.RadonOperator(radon.RadonGeometry(16, 24, 8))
+print(radon._sparsetools() is scipy.sparse._sparsetools,
+      sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "scipy"))
+"""
+    assert _run_python(code).split("\n")[0] == "True []"
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
@@ -637,7 +695,7 @@ def test_single_pixel_matches_explicit_matrix_column():
     # a pixel's column is the stored entries, exactly, at the stored angles
     # and the permuted stored entries at the others: those match the
     # ray-by-ray traversal to rounding
-    assert np.max(np.abs(_stored_rows(geom, dense) - op.matrix.toarray())) == 0.0
+    assert np.max(np.abs(_stored_rows(geom, dense) - _csr(op.matrix).toarray())) == 0.0
     ref = _reference_matrix(geom).toarray()
     assert np.max(np.abs(dense - ref)) <= 1e-14
 

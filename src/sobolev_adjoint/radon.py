@@ -8,28 +8,30 @@ matrix.  They are collected by a Siddon-style traversal that runs over a
 chunk of one angle's offsets at once and computes the same exact
 intersections, bit for bit, as tracing each ray on its own.
 
-The square's symmetries map the angle grid onto itself: the mirror
-x -> -x sends angle theta to pi - theta, and on an even grid the quarter
-turn sends it to theta + pi/2 and the swap of x and y to pi/2 - theta.
-The rays of a mapped angle are those of theta applied to the permuted
-image, at the same offsets.  So only one representative angle per orbit is
-traced and stored: the angles in [0, pi/4] and 90 degrees (17 of 60 at
-desk scale, 47 of 180 at full scale), or [0, pi/2] on an odd grid.  90
-degrees is traced rather than turned from 0 degrees: those rays run along
-pixel edges, where the traversal picks a side by rounding.  The derived
-angles match their traced rows to rounding (~1e-14), not bitwise.
+Five of the square's symmetries map rays onto rays: the mirror x -> -x
+sends angle theta to pi - theta, on an even grid the quarter turn sends it
+to theta + pi/2 and the swap of x and y to pi/2 - theta, and the half-turn
+sends offset o to -o.  A mapped ray is the original on the permuted image.
+So one angle per orbit is traced, those in [0, pi/4] and 90 degrees (17 of
+60 at desk scale, 47 of 180 at full scale) or [0, pi/2] on an odd grid,
+and of each the first half of the offsets, rounded up: 950 of 6,000 rays
+and 70,634 entries at desk scale, 7,350 of 54,000 and 1,746,779 at full
+scale.  0 and 90 degrees keep every offset, and 90 is not turned from 0:
+those rays run along pixel edges, where the traversal picks a side by
+rounding.  The derived rays match the traced ones to ~1e-13, not bitwise.
 
 Each stored ray's entry count is bounded from its chord length, so each
 ray is traced once: a chunk of rays becomes a small CSR block copied to
 the front of its slot, the unfilled slot ends are dropped in place, and
 the buffers are shrunk to the entries, so the build holds the matrix only
 once.  The matrix is a read-only record of its CSR arrays (``CSRArrays``).
-Each map is one product of a row prefix of the stored matrix with the
-permuted image.  The adjoint is the exact transpose of that map rescaled
-by the quadrature weights, so that the discrete adjoint identity holds to
-rounding.  Both call scipy's CSR and CSC matvec kernels on the prefix's
-arrays directly, as ``@`` would with the same arguments, so no transposed
-copy or per-call matrix object is made.
+Each map is two products: a row prefix of the stored matrix with the
+permuted image, and that prefix's half-offset rows with its half-turn,
+written to the reversed offsets.  The adjoint is the exact transpose of
+that map rescaled by the quadrature weights, so that the discrete adjoint
+identity holds to rounding.  Both call scipy's CSR and CSC matvec kernels
+on the rows' arrays directly, as ``@`` would with the same arguments, so
+no transposed copy or per-call matrix object is made.
 
 The build and the products call only compiled routines of scipy's
 ``scipy.sparse._sparsetools`` extension module, which ``_sparsetools``
@@ -42,10 +44,10 @@ package's module is reused when ``scipy.sparse`` is already imported.
 When the process may run on two CPUs, work large enough to pay for a
 second thread is split in two: the calling thread runs the first half and
 the module's one worker thread the second.  The build splits once the
-geometry's entry bound (``RadonGeometry.entry_bound``) reaches
+entries it traces, as ``_row_bounds`` bounds them, reach
 ``_THREAD_ENTRIES``, as at full scale; each thread traces half of the
-offsets, so the matrix is the same bytes.  The products split once they
-read ``_THREAD_NNZ`` entries, summed over the maps' row prefixes, as at
+rows, so the matrix is the same bytes.  The products split once they
+read ``_THREAD_NNZ`` entries, summed over the maps' two row sets, as at
 desk and full scale; each thread runs up to two of the maps' products, and
 the adjoint adds the maps' images in one fixed order, so both products are
 the same bytes on one thread or two.
@@ -179,13 +181,13 @@ def _chords(phi: float, offsets: np.ndarray):
     return perp, origin, hit, tmin[hit, None], tmax[hit, None], axes
 
 
-# Geometries with at least this many bounded entries split their build over
-# two threads.  On 2 vCPUs full scale (21.9M) builds in ~100 ms on two
-# threads against ~140 ms on one; desk scale (0.79M), whose many small
-# chunks hold the GIL, took 30 ms on two against 16 ms on one.
-_THREAD_ENTRIES = 4_000_000
-# Operators whose products read at least this many entries (the maps' row
-# prefixes summed: two maps on an odd angle count, four on an even one)
+# Builds that trace at least this many bounded entries split over two
+# threads.  On 2 shared vCPUs full scale (1.76M) built in 94 ms on two
+# against 106 on one, (190, 284, 170) (1.48M) broke even, and desk scale
+# (73k), whose many small chunks hold the GIL, took 41 ms on two against 18.
+_THREAD_ENTRIES = 1_500_000
+# Operators whose products read at least this many entries (the maps' two
+# row sets summed: two maps on an odd angle count, four on an even one)
 # split them over two threads, the caller running one map group.  Per
 # forward+adjoint pair on 2 shared vCPUs (medians of 30 interleaved 20-call
 # bursts, four runs), two threads were faster in 0-1 of 30 bursts at
@@ -195,12 +197,12 @@ _THREAD_ENTRIES = 4_000_000
 _THREAD_NNZ = 130_000
 _MAX_THREADS = 2
 # The build traces rays in chunks holding at most this share of the matrix's
-# bounded entries: at most 15 rays at desk scale and 131 at full scale.  A
-# chunk's transients, ~56 bytes per bounded entry against the matrix's 12,
-# are most of what the build holds beside the matrix: its peak at desk scale
-# is 1.15x the matrix on one thread and 1.19x on two.  Below the minimum, a
-# chunk's fixed cost (~0.2 ms) outweighs the little memory it saves: one-ray
-# chunks made the (16, 24, 8) build 15 ms instead of 2.
+# bounded entries: at most 8 rays at desk scale (the minimum) and 68 at full
+# scale.  A chunk's transients, ~56 bytes per bounded entry against the
+# matrix's 12, are most of what the build holds beside the matrix: its peak
+# at desk scale is 1.13x the matrix on one thread and 1.19x on two.  Below
+# the minimum, a chunk's fixed cost (~0.07 ms) outweighs the little memory
+# it saves: one-ray chunks made the (16, 24, 8) build 6.8 ms instead of 1.2.
 _CHUNK_SHARE = 1 / 64
 _CHUNK_MIN_RAYS = 8
 _jobs = None  # the worker thread's queue, made when work is first split
@@ -226,13 +228,6 @@ def _thread_count(size: int, least: int) -> int:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # no affinity mask on macOS or Windows
     return min(_MAX_THREADS, cpus)
-
-
-def _offset_blocks(geom: RadonGeometry) -> list[slice]:
-    """Offset ranges, one per thread the geometry's build runs on."""
-    count = _thread_count(geom.entry_bound, _THREAD_ENTRIES)
-    cuts = [k * geom.n_offsets // count for k in range(count + 1)]
-    return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def _work(jobs: queue.SimpleQueue) -> None:
@@ -342,8 +337,17 @@ def _orbits(n_angles: int):
     return tuple(orbit[0] for orbit in orbits), tuple(uses)
 
 
+def _traced_offsets(geom: RadonGeometry) -> list[int]:
+    """Offsets stored at each stored angle, the first ones: half of them,
+    rounded up, and all at 0 and 90 degrees, which come last and whose rays
+    along pixel edges the half-turn does not map exactly (``_orbits``)."""
+    stored, uses = _orbits(geom.n_angles)
+    halves = uses[1][1].size if len(uses) > 1 else 0  # those the mirror reads
+    return [-(-geom.n_offsets // 2)] * halves + [geom.n_offsets] * (len(stored) - halves)
+
+
 def _row_bounds(geom: RadonGeometry) -> np.ndarray:
-    """Upper bound on each stored ray's entry count, (stored angles, n_offsets).
+    """Upper bound on each stored ray's entry count, in stored row order.
 
     A ray's chord is cut into at most one more segment than it has edge
     crossings strictly inside it, and merging segments that share a pixel
@@ -351,13 +355,13 @@ def _row_bounds(geom: RadonGeometry) -> np.ndarray:
     open window of length ``|d| (hi - lo)`` holds at most
     ``floor(|d| (hi - lo) / px) + 1`` edges ``px`` apart.
     """
-    stored, _ = _orbits(geom.n_angles)
-    bounds = np.zeros((len(stored), geom.n_offsets), dtype=np.int64)
-    for a, j in enumerate(stored):
-        _, _, hit, lo, hi, axes = _chords(geom.angles[j], geom.offsets)
+    bounds = []
+    for j, count in zip(_orbits(geom.n_angles)[0], _traced_offsets(geom)):
+        _, _, hit, lo, hi, axes = _chords(geom.angles[j], geom.offsets[:count])
         crossed = (np.floor(abs(d) * (hi - lo)[:, 0] / geom.pixel_size) + 1 for d, _ in axes)
-        bounds[a, hit] = 1 + sum(crossed)
-    return bounds
+        bounds.append(np.zeros(count, dtype=np.int64))
+        bounds[-1][hit] = 1 + sum(crossed)
+    return np.concatenate(bounds)
 
 
 _SPARSETOOLS = "scipy.sparse._sparsetools"
@@ -443,8 +447,9 @@ def _system_matrix(geom: RadonGeometry) -> CSRArrays:
 
     Only one representative angle per orbit of the square's symmetries is
     traced (``_orbits``): the angles in [0, pi/4] and 90 degrees when
-    ``n_angles`` is even, in [0, pi/2] when it is odd.  Row ``a * n_offsets
-    + o`` is offset ``o`` of the ``a``-th stored angle.
+    ``n_angles`` is even, in [0, pi/2] when it is odd; and of each only its
+    first offsets (``_traced_offsets``).  The rows run angle by angle in
+    stored order, each angle's offset by offset.
 
     For every ray of a chunk of offsets at once (``_CHUNK_SHARE``): clip the
     line to the square, collect its crossings with the pixel edges strictly
@@ -465,7 +470,7 @@ def _system_matrix(geom: RadonGeometry) -> CSRArrays:
     of one global COO-to-CSR conversion, so the rows are bitwise those of
     tracing each ray on its own.
 
-    On two threads each one traces its own half of the offsets into its own
+    On two threads each one traces its own half of the rows into their
     slots.  Every row is traced as it is on one thread, so the matrix is the
     same bytes.
     """
@@ -475,9 +480,10 @@ def _system_matrix(geom: RadonGeometry) -> CSRArrays:
     edges = -1.0 + px * np.arange(n + 1)
     offsets = geom.offsets
     stored, _ = _orbits(geom.n_angles)
-    n_rows = len(stored) * geom.n_offsets
+    counts = _traced_offsets(geom)
+    firsts = np.cumsum([0] + counts)  # each stored angle's first row
     bounds = _row_bounds(geom)
-    total = int(bounds.sum())
+    n_rows, total = bounds.size, int(bounds.sum())
     idx = (np.int32 if max(n_rows, n * n, total) <= np.iinfo(np.int32).max
            else np.int64)
     indptr = np.zeros(n_rows + 1, dtype=idx)
@@ -485,24 +491,28 @@ def _system_matrix(geom: RadonGeometry) -> CSRArrays:
     indices = np.zeros(total, dtype=idx)
     data = np.zeros(total)
     rays = max(_CHUNK_MIN_RAYS, int(_CHUNK_SHARE * total) // (2 * n + 3))
+    threads = _thread_count(total, _THREAD_ENTRIES)
 
     def fill(rows: slice) -> None:
-        size = rows.stop - rows.start
-        count = max(1, -(-size // rays))  # equal chunks of at most rays
-        cuts = [rows.start + k * size // count for k in range(count + 1)]
-        for a, j in enumerate(stored):
+        for j, count, row in zip(stored, counts, firsts):
+            lo, hi = max(rows.start - row, 0), min(rows.stop - row, count)  # offsets
+            if lo >= hi:
+                continue
+            chunks = -(-(hi - lo) // rays)  # equal chunks of at most rays
+            cuts = [lo + k * (hi - lo) // chunks for k in range(chunks + 1)]
             for chunk in map(slice, cuts[:-1], cuts[1:]):
                 ptr, cols, lengths = _angle_block(geom.angles[j], offsets[chunk], edges, px, idx)
-                if (np.diff(ptr) > bounds[a, chunk]).any():
+                first = row + chunk.start
+                if (np.diff(ptr) > bounds[first:first + len(ptr) - 1]).any():
                     raise RuntimeError(f"a ray at angle {j} has more entries than "
                                        "its bounded slot holds")
-                first = a * geom.n_offsets + chunk.start
                 start = indptr[first]
                 data[start:start + lengths.size] = lengths
                 indices[start:start + cols.size] = cols
                 indptr[first + 1:first + len(ptr) - 1] = start + ptr[1:-1]
 
-    _map(fill, _offset_blocks(geom))
+    _map(fill, [slice(k * n_rows // threads, (k + 1) * n_rows // threads)
+                for k in range(threads)])
     tools.csr_eliminate_zeros(n_rows, n * n, indptr, indices, data)
     # no view of the buffers is left: each shrinks in place, never copied
     nnz = int(indptr[-1])
@@ -516,12 +526,13 @@ def _system_matrix(geom: RadonGeometry) -> CSRArrays:
 class RadonOperator:
     """Forward projector and its matched (transpose) adjoint.
 
-    ``matrix`` is a read-only CSR record (``CSRArrays``) of the stored
-    angles' rows only, shared by every operator of the geometry.  Each
-    symmetry map is one product of a row prefix of it with the permuted
-    image, whose rows are written to the map's sinogram angles through its
-    index array; the adjoint gathers those angles, multiplies by the
-    prefix's transpose and undoes the permutation, adding the maps' images
+    ``matrix`` is a read-only CSR record (``CSRArrays``) of the stored rays'
+    rows only, shared by every operator of the geometry.  Each symmetry map
+    is two products, of a row prefix of it with the permuted image and of
+    the prefix's half-offset rows with that image half-turned, written to
+    the map's sinogram entries through its index array; the adjoint gathers
+    those entries, multiplies by both row sets' transposes, adds the second
+    image half-turned and undoes the permutation, adding the maps' images
     in map order.  On two threads each takes two maps, so both products are
     the same bytes as on one.
     """
@@ -529,22 +540,28 @@ class RadonOperator:
     def __init__(self, geometry: RadonGeometry):
         self.geometry = geometry
         self.matrix = _system_matrix(geometry)
-        n_off = geometry.n_offsets
+        n_off, n_angles = geometry.n_offsets, geometry.n_angles
         indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
-        # per map: (permutation, inverse, the sinogram angle of each stored
-        # angle read, the prefix's row count and its CSR arrays, views of the
-        # matrix's).  Read as CSC, the same arrays are the prefix's transpose:
-        # a CSR copy of it would be ~15% faster per adjoint but hold the
-        # matrix a second time
+        counts = _traced_offsets(geometry)
+        # Sinogram entry o * n_angles + j is offset o at angle j, and the one
+        # past the end a spare.  Per map: (permutation, inverse, the entries
+        # of its row prefix's rows and then of the prefix's half-offset rows
+        # half-turned, an odd count's middle ray going to the spare; the two
+        # row sets' counts and CSR arrays, views of the matrix's).  Read as
+        # CSC, the same arrays are the transpose: a CSR copy of it would be
+        # ~15% faster per adjoint but hold the matrix a second time
         self._maps = {}
-        for k, cols in _orbits(geometry.n_angles)[1]:
-            rows = cols.size * n_off
-            end = indptr[rows]
-            self._maps[k] = (*_MAPS[k][:2], cols, rows,
-                             (indptr[:rows + 1], indices[:end], data[:end]))
+        for k, cols in _orbits(n_angles)[1]:
+            near = np.concatenate([np.arange(c) * n_angles + j for j, c in zip(cols, counts)])
+            halves = cols[:sum(c < n_off for c in counts[:cols.size])]
+            far = ((n_off - 1 - np.arange(counts[0])) * n_angles + halves[:, None]).ravel()
+            far[far == near[:far.size]] = n_off * n_angles
+            self._maps[k] = (*_MAPS[k][:2], np.concatenate((near, far)), *[
+                (r, indptr[:r + 1], indices[:indptr[r]], data[:indptr[r]])
+                for r in (near.size, far.size)])
         groups = [[self._maps[k] for k in grp if k in self._maps]
                   for grp in _THREAD_MAPS]
-        read = sum(prefix[2].size for *_, prefix in self._maps.values())
+        read = sum(prefix[3].size + turned[3].size for *_, prefix, turned in self._maps.values())
         if _thread_count(read, _THREAD_NNZ) == 1:  # the same maps in order
             groups = [groups[0] + groups[1]]
         self._groups = [group for group in groups if group]
@@ -556,35 +573,38 @@ class RadonOperator:
         csr_matvec = _sparsetools().csr_matvec  # loaded by the build
         if u.domain != self._domain:
             raise ValueError("image grid does not match the radon geometry")
-        n, n_off = self.geometry.n_pixels, self.geometry.n_offsets
+        n = self.geometry.n_pixels
         image = u.values.reshape(n, n)
         dtype = np.result_type(u.values, self.matrix.data)
-        sino = np.empty((n_off, self.geometry.n_angles), dtype=dtype)
-        angles = sino.T
+        sino = np.empty(self._data_domain.grid_size + 1, dtype=dtype)  # and the spare
 
         def project(group) -> None:
-            for permute, _, cols, rows, prefix in group:
-                out = np.zeros(rows, dtype=dtype)
-                csr_matvec(rows, n * n, *prefix, permute(image).ravel(), out)
-                angles[cols] = out.reshape(-1, n_off)
+            for permute, _, at, (rows, *prefix), (far, *turned) in group:
+                permuted, out = permute(image), np.zeros(at.size, dtype=dtype)
+                csr_matvec(rows, n * n, *prefix, permuted.ravel(), out[:rows])
+                # offset -o of an image is offset o of its half-turn
+                csr_matvec(far, n * n, *turned, permuted[::-1, ::-1].ravel(), out[rows:])
+                sino[at] = out
 
         _map(project, self._groups)
-        return GridFn(self._data_domain, sino)
+        return GridFn(self._data_domain, sino[:-1])
 
     def adjoint(self, g: GridFn) -> GridFn:
         csc_matvec = _sparsetools().csc_matvec  # loaded by the build
         if g.domain != self._data_domain:
             raise ValueError("sinogram grid does not match the radon geometry")
-        n, n_off = self.geometry.n_pixels, self.geometry.n_offsets
-        angles = g.values.reshape(n_off, self.geometry.n_angles).T
+        n = self.geometry.n_pixels
+        sino = np.concatenate((g.values, np.zeros(1, g.values.dtype)))  # the spare gathers 0
         dtype = np.result_type(g.values, self.matrix.data)
 
         def backproject(group) -> list:
             images = []
-            for _, unpermute, cols, rows, prefix in group:
-                out = np.zeros(n * n, dtype=dtype)
-                csc_matvec(n * n, rows, *prefix, angles[cols].ravel(), out)
-                images.append(unpermute(out.reshape(n, n)))
+            for _, unpermute, at, (rows, *prefix), (far, *turned) in group:
+                gathered, out = sino[at], np.zeros((2, n * n), dtype=dtype)
+                csc_matvec(n * n, rows, *prefix, gathered[:rows], out[0])
+                csc_matvec(n * n, far, *turned, gathered[rows:], out[1])
+                out[0] += out[1, ::-1]  # the half-turn of the second image
+                images.append(unpermute(out[0].reshape(n, n)))
             return images
 
         # each image is a view of a fresh product: add them in one order,

@@ -8,6 +8,9 @@ regenerates the file in the same change:
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints the keys whose digest moved against the file it replaces, one
+a line, or ``none``.
+
 The digests hold for the recorded python/numpy/scipy versions; under other
 versions a mismatch says so.
 """
@@ -113,6 +116,7 @@ def test_outputs_do_not_depend_on_threads_or_cpus(tmp_path, name):
 
 
 if __name__ == "__main__":
+    before = json.loads(GOLDEN.read_text(encoding="ascii"))["sha256"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as scratch:
         here = os.getcwd()
         os.chdir(scratch)
@@ -122,3 +126,6 @@ if __name__ == "__main__":
             os.chdir(here)
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="ascii")
     print(f"wrote {len(doc['sha256'])} digests to {GOLDEN}", file=sys.stderr)
+    moved = sorted(key for key in before.keys() | doc["sha256"].keys()
+                   if before.get(key) != doc["sha256"].get(key))
+    print("\n".join(moved) or "none")

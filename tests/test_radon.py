@@ -65,6 +65,11 @@ def test_geometry_rejects_bad_counts(counts, name):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(n_pixels=st.integers(2, 12), n_offsets=st.integers(1, 16),
        n_angles=st.integers(1, 12), s_max=st.floats(0.25, 2.0))
+# the half-turn layout: an odd offset count's middle ray maps onto itself,
+# one offset is its own half, and an odd pixel count has a middle pixel
+@example(n_pixels=8, n_offsets=11, n_angles=8, s_max=1.0)
+@example(n_pixels=6, n_offsets=1, n_angles=6, s_max=1.0)
+@example(n_pixels=9, n_offsets=12, n_angles=7, s_max=1.3)
 def test_adjoint_identity_over_geometries(n_pixels, n_offsets, n_angles, s_max):
     geom = RadonGeometry(n_pixels, n_offsets, n_angles, s_max)
     op = RadonOperator(geom)
@@ -128,9 +133,16 @@ def _reference_matrix(geom):
 
 def _stored_rows(geom, full):
     """The rows of ``full`` (offset-major, as the sinogram) that the operator
-    stores, in its order: angle-major over the stored angles."""
+    stores, in its order: angle-major over the stored angles, each angle's
+    traced offsets."""
     stored, _ = radon._orbits(geom.n_angles)
-    return full[[o * geom.n_angles + j for j in stored for o in range(geom.n_offsets)]]
+    return full[[o * geom.n_angles + j for j, count in zip(stored, radon._traced_offsets(geom))
+                 for o in range(count)]]
+
+
+def _row_angles(geom):
+    """The sinogram angle of each stored row."""
+    return np.repeat(radon._orbits(geom.n_angles)[0], radon._traced_offsets(geom))
 
 
 @pytest.mark.parametrize("geom", [
@@ -177,6 +189,14 @@ def _check_orbits(n_angles):
                                   if 4 * j <= n_angles or 2 * j == n_angles]
     else:
         assert sorted(stored) == [j for j in range(n_angles) if 2 * j <= n_angles]
+    # every stored angle keeps the first half of its offsets but 0 and 90
+    # degrees, which come last, after every angle that a map besides the
+    # identity reads
+    axis = [0, n_angles // 2] if n_angles % 2 == 0 else [0]
+    halves = len(stored) - len(axis)
+    assert radon._traced_offsets(RadonGeometry(2, 5, n_angles)) == [3] * halves + [5] * len(axis)
+    assert sorted(stored[halves:]) == axis
+    assert len(uses) == 1 or uses[1][1].size == halves
 
 
 _MAP_TARGETS = (lambda j, n: j, lambda j, n: n - j, lambda j, n: j + n // 2,
@@ -202,6 +222,10 @@ def test_quarter_turn_of_the_edge_rays_is_not_the_traced_90_degrees():
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(n_pixels=st.integers(2, 13), n_offsets=st.integers(1, 16),
        n_angles=st.integers(1, 12), s_max=st.floats(0.5, 2.0))
+@example(n_pixels=8, n_offsets=9, n_angles=4, s_max=1.0)  # the middle ray, 45 degrees
+@example(n_pixels=7, n_offsets=11, n_angles=12, s_max=1.0)  # odd pixel and offset counts
+@example(n_pixels=6, n_offsets=1, n_angles=6, s_max=1.0)  # one offset
+@example(n_pixels=13, n_offsets=16, n_angles=9, s_max=1.5)  # odd pixel count
 def test_derived_angles_match_ray_by_ray_traversal(n_pixels, n_offsets, n_angles, s_max):
     geom = RadonGeometry(n_pixels, n_offsets, n_angles, s_max)
     op = RadonOperator(geom)
@@ -240,7 +264,7 @@ def test_row_bounds_leave_slack_for_the_traversal_test(geom):
 def test_row_bounds_hold_every_traced_ray(n_pixels, n_offsets, n_angles, s_max):
     # a ray with more entries than its bound would overflow its slot
     geom = RadonGeometry(n_pixels, n_offsets, n_angles, s_max)
-    counts = np.diff(_system_matrix.__wrapped__(geom).indptr).reshape(-1, n_offsets)
+    counts = np.diff(_system_matrix.__wrapped__(geom).indptr)
     assert (radon._row_bounds(geom) >= counts).all()
 
 
@@ -285,27 +309,29 @@ def test_matrix_arrays_own_exactly_their_entries():
     # slack outlives the build, and no array is a view of a larger one
     geom = RadonGeometry.desk_scale()
     mat = _system_matrix.__wrapped__(geom)
-    assert radon._row_bounds(geom).sum() > mat.nnz == 128_468
+    assert radon._row_bounds(geom).sum() > mat.nnz == 70_634
     for array in (mat.data, mat.indices):
         assert array.base is None and array.flags.owndata and array.size == mat.nnz
-    assert mat.indptr.size == mat.shape[0] + 1 and mat.shape == (1_700, 4_096)
+    # 15 stored angles of 50 offsets (the first half of 100) and 0 and 90
+    # degrees of 100
+    assert mat.indptr.size == mat.shape[0] + 1 and mat.shape == (950, 4_096)
 
 
 def _stored_counts(geom):
-    """Entries per stored ray, shaped (stored angles, n_offsets)."""
-    return np.diff(_system_matrix(geom).indptr).reshape(-1, geom.n_offsets)
+    """Entries per stored ray, in stored row order."""
+    return np.diff(_system_matrix(geom).indptr)
 
 
 def test_undercounted_row_bound_raises(monkeypatch):
     geom = RadonGeometry(8, 12, 6)
     counts = _stored_counts(geom)
-    a, o = np.unravel_index(np.argmax(counts), counts.shape)
-    j = radon._orbits(geom.n_angles)[0][a]
+    row = int(np.argmax(counts))
+    j = _row_angles(geom)[row]
     row_bounds = radon._row_bounds
 
     def undercount(g):
         bounds = row_bounds(g)
-        bounds[a, o] = counts[a, o] - 1
+        bounds[row] = counts[row] - 1
         return bounds
 
     monkeypatch.setattr(radon, "_row_bounds", undercount)
@@ -333,10 +359,12 @@ def test_operator_shares_the_cached_matrix():
     op, peak = _traced_peak(RadonOperator, geom)
     assert op.matrix is mat
     assert peak < 0.1 * _matrix_bytes(mat)  # no transposed copy
-    for *_, rows, prefix in op._maps.values():  # views, not copies
-        for part, whole in zip(prefix, (mat.indptr, mat.indices, mat.data)):
-            assert np.shares_memory(part, whole)
-        assert prefix[0].size == rows + 1
+    for *_, at, prefix, turned in op._maps.values():  # views, not copies
+        assert at.size == prefix[0] + turned[0]  # a sinogram entry per row
+        for rows, *arrays in (prefix, turned):
+            for part, whole in zip(arrays, (mat.indptr, mat.indices, mat.data)):
+                assert np.shares_memory(part, whole)
+            assert arrays[0].size == rows + 1
     # the derived angles' rows permute the stored ones: the adjoint matches the
     # transpose of the matrix traced ray by ray to rounding, not bitwise
     r = GridFn(geom.data_domain, np.random.default_rng(4).standard_normal((100, 60)))
@@ -353,15 +381,24 @@ def _two_threads(monkeypatch):
 
 
 def _read_entries(geom, mat):
-    """The entries one product reads: each map's row prefix, summed."""
-    return sum(int(mat.indptr[cols.size * geom.n_offsets])
-               for _, cols in radon._orbits(geom.n_angles)[1])
+    """The entries one product reads: each map's row prefix and, again, the
+    prefix's half-offset rows, summed."""
+    read = 0
+    for _, cols in radon._orbits(geom.n_angles)[1]:
+        counts = radon._traced_offsets(geom)[:cols.size]
+        half_rows = sum(count for count in counts if count < geom.n_offsets)
+        read += int(mat.indptr[sum(counts)] + mat.indptr[half_rows])
+    return read
 
 
 def test_thread_count_follows_the_entry_bound(monkeypatch):
     desk, full = RadonGeometry.desk_scale(), RadonGeometry.full_scale()
+    # the build splits on the bounded entries it traces, not on entry_bound,
+    # which the cli's size cap reads
     assert (desk.entry_bound, full.entry_bound) == (786_000, 21_870_000)
-    assert desk.entry_bound < radon._THREAD_ENTRIES <= full.entry_bound
+    traced = [int(radon._row_bounds(g).sum()) for g in (desk, full)]
+    assert traced == [72_588, 1_762_605]
+    assert traced[0] < radon._THREAD_ENTRIES <= traced[1]
     small, golden = RadonGeometry(16, 24, 8), RadonGeometry(32, 48, 30)
     reads = [_read_entries(g, _system_matrix(g)) for g in (small, golden, desk)]
     assert reads == [3_632, 55_064, 458_920]  # an even angle count: four maps
@@ -369,35 +406,55 @@ def test_thread_count_follows_the_entry_bound(monkeypatch):
     assert max(reads[:2]) < radon._THREAD_NNZ <= min(reads[2], _full_matrix().nnz)
     monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     # the desk build stays on one thread, while its products take two
-    assert radon._offset_blocks(desk) == [slice(0, 100)]
-    assert radon._offset_blocks(full) == [slice(0, 150), slice(150, 300)]
+    builds = [radon._thread_count(t, radon._THREAD_ENTRIES) for t in traced]
+    assert builds == [1, 2]
     assert len(RadonOperator(desk)._groups) == 2
     assert len(RadonOperator(small)._groups) == len(RadonOperator(golden)._groups) == 1
-    # the choice follows the entries read, not those stored: an odd angle
-    # count's two maps read about twice its stored entries, an even one's
-    # four about 3.5 times
+    # the choice follows the entries read, not those stored: each map reads
+    # its half-offset rows twice, so an odd angle count's two maps read about
+    # 3.7 times its stored entries, an even one's four about 6.5 times
     odd = RadonGeometry(40, 60, 35)
-    assert (_system_matrix(odd).nnz, _read_entries(odd, _system_matrix(odd))) == (51_434, 100_468)
+    assert (_system_matrix(odd).nnz, _read_entries(odd, _system_matrix(odd))) == (26_917, 100_468)
     assert len(RadonOperator(odd)._groups) == 1
     monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {3})
-    assert radon._offset_blocks(full) == [slice(0, 300)]
+    assert radon._thread_count(traced[1], radon._THREAD_ENTRIES) == 1
     assert len(RadonOperator(desk)._groups) == 1
     # platforms without an affinity mask count the machine's CPUs
     monkeypatch.delattr(radon.os, "sched_getaffinity")
     monkeypatch.setattr(radon.os, "cpu_count", lambda: 2)
-    assert radon._offset_blocks(full) == [slice(0, 150), slice(150, 300)]
+    assert radon._thread_count(traced[1], radon._THREAD_ENTRIES) == 2
     monkeypatch.setattr(radon.os, "cpu_count", lambda: None)
-    assert radon._offset_blocks(full) == [slice(0, 300)]
+    assert radon._thread_count(traced[1], radon._THREAD_ENTRIES) == 1
+
+
+class _Split(Exception):
+    pass
+
+
+def test_build_splits_in_two_at_full_scale_only(monkeypatch):
+    # the build hands _map one part per thread: two at full scale, one at
+    # desk scale, on a process that may use two CPUs
+    monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def parts(fn, work):
+        raise _Split(len(work))  # before any ray is traced
+
+    monkeypatch.setattr(radon, "_map", parts)
+    for geom, count in ((RadonGeometry.desk_scale(), 1), (RadonGeometry.full_scale(), 2)):
+        with pytest.raises(_Split) as split:
+            _system_matrix.__wrapped__(geom)
+        assert split.value.args == (count,)
 
 
 @pytest.mark.parametrize("geom", [
     RadonGeometry(8, 12, 6),
-    RadonGeometry(15, 23, 7),  # an odd offset count: blocks of 11 and 12 offsets
+    RadonGeometry(15, 23, 7),  # odd offset counts: 12 split 6 + 6, 23 at 0 degrees 11 + 12
     RadonGeometry(16, 3, 5, s_max=1.5),
     RadonGeometry.desk_scale(),  # each block under half of the matrix's buffer
     RadonGeometry(16, 24, 2),  # the identity alone: one thread's maps
     RadonGeometry(12, 20, 10),  # 45 degrees off the grid
-    RadonGeometry(8, 1, 6),  # the first thread has no offsets
+    RadonGeometry(8, 1, 6),  # one offset: its own half
+    RadonGeometry(8, 1, 1),  # one row: the first thread has none
 ], ids=lambda g: f"{g.n_pixels}-{g.n_offsets}-{g.n_angles}-{g.s_max:g}")
 def test_two_threads_match_one(geom, monkeypatch):
     monkeypatch.setattr(radon.os, "sched_getaffinity", lambda pid: {0})
@@ -425,20 +482,35 @@ def _csr(mat):
 
 
 def _matmul_products(op, u, r):
-    """The forward and adjoint of ``op`` through scipy's ``@`` on a CSR copy
-    of each map's row prefix and its CSC transpose."""
+    """The forward and adjoint of ``op`` through scipy's ``@``: per map, a
+    CSR copy of its row prefix on the permuted image and of the prefix's
+    half-offset rows on its half-turn, written to the reversed offsets, and
+    their CSC transposes."""
     geom = op.geometry
     n, n_off = geom.n_pixels, geom.n_offsets
+    h = -(-n_off // 2)
     image = u.values.reshape(n, n)
     gathered = r.values.reshape(n_off, geom.n_angles).T
     sino = np.empty(geom.data_domain.shape, dtype=np.result_type(u.values, op.matrix.data))
     images = {}
     matrix = _csr(op.matrix)
+    counts = radon._traced_offsets(geom)
     for k, cols in radon._orbits(geom.n_angles)[1]:
         permute, unpermute = radon._MAPS[k][:2]
-        block = matrix[:cols.size * n_off]
-        sino.T[cols] = (block @ permute(image).ravel()).reshape(-1, n_off)
-        images[k] = unpermute((block.T @ gathered[cols].ravel()).reshape(n, n))
+        halves = sum(count == h < n_off for count in counts[:cols.size])
+        block, half = matrix[:sum(counts[:cols.size])], matrix[:halves * h]
+        near = block @ permute(image).ravel()
+        far = (half @ permute(image)[::-1, ::-1].ravel()).reshape(-1, h)
+        sino.T[cols[:halves], :h] = near[:halves * h].reshape(-1, h)
+        sino.T[cols[halves:]] = near[halves * h:].reshape(-1, n_off)
+        sino.T[cols[:halves], h:] = far[:, :n_off - h][:, ::-1]
+        # the odd count's middle ray is gathered once, by the first product
+        reversed_ = np.zeros((halves, h), dtype=gathered.dtype)
+        reversed_[:, :n_off - h] = gathered[cols[:halves], :h - 1:-1]
+        back = block.T @ np.concatenate((gathered[cols[:halves], :h].ravel(),
+                                         gathered[cols[halves:]].ravel()))
+        back += (half.T @ reversed_.ravel())[::-1]
+        images[k] = unpermute(back.reshape(n, n))
     # the operator adds the maps' images in the order of its thread groups
     total, *rest = [images[k] for group in radon._THREAD_MAPS for k in group if k in images]
     for image in rest:
@@ -547,10 +619,11 @@ import scipy.sparse
 from scipy.sparse import _sparsetools
 assert scipy.sparse._sparsetools is _sparsetools
 u = GridFn(geom.image_domain, np.random.default_rng(3).standard_normal(256))
-stored = list(radon._orbits(geom.n_angles)[0])
+stored, counts = radon._orbits(geom.n_angles)[0], radon._traced_offsets(geom)
 mat = op.matrix
 want = scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape) @ u.values
-got = op.forward(u).to_array()[:, stored].T.ravel()  # the identity map's rows
+sino = op.forward(u).to_array()  # the identity map's first product: the traced offsets
+got = np.concatenate([sino[:count, j] for j, count in zip(stored, counts)])
 print(got.tobytes() == want.tobytes())
 """
     assert _run_python(code).split("\n")[:2] == ["[]", "True"]
@@ -667,12 +740,14 @@ def test_forked_child_does_not_reuse_the_parent_pool(monkeypatch):
 def test_undercounted_row_bound_raises_on_two_threads(monkeypatch):
     geom = RadonGeometry(8, 12, 6)
     counts = _stored_counts(geom)
-    j = radon._orbits(geom.n_angles)[0][1]
+    row = radon._traced_offsets(geom)[0] * 2 - 1  # the second angle's last ray
+    j = _row_angles(geom)[row]
+    assert j == radon._orbits(geom.n_angles)[0][1]
     row_bounds = radon._row_bounds
 
     def undercount(g):
         bounds = row_bounds(g)
-        bounds[1, -1] = counts[1, -1] - 1  # a ray of the second thread
+        bounds[row] = counts[row] - 1  # a ray of the second thread
         return bounds
 
     _two_threads(monkeypatch)

@@ -1,8 +1,9 @@
 """Experiment runner: cross-validation of the smoothing backends and the
 tomography reproduction, driven by key=value config files.
 
-Exit codes: 0 success, 2 config error (naming its key), 3 numerical failure,
-4 stopping rule never satisfied.
+Exit codes: 0 success, 2 config error (naming its key, or a config file
+that cannot be read as UTF-8, or an ``out_dir`` that cannot be made),
+3 numerical failure, 4 stopping rule never satisfied.
 """
 
 from __future__ import annotations
@@ -337,7 +338,10 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 def run(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:  # a file at the path or above it, or no permission
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir={cfg.out_dir!r} cannot be made: {exc}") from exc
     runner, _ = _EXPERIMENTS[cfg.experiment]
     try:
         return runner(cfg, out)
@@ -401,7 +405,7 @@ def main(argv=None) -> int:
         return selftest()
     try:
         text = args.config.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -195,7 +195,6 @@ _THREAD_ENTRIES = 1_500_000
 # at (42, 64, 41), 131,776; and 25-30 at desk scale, 458,920 (1009-1204 ->
 # 775-954 us).  They were faster in 0-2 at (32, 48, 30), 55,064 entries.
 _THREAD_NNZ = 130_000
-_MAX_THREADS = 2
 # The build traces rays in chunks holding at most this share of the matrix's
 # bounded entries: at most 8 rays at desk scale (the minimum) and 68 at full
 # scale.  A chunk's transients, ~56 bytes per bounded entry against the
@@ -221,63 +220,55 @@ if hasattr(os, "register_at_fork"):
 
 
 def _thread_count(size: int, least: int) -> int:
-    """Threads for work of ``size``: one below ``least``, else as many as the
-    process may run on, up to ``_MAX_THREADS``."""
+    """Threads for work of ``size``, the parts to hand ``_map``: one below
+    ``least`` or on a process that may run on one CPU only, else two."""
     if size < least:
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # no affinity mask on macOS or Windows
-    return min(_MAX_THREADS, cpus)
+    return min(2, cpus)
 
 
 def _work(jobs: queue.SimpleQueue) -> None:
-    """The worker thread: run each job and release its lock once its slot
-    holds the result, or the error for the caller to raise."""
+    """The worker thread: reply to each call's second part with its result."""
     while True:
-        fn, part, slot, done = jobs.get()
+        fn, part, reply = jobs.get()
         try:
-            slot += (fn(part), None)
-        except BaseException as exc:  # handed over: the caller raises it
-            slot += (None, exc)
-        finally:
-            done.release()
+            reply.put((fn(part), None))
+        except BaseException as exc:  # or its error, for the caller to raise
+            reply.put((None, exc))
 
 
 def _map(fn, parts) -> list:
-    """``fn`` over ``parts``: the first on the calling thread, the rest in
-    turn on the module's one worker thread, a daemon started by the first
-    call with more than one part.
+    """``fn`` over one part or two: the first on the calling thread, the
+    second on the module's one worker thread, a daemon that the first
+    two-part call starts.
 
-    Returns once every call has ended, raising the first part's error if any.
-    Each call hands over its own result slot and held lock, so a caller whose
-    wait is interrupted (by a signal handler that raises) leaves nothing that
-    a later call reads: the worker ends that part, fills the abandoned slot
-    and goes on.  ``fn`` must call numpy and scipy only: perfbench's tracing
-    wraps package functions with a span stack that is not thread-safe.
+    Returns once both have ended, raising the first part's error if any.  A
+    caller whose wait is interrupted (by a signal handler that raises) leaves
+    only its own reply queue, which the worker fills and no later call reads.
+    ``fn`` must call numpy and scipy only: perfbench's tracing wraps package
+    functions with a span stack that is not thread-safe.
     """
     global _jobs
     if len(parts) == 1:
         return [fn(parts[0])]
+    first, second = parts
     with _jobs_lock:
         if _jobs is None:
             _jobs = queue.SimpleQueue()
             threading.Thread(target=_work, args=(_jobs,), name="radon",
                              daemon=True).start()
         jobs = _jobs
-    handed = [([], threading.Lock()) for _ in parts[1:]]
-    for part, (slot, done) in zip(parts[1:], handed):
-        done.acquire()
-        jobs.put((fn, part, slot, done))
+    reply = queue.SimpleQueue()
+    jobs.put((fn, second, reply))
     try:
-        results = [fn(parts[0])]
+        mine = fn(first)
     finally:
-        for _, done in handed:  # the build's parts write into shared arrays
-            done.acquire()
-    for (result, error), _ in handed:
-        if error is not None:
-            raise error
-        results.append(result)
-    return results
+        theirs, error = reply.get()  # the build's parts write into shared arrays
+    if error is not None:
+        raise error
+    return [mine, theirs]
 
 
 # The square's symmetries that map the angle grid onto itself, in the order

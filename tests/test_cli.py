@@ -333,6 +333,26 @@ def test_main_exit_codes(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["afile", "afile/below"], ids=["file", "under-file"])
+def test_unusable_out_dir_is_a_config_error(tmp_path, capsys, where):
+    # a file at out_dir or above it stops the run before any compute
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / where)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"experiment=NormEquivalence\nout_dir={out}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: out_dir={out!r}")
+    assert main(["run", "--config", str(cfg), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: out_dir=")
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"experiment=NormEquivalence\xff\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("text, message, overflows", [
     # every residual norm overflows to inf, and inf > 10 * inf is false:
     # a numerical failure, not the stopping rule

@@ -700,13 +700,27 @@ def test_map_raises_the_workers_error_after_the_callers_part():
     assert done == [0]
 
 
+def test_map_raises_the_callers_error_when_both_parts_fail():
+    ended = []
+
+    def part(k):
+        if k == 1:
+            time.sleep(0.2)
+            ended.append(k)
+        raise RuntimeError(f"part {k}")
+
+    with pytest.raises(RuntimeError, match="part 0"):
+        radon._map(part, [0, 1])
+    assert ended == [1]  # the worker's part had ended when the caller's raised
+
+
 def test_map_runs_the_first_part_on_the_calling_thread():
-    got = radon._map(lambda k: (k, threading.current_thread()), [0, 1, 2])
-    assert [k for k, _ in got] == [0, 1, 2]
-    caller, worker, again = (thread for _, thread in got)
+    got = radon._map(lambda k: (k, threading.current_thread()), [0, 1])
+    assert [k for k, _ in got] == [0, 1]
+    caller, worker = (thread for _, thread in got)
     assert caller is threading.current_thread()
-    # every other part runs in turn on the module's one daemon worker
-    assert worker is again and worker.name == "radon" and worker.daemon
+    # the second part runs on the module's one daemon worker
+    assert worker.name == "radon" and worker.daemon
 
 
 def _forward_sum(op, u, queue):

@@ -2,8 +2,9 @@
 tomography reproduction, driven by key=value config files.
 
 Exit codes: 0 success, 2 config error (naming its key, or a config file
-that cannot be read as UTF-8, or an ``out_dir`` that cannot be made),
-3 numerical failure, 4 stopping rule never satisfied.
+that cannot be read as UTF-8, or an ``out_dir`` that cannot be made or an
+output in it that cannot be written), 3 numerical failure, 4 stopping rule
+never satisfied.
 """
 
 from __future__ import annotations
@@ -348,6 +349,9 @@ def run(cfg: RunConfig) -> int:
     except StoppingRuleNotMet as exc:
         print(f"stopping rule not satisfied: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # only the outputs touch files: the error names the file
+        raise ConfigError(f"an output in out_dir={cfg.out_dir!r} cannot be "
+                          f"written: {exc}") from exc
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

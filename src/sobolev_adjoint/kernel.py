@@ -17,7 +17,11 @@ the grid size and the order.
 
 The Gamma function and K_nu come from ``scipy.special``; the wrappers
 here only reject arguments outside the domain the kernel formulas use, NaN
-included.
+included.  ``scipy.special`` is imported on the first call that needs it:
+the K_nu route, the value at the origin and the asymptotes.  The closed
+forms G_2 and G_4 (N = 1) need neither function, and the convolution route
+at s = 1 and 2 truncates them where they themselves fall below threshold,
+so it never loads ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -170,22 +174,32 @@ _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 
 
 def _truncation_radius(spec: KernelSpec) -> float:
-    # Scan the exponential tail bound for the first radius below threshold.
+    # Scan the exponential tail for the first radius below threshold: a closed
+    # form is its own tail and needs no Gamma, K_nu's tail is its asymptote.
+    def tail(r: np.ndarray) -> np.ndarray:
+        if spec.eval_mode is EvalMode.CLOSED_FORM:
+            return _kernel_vec(spec, r)
+        return _asymptote(spec, AsymptoticRegime.LARGE_X, r)
+
     r = 5.0
     while r < 200.0:
-        if _asymptote(spec, AsymptoticRegime.LARGE_X, np.array([r]))[0] \
-                < _TRUNCATION_VALUE / 10.0:
+        if tail(np.array([r]))[0] < _TRUNCATION_VALUE / 10.0:
             return r
         r += 1.0
     return 200.0
 
 
 _NEAR_CELLS = 8
-_GAUSS16 = np.polynomial.legendre.leggauss(16)
+
+
+@lru_cache(maxsize=1)
+def _gauss16() -> tuple[np.ndarray, np.ndarray]:
+    # numpy.polynomial is loaded on the first cell average, not at import
+    return np.polynomial.legendre.leggauss(16)
 
 
 def _cell_average(spec: KernelSpec, a: float, b: float) -> float:
-    nodes, weights = _GAUSS16
+    nodes, weights = _gauss16()
     r = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     return float(np.dot(weights, _kernel_vec(spec, r))) * 0.5
 

@@ -456,10 +456,11 @@ def _system_matrix(geom: RadonGeometry) -> CSRArrays:
     block is copied to the front of its slot, and its last row is extended
     to the slot's end.  Every traced length is positive, so the only zeros
     are the unfilled slot ends: scipy's ``csr_eliminate_zeros`` drops them in
-    place, and the buffers are shrunk to the entries in place.  The entries
-    of a row, their order, and the per-row sort and duplicate sum are those
-    of one global COO-to-CSR conversion, so the rows are bitwise those of
-    tracing each ray on its own.
+    place, and the buffers are shrunk to the entries in place (or copied, if
+    a tracer or profiler holds the build's frame).  The entries of a row,
+    their order, and the per-row sort and duplicate sum are those of one
+    global COO-to-CSR conversion, so the rows are bitwise those of tracing
+    each ray on its own.
 
     On two threads each one traces its own half of the rows into their
     slots.  Every row is traced as it is on one thread, so the matrix is the
@@ -505,10 +506,14 @@ def _system_matrix(geom: RadonGeometry) -> CSRArrays:
     _map(fill, [slice(k * n_rows // threads, (k + 1) * n_rows // threads)
                 for k in range(threads)])
     tools.csr_eliminate_zeros(n_rows, n * n, indptr, indices, data)
-    # no view of the buffers is left: each shrinks in place, never copied
+    # no view of the buffers is left: each shrinks in place, never copied,
+    # unless a tracer or profiler holds this frame's locals and resize refuses
     nnz = int(indptr[-1])
-    data.resize(nnz)
-    indices.resize(nnz)
+    try:
+        data.resize(nnz)
+        indices.resize(nnz)
+    except ValueError:
+        data, indices = data[:nnz].copy(), indices[:nnz].copy()
     for array in (indptr, indices, data):
         array.flags.writeable = False  # every RadonOperator of geom shares it
     return CSRArrays(indptr, indices, data, (n_rows, n * n))

@@ -346,6 +346,23 @@ def test_unusable_out_dir_is_a_config_error(tmp_path, capsys, where):
     assert capsys.readouterr().err.startswith("config error: out_dir=")
 
 
+@pytest.mark.parametrize("text, output", [
+    ("experiment=NormEquivalence", "summary.json"),
+    ("experiment=AdjointSmoothing2D\nn=17", "smoothed.pgm"),  # through radon.write_pgm
+], ids=["summary", "pgm"])
+def test_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, text, output):
+    # a directory where an output goes fails after the compute: exit 2 naming
+    # the file, not an IsADirectoryError traceback with exit 1
+    out = tmp_path / "out"
+    (out / output).mkdir(parents=True)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{text}\nout_dir={out}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: an output in out_dir={str(out)!r} cannot be written")
+    assert repr(str(out / output)) in err
+
+
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"experiment=NormEquivalence\xff\n")

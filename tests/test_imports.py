@@ -1,8 +1,9 @@
 """Every imported name is used, every exported name is bound and every
 definition and top-level assigned name is read: a small stand-in for a
 linter's unused-import, undefined-export and dead-code checks.  Importing
-the CLI loads no SciPy module at all, and each experiment loads only the
-SciPy subpackages it calls: one that calls none loads no SciPy module."""
+the CLI loads no SciPy module and no ``numpy.polynomial``, and each
+experiment loads only the SciPy subpackages it calls: one that calls none
+loads no SciPy module."""
 
 import ast
 import importlib
@@ -173,20 +174,34 @@ def test_cli_import_loads_no_thread_pool_or_logging(tmp_path):
     assert _loaded("import sobolev_adjoint.cli", tmp_path, ("concurrent", "logging")) == set()
 
 
+def test_cli_import_and_a_radon_run_load_no_numpy_polynomial(tmp_path):
+    # the kernel's Gauss-Legendre nodes are made on its first cell average
+    (tmp_path / "run.cfg").write_text("experiment=RadonRecon\nn=16\nn_offsets=24\n"
+                                      "n_angles=8\nseed=0\n")
+    for code in ("import sobolev_adjoint.cli",
+                 "import sobolev_adjoint.cli as cli\n"
+                 "assert cli.main(['run', '--config', 'run.cfg', '--out', 'out']) == 0"):
+        loaded = _loaded(code, tmp_path, ("numpy",))
+        assert "numpy" in loaded
+        assert [m for m in loaded if m.startswith("numpy.polynomial")] == []
+
+
 _SUBPACKAGES = {"scipy.sparse", "scipy.special", "scipy.linalg", "scipy.fft"}
 
 
 @pytest.mark.parametrize("experiment, config, used", [
-    # the kernel route; the discrete route factors its Grams with numpy
+    # the kernel route's K_nu; the discrete route factors its Grams with numpy
     ("CrossCheck1D", "n=128\ns=0.75\n", {"scipy.special"}),
+    # at s = 1 (and 2) the kernel has a closed form: no Gamma, no K_nu
+    ("CrossCheck1D", "n=128\ns=1\n", set()),
     # the order-1 solve runs on numpy.fft, and the gap check applies the form's bands
     ("AdjointSmoothing2D", "n=33\n", set()),
-    ("selftest", None, {"scipy.special"}),
+    ("selftest", None, set()),  # its cross check runs at s = 1
     # the Radon build and products load scipy's compiled sparse kernels alone
     ("RadonRecon", "n=16\nn_offsets=24\nn_angles=8\n", set()),
     ("KernelAsymptotics", "", {"scipy.special"}),
     ("NormEquivalence", "", set()),
-], ids=["CrossCheck1D", "AdjointSmoothing2D", "selftest", "RadonRecon",
+], ids=["CrossCheck1D", "CrossCheck1D-s1", "AdjointSmoothing2D", "selftest", "RadonRecon",
         "KernelAsymptotics", "NormEquivalence"])
 def test_experiments_load_only_the_scipy_they_use(experiment, config, used, tmp_path):
     args = ["selftest"]

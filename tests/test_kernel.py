@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from sobolev_adjoint import kernel
 from sobolev_adjoint.core import Domain, GridFn, l2_norm
 from sobolev_adjoint.kernel import (
     AsymptoticRegime,
@@ -220,6 +221,27 @@ def test_convolve_equals_direct_circulant_product(dom, s):
         out = convolve_adjoint(GridFn(dom, vals), s)
         assert out.is_real == np.isrealobj(vals)
         assert np.linalg.norm(out.values - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_closed_form_orders_need_no_special_functions(monkeypatch):
+    # s = 1, 2 convolve with G_2 and G_4, whose closed forms bound their own
+    # tails: that route calls neither Gamma nor K_nu, so loads no scipy.special
+    doms = [Domain.torus(1, 256), Domain.real_line(20.0, 1024)]
+    want = [kernel._convolution_eigenvalues.__wrapped__(d, s) for d in doms for s in (1.0, 2.0)]
+    radii = [kernel._truncation_radius(KernelSpec(order, 1)) for order in (2.0, 4.0)]
+    assert radii == [30.0, 33.0]  # the K_nu route's scan of the large-x asymptote
+
+    def unavailable(*args):
+        raise RuntimeError("a special function was called")
+
+    monkeypatch.setattr(kernel, "gamma_fn", unavailable)
+    monkeypatch.setattr(kernel, "_bessel_k_vec", unavailable)
+    assert [kernel._truncation_radius(KernelSpec(order, 1, EvalMode.CLOSED_FORM))
+            for order in (2.0, 4.0)] == radii
+    got = [kernel._convolution_eigenvalues.__wrapped__(d, s) for d in doms for s in (1.0, 2.0)]
+    assert [lam.tobytes() for lam in got] == [lam.tobytes() for lam in want]
+    with pytest.raises(RuntimeError, match="special function"):  # K_nu's route does
+        kernel._convolution_eigenvalues.__wrapped__(doms[0], 0.75)
 
 
 def test_convolve_rejects_unsupported_domains():

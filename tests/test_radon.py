@@ -304,6 +304,22 @@ def test_system_matrix_build_peak_memory():
     assert peak <= 1.3 * _matrix_bytes(mat)
 
 
+def test_build_under_a_tracer_matches_an_untraced_build():
+    # a tracer or profiler (pdb, coverage, cProfile) holds the build frame's
+    # locals, so resize refuses to shrink the buffers: they are trimmed copies
+    geom = RadonGeometry.desk_scale()
+    plain = _system_matrix.__wrapped__(geom)
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: None)
+    try:
+        traced = _system_matrix.__wrapped__(geom)
+    finally:
+        sys.settrace(previous)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(traced, name).tobytes() == getattr(plain, name).tobytes(), name
+    assert traced.data.flags.owndata and traced.data.size == plain.nnz
+
+
 def test_matrix_arrays_own_exactly_their_entries():
     # the unfilled slot ends are dropped and the buffers shrunk in place: no
     # slack outlives the build, and no array is a view of a larger one

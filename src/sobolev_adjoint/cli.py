@@ -184,12 +184,9 @@ def _crosscheck_table(n: int, s: float, seed: int):
 
 def _run_crosscheck(cfg: RunConfig, out: Path) -> int:
     rows, failures = _crosscheck_table(cfg.n, cfg.s, cfg.seed)
-    with open(out / "crosscheck.csv", "w", encoding="ascii") as fh:
-        fh.write("# crosscheck-1d: pairwise relative L2 discrepancies between "
-                 "smoothing backends\n")
-        fh.write("backend_a,backend_b,rel_l2\n")
-        for a, b, rel in rows:
-            fh.write(f"{a},{b},{rel:.17g}\n")
+    _write_table(out / "crosscheck.csv", "crosscheck-1d: pairwise relative L2 "
+                 "discrepancies between smoothing backends",
+                 "backend_a,backend_b,rel_l2", "{},{},{:.17g}\n", rows)
     _summary(out, cfg, {
         "pairs": {f"{a}|{b}": rel for a, b, rel in rows},
         "failures": failures,
@@ -279,11 +276,8 @@ def _run_norm_equivalence(cfg: RunConfig, out: Path) -> int:
             lo, hi = 0.5 * w2, 2.0 ** (s - 1) * w2
             ok = ok and (lo <= w1 <= hi)
             rows.append((s, k, w1 / lo - 1.0, hi / w1 - 1.0))
-    with open(out / "margins.csv", "w", encoding="ascii") as fh:
-        fh.write("# norm-equivalence: sandwich margins per frequency\n")
-        fh.write("s,k,lower_margin,upper_margin\n")
-        for s, k, lo_m, hi_m in rows:
-            fh.write(f"{s},{k},{lo_m:.17g},{hi_m:.17g}\n")
+    _write_table(out / "margins.csv", "norm-equivalence: sandwich margins per frequency",
+                 "s,k,lower_margin,upper_margin", "{},{},{:.17g},{:.17g}\n", rows)
     _summary(out, cfg, {
         "holds": ok,
         "min_lower_margin": min(r[2] for r in rows),
@@ -309,13 +303,17 @@ def _run_kernel_asymptotics(cfg: RunConfig, out: Path) -> int:
         dev = kernel.kernel_asymptotics_check(spec, regime, xs)
         rows.append((name, dev, threshold))
         ok = ok and dev < threshold
-    with open(out / "ratios.csv", "w", encoding="ascii") as fh:
-        fh.write("# kernel-asymptotics: max ratio deviation per regime\n")
-        fh.write("case,deviation,threshold\n")
-        for name, dev, threshold in rows:
-            fh.write(f"{name},{dev:.17g},{threshold}\n")
+    _write_table(out / "ratios.csv", "kernel-asymptotics: max ratio deviation per regime",
+                 "case,deviation,threshold", "{},{:.17g},{}\n", rows)
     _summary(out, cfg, {name: dev for name, dev, _ in rows} | {"holds": ok})
     return 0 if ok else 3
+
+
+def _write_table(path: Path, comment: str, header: str, line: str, rows) -> None:
+    """A '#' comment line, the header, then ``line`` formatted with each row."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# {comment}\n{header}\n")
+        fh.writelines(line.format(*row) for row in rows)
 
 
 def _summary(out: Path, cfg: RunConfig, payload: dict) -> None:
@@ -407,13 +405,8 @@ def main(argv=None) -> int:
 
     if args.command == "selftest":
         return selftest()
-    try:
-        text = args.config.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config(text, experiment=args.experiment)
+    try:  # an OSError here is the config file's: run() makes its own ConfigErrors
+        cfg = parse_config(args.config.read_text("utf-8"), args.experiment)
         overrides = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
@@ -422,7 +415,7 @@ def main(argv=None) -> int:
         if overrides:
             cfg = _validate(replace(cfg, **overrides))
         return run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,20 +47,20 @@ __all__ = [
 ]
 
 
-class DivergenceError(RuntimeError):
-    """Residual grew tenfold over its start or is not finite; carries the log."""
+class _SolveFailure(RuntimeError):
+    """A solve that ended without a result; carries its log."""
 
     def __init__(self, message: str, log: "IterationLog"):
         super().__init__(message)
         self.log = log
 
 
-class StoppingRuleNotMet(RuntimeError):
+class DivergenceError(_SolveFailure):
+    """Residual grew tenfold over its start or is not finite."""
+
+
+class StoppingRuleNotMet(_SolveFailure):
     """The discrepancy threshold was never reached within the iteration budget."""
-
-    def __init__(self, message: str, log: "IterationLog"):
-        super().__init__(message)
-        self.log = log
 
 
 @dataclass(frozen=True)

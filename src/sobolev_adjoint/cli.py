@@ -1,10 +1,11 @@
 """Experiment runner: cross-validation of the smoothing backends and the
 tomography reproduction, driven by key=value config files.
 
-Exit codes: 0 success, 2 config error (naming its key, or a config file
-that cannot be read as UTF-8, or an ``out_dir`` that cannot be made or an
-output in it that cannot be written), 3 numerical failure, 4 stopping rule
-never satisfied.
+Exit codes: 0 success, 2 config error (naming its key, also a size whose
+largest array passes the shared cap, or a config file that cannot be read
+as UTF-8, or an ``out_dir`` that cannot be made or an output in it that
+cannot be written), 3 numerical failure (also an allocation that fails),
+4 stopping rule never satisfied.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 _CROSSCHECK_KMAX = 16  # CrossCheck1D's band |k| <= 16; its SVD and Gram span it
-# RadonRecon's cap on RadonGeometry.entry_bound: twice full scale along every
-# axis (401 pixels, 600 offsets, 360 angles) is ~174M, full scale ~21.9M
-_RADON_MAX_ENTRIES = 200_000_000
+# the cap on each experiment's largest array, in entries: RadonRecon's matrix bound
+# is ~21.9M at full scale, ~174M at twice that along every axis (401, 600, 360)
+_MAX_ENTRIES = 200_000_000
 
 
 def _convert(key: str, raw: str, line_no: int):
@@ -71,6 +72,18 @@ def _convert(key: str, raw: str, line_no: int):
         return raw
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: cannot parse {key}={raw!r}") from exc
+
+
+def _largest_array(cfg: RunConfig) -> int:
+    """Entries in the experiment's largest array: integer arithmetic, no allocation."""
+    n = cfg.n
+    if cfg.experiment == "CrossCheck1D":  # the kernel lattice: 2 ceil(radius n) + 1
+        return 2 * 200 * n + 1  # samples at radius <= 200 outgrow the 33-row bases
+    if cfg.experiment == "AdjointSmoothing2D":  # the DCT's even extension of n x n
+        return n * 2 * (n - 1)
+    if cfg.experiment == "RadonRecon":  # the n x n image, or the matrix bound
+        return max(n * n, radon.RadonGeometry(n, cfg.n_offsets, cfg.n_angles).entry_bound)
+    return 0
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -104,12 +117,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
         if cfg.noise_rel == 0:
             raise ConfigError("noise_rel=0 leaves RadonRecon's discrepancy "
                               "stopping without a noise level: use noise_rel > 0")
-        bound = radon.RadonGeometry(cfg.n, cfg.n_offsets, cfg.n_angles).entry_bound
-        if bound > _RADON_MAX_ENTRIES:
-            raise ConfigError(f"n={cfg.n}, n_offsets={cfg.n_offsets}, "
-                              f"n_angles={cfg.n_angles} allow a Radon matrix of "
-                              f"{bound:,} entries, above the cap of "
-                              f"{_RADON_MAX_ENTRIES:,}")
+    entries = _largest_array(cfg)
+    if entries > _MAX_ENTRIES:
+        sizes = (f"n={cfg.n}, n_offsets={cfg.n_offsets}, n_angles={cfg.n_angles}"
+                 if cfg.experiment == "RadonRecon" else f"n={cfg.n}")
+        raise ConfigError(f"{sizes}: {cfg.experiment}'s largest array has "
+                          f"{entries:,} entries, above the cap of {_MAX_ENTRIES:,}")
     if not cfg.out_dir:
         raise ConfigError("out_dir is empty: name the output directory")
     return cfg
@@ -350,7 +363,7 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:  # only the outputs touch files: the error names the file
         raise ConfigError(f"an output in out_dir={cfg.out_dir!r} cannot be "
                           f"written: {exc}") from exc
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
+    except (ArithmeticError, MemoryError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

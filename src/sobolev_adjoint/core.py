@@ -216,9 +216,6 @@ class GridFn:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "GridFn":
-        return GridFn(self.domain, -self.values)
-
 
 def _same_domain(u, v) -> None:
     if u.domain != v.domain:

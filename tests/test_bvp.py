@@ -109,6 +109,18 @@ def test_order2m_rejects_unsupported():
                          BoundaryKind.DIRICHLET)
 
 
+@pytest.mark.parametrize("bc", [BoundaryKind.NEUMANN_LIKE, BoundaryKind.DIRICHLET])
+def test_order2_solve_of_complex_data_is_the_real_and_imaginary_solves(bc):
+    # the banded solve takes real right-hand sides: complex data is split
+    dom = Domain.interval(0.0, 1.0, 65)
+    re, im = np.random.default_rng(29).standard_normal((2, 65))
+    u = GridFn(dom, re + 1j * im)
+    z = solve_1d_order2m(u, 2, bc)
+    parts = [solve_1d_order2m(GridFn(dom, v), 2, bc).values for v in (re, im)]
+    assert np.array_equal(z.values, parts[0] + 1j * parts[1])
+    assert variational_gap(z, u, BvpSpec(2, bc, dom)) < 1e-12
+
+
 def test_dirichlet_poisson_2d_analytic():
     errs = []
     for n in (33, 65):

@@ -103,6 +103,42 @@ def test_radon_geometry_cap():
                         "n_angles=100000").n_angles == 100000
 
 
+# each passed the Radon-only cap, then failed to allocate its largest array:
+# the 74.5 GiB image, the 7.28 TiB grid, the 14.9 GiB kernel lattice
+_OVERSIZED = ({"experiment": "RadonRecon", "n": 100000, "n_offsets": 1, "n_angles": 1},
+              {"experiment": "AdjointSmoothing2D", "n": 1000000},
+              {"experiment": "CrossCheck1D", "n": 2000000000})
+
+
+@pytest.mark.parametrize("values", [*_OVERSIZED,  # and the first sizes past the cap
+                                    {"experiment": "CrossCheck1D", "n": 500000},
+                                    {"experiment": "AdjointSmoothing2D", "n": 10001}],
+                         ids=lambda v: f"{v['experiment']}-n{v['n']}")
+def test_size_cap_rejects_each_experiments_largest_array(values):
+    text = "".join(f"{key}={value}\n" for key, value in values.items())
+    with pytest.raises(ConfigError, match="largest array .* above the cap") as exc:
+        parse_config(text)
+    sizes = [f"{key}={value}" for key, value in values.items() if key != "experiment"]
+    assert all(size in str(exc.value) for size in sizes), exc.value
+
+
+@pytest.mark.parametrize("text", [
+    "experiment=RadonRecon\nn=201\nn_offsets=300\nn_angles=180",
+    "experiment=RadonRecon\nn=64\nn_offsets=100\nn_angles=60",
+    "experiment=RadonRecon\nn=32\nn_offsets=48\nn_angles=30",
+    "experiment=CrossCheck1D\nn=1024",
+    "experiment=CrossCheck1D\nn=256",
+    "experiment=CrossCheck1D\nn=499999",
+    "experiment=AdjointSmoothing2D\nn=257",
+    "experiment=AdjointSmoothing2D\nn=65",
+    "experiment=AdjointSmoothing2D\nn=10000",
+], ids=["radon-full", "radon-desk", "radon-golden", "crosscheck-default",
+        "crosscheck-golden", "crosscheck-largest", "smoothing2d-benchmark",
+        "smoothing2d-golden", "smoothing2d-largest"])
+def test_size_cap_accepts_the_sizes_in_use(text):
+    assert isinstance(parse_config(text), RunConfig)
+
+
 def test_parse_comments_and_whitespace():
     text = "# a comment\n\nexperiment = RadonRecon  # trailing\n seed = 7\n"
     cfg = parse_config(text)
@@ -401,6 +437,18 @@ def test_numerical_failures_exit_3_with_a_message(tmp_path, capsys, text, messag
     assert message in capsys.readouterr().err
 
 
+def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a backstop behind the size cap: an allocation that fails is exit 3
+    def refuse(*args):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli.multiplier, "sobolev_weight", refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment=NormEquivalence\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: Unable to allocate" in capsys.readouterr().err
+
+
 # reals at the ends of their ranges: the least subnormal, a tiny and a huge
 # normal, and a negative zero
 _EDGES = st.sampled_from([5e-324, 1e-300, 1e300, -0.0])
@@ -438,6 +486,9 @@ def run_configs(draw):
 @example(values={"experiment": "CrossCheck1D", "n": 64, "s": 2000.0})
 @example(values={"experiment": "CrossCheck1D", "n": 64, "s": 100.0})
 @example(values={"experiment": "CrossCheck1D", "n": 64, "s": 7.5})
+@example(values=_OVERSIZED[0])
+@example(values=_OVERSIZED[1])
+@example(values=_OVERSIZED[2])
 def test_every_run_ends_in_a_documented_exit(values):
     # 0 success, 2 config error, 3 numerical failure, 4 stopping rule; never
     # an exception.  The CLI does not turn warnings into errors, so overflow

@@ -13,7 +13,8 @@ from sobolev_adjoint.core import (
     l2_norm,
     quad_weight,
 )
-from sobolev_adjoint import bvp, cli, inverse, kernel, radon, spectral, wavelet
+from sobolev_adjoint import (bvp, cli, discrete, inverse, kernel, multiplier, radon,
+                             spectral, wavelet)
 from sobolev_adjoint.multiplier import (
     NormVariant,
     SobolevSpec,
@@ -231,6 +232,9 @@ def test_gridfn_invariants():
         GridFn(dom, bad)
     with pytest.raises(ValueError):
         Domain.torus(1, 1)
+    # integer samples are stored as float64
+    ints = GridFn(dom, np.arange(16))
+    assert ints.values.dtype == np.float64 and np.array_equal(ints.values, np.arange(16.0))
 
 
 def test_fft_on_odd_grids():
@@ -363,6 +367,10 @@ _SITES = [  # (site, argument named in the message, bad values, call)
     ("tikhonov", "alpha", _REALS, lambda v: inverse.tikhonov(_PROBLEM, v)),
     ("tikhonov", "tol", _REALS, lambda v: inverse.tikhonov(_PROBLEM, 1.0, v)),
     ("SobolevSpec", "order_s", _REALS, lambda v: SobolevSpec(v)),
+    ("SobolevSpec", "order", (1.5,), lambda v: SobolevSpec(v, NormVariant.SERIES_M)),
+    ("Domain.interval", "b", (1.0, 0.0), lambda v: Domain.interval(1.0, v, 8)),
+    ("shepp_logan", "N", (15,), radon.shepp_logan),
+    ("smooth_phantom", "N", (15,), radon.smooth_phantom),
     ("multiplier.adjoint_linop", "scale", _REALS,
      lambda v: adjoint_linop(_DOM, SobolevSpec(1.0), v)),
     ("adjoint_embedding_wavelet", "s", _REALS,
@@ -401,3 +409,19 @@ _SITES = [  # (site, argument named in the message, bad values, call)
 def test_argument_checks_name_the_argument(name, value, call):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GridFn.from_array(_DOM, np.ones((4, 4))), "grid shape"),
+    (lambda: frequency_axes(_IV), "torus/real-line"),
+    (lambda: discrete.fourier_mode_basis(_IV, 2), "torus"),
+    (lambda: discrete.hat_basis(_DOM), "interval"),
+    (lambda: multiplier.inv_sqrt_adjoint(GridFn(_IV, np.ones(9)), SobolevSpec(1.0)),
+     "torus"),
+    (lambda: bvp.solve_dirichlet_poisson_2d(_U), "rectangle"),
+    (lambda: bvp.solve_torus_helmholtz(GridFn(_IV, np.ones(9))), "torus"),
+], ids=["from_array", "frequency_axes", "fourier_mode_basis", "hat_basis",
+        "inv_sqrt_adjoint", "dirichlet_poisson_2d", "torus_helmholtz"])
+def test_entry_points_reject_the_wrong_domain_or_shape(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -460,6 +460,16 @@ def test_tikhonov_diagonal_per_mode_formula():
     assert np.max(np.abs(fft_forward(u) - expect)) < 1e-10
 
 
+def test_tikhonov_raises_when_cgls_does_not_reach_tol():
+    # 1e-300 is below what 10 n damped CGLS steps reach in double precision
+    dom = Domain.torus(1, 16)
+    rng = np.random.default_rng(23)
+    problem = InverseProblem(diagonal_linop(dom, rng.uniform(0.2, 1.0, 16)),
+                             GridFn(dom, rng.standard_normal(16)))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        tikhonov(problem, 0.1, tol=1e-300)
+
+
 def test_tikhonov_overregularization_limit():
     y = rand_fn(64, 18)
     problem = InverseProblem(identity_linop(), y, embedding=emb())

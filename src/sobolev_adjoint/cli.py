@@ -77,9 +77,9 @@ def _convert(key: str, raw: str, line_no: int):
 def _largest_array(cfg: RunConfig) -> int:
     """Entries in the experiment's largest array: integer arithmetic, no allocation."""
     n = cfg.n
-    if cfg.experiment == "CrossCheck1D":  # the kernel lattice: 2 ceil(radius n) + 1
-        return 2 * 200 * n + 1  # samples at radius <= 200 outgrow the 33-row bases
-    if cfg.experiment == "AdjointSmoothing2D":  # the DCT's even extension of n x n
+    if cfg.experiment == "CrossCheck1D":  # the kernel lattice's 2 ceil(radius n) + 1
+        return 2 * kernel._MAX_RADIUS * n + 1  # samples outgrow the 33-row bases
+    if cfg.experiment == "AdjointSmoothing2D":  # the DCT-I's n x 2(n - 1) extension
         return n * 2 * (n - 1)
     if cfg.experiment == "RadonRecon":  # the n x n image, or the matrix bound
         return max(n * n, radon.RadonGeometry(n, cfg.n_offsets, cfg.n_angles).entry_bound)
@@ -323,7 +323,6 @@ def _run_kernel_asymptotics(cfg: RunConfig, out: Path) -> int:
 
 
 def _write_table(path: Path, comment: str, header: str, line: str, rows) -> None:
-    """A '#' comment line, the header, then ``line`` formatted with each row."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# {comment}\n{header}\n")
         fh.writelines(line.format(*row) for row in rows)

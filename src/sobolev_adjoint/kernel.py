@@ -170,6 +170,7 @@ def kernel_asymptotics_check(spec: KernelSpec, regime: AsymptoticRegime,
 # -- convolution route -------------------------------------------------------
 
 _TRUNCATION_VALUE = 1e-12
+_MAX_RADIUS = 200  # an integer: cli sizes the kernel lattice from it
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 
 
@@ -182,11 +183,11 @@ def _truncation_radius(spec: KernelSpec) -> float:
         return _asymptote(spec, AsymptoticRegime.LARGE_X, r)
 
     r = 5.0
-    while r < 200.0:
+    while r < _MAX_RADIUS:
         if tail(np.array([r]))[0] < _TRUNCATION_VALUE / 10.0:
             return r
         r += 1.0
-    return 200.0
+    return float(_MAX_RADIUS)
 
 
 _NEAR_CELLS = 8

@@ -301,13 +301,13 @@ def _run_norm_equivalence(cfg: RunConfig, out: Path) -> int:
 
 def _run_kernel_asymptotics(cfg: RunConfig, out: Path) -> int:
     cases = [
-        ("large_x_n1_s2", kernel.KernelSpec(2.0, 1, kernel.EvalMode.CLOSED_FORM),
+        ("large_x_n1_s2", kernel.KernelSpec(2.0, 1),
          kernel.AsymptoticRegime.LARGE_X, np.array([20.0]), 0.05),
         ("small_x_n2_s1", kernel.KernelSpec(1.0, 2),
          kernel.AsymptoticRegime.SMALL_X_S_LT_N, np.array([1e-3]), 0.05),
         ("small_x_n1_s1", kernel.KernelSpec(1.0, 1),
          kernel.AsymptoticRegime.SMALL_X_S_EQ_N, np.array([1e-4]), 0.10),
-        ("const_n1_s2", kernel.KernelSpec(2.0, 1, kernel.EvalMode.CLOSED_FORM),
+        ("const_n1_s2", kernel.KernelSpec(2.0, 1),
          kernel.AsymptoticRegime.SMALL_X_S_GT_N, np.array([1e-3]), 0.05),
     ]
     rows = []

@@ -18,10 +18,10 @@ the grid size and the order.
 The Gamma function and K_nu come from ``scipy.special``; the wrappers
 here only reject arguments outside the domain the kernel formulas use, NaN
 included.  ``scipy.special`` is imported on the first call that needs it:
-the K_nu route, the value at the origin and the asymptotes.  The closed
-forms G_2 and G_4 (N = 1) need neither function, and the convolution route
-at s = 1 and 2 truncates them where they themselves fall below threshold,
-so it never loads ``scipy.special``.
+the K_nu route, the value at the origin and the asymptotes.  G_2 and G_4
+(N = 1) are always evaluated in closed form, which needs neither function,
+and the convolution route at s = 1 and 2 truncates them where they
+themselves fall below threshold, so it never loads ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .core import (Domain, DomainKind, GridFn, LinOp, _require_counts,
 from .multiplier import fourier_multiply, weighted_inner
 
 __all__ = [
-    "EvalMode",
     "KernelSpec",
     "AsymptoticRegime",
     "gamma_fn",
@@ -71,28 +70,20 @@ def bessel_k(nu: float, x: float) -> float:
     return float(_bessel_k_vec(nu, np.array([x]))[0])
 
 
-class EvalMode(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    INTEGRAL_KNU = "integral_knu"
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel order, dimension and evaluation route.
+    """Kernel order and dimension.
 
-    Closed forms exist for (N=1, s in {2, 4}):
+    Evaluated in closed form for (N=1, s in {2, 4}), through K_nu otherwise:
     G_2(x) = exp(-|x|)/2 and G_4(x) = exp(-|x|)*(|x|+1)/4.
     """
 
     order_s: float
     dim_N: int = 1
-    eval_mode: EvalMode = EvalMode.INTEGRAL_KNU
 
     def __post_init__(self):
         _require_positive_finite(order_s=self.order_s)
         _require_counts(1, dim_N=self.dim_N)
-        if self.eval_mode is EvalMode.CLOSED_FORM and not self.has_closed_form:
-            raise ValueError("closed form available only for N=1, s in {2, 4}")
 
     @property
     def has_closed_form(self) -> bool:
@@ -109,7 +100,7 @@ def _kernel_at_zero(spec: KernelSpec) -> float:
 def _kernel_vec(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     s, n = spec.order_s, spec.dim_N
     r = np.asarray(r, dtype=np.float64)
-    if spec.eval_mode is EvalMode.CLOSED_FORM:
+    if spec.has_closed_form:
         if s == 2.0:
             return 0.5 * np.exp(-r)
         return 0.25 * np.exp(-r) * (r + 1.0)
@@ -178,7 +169,7 @@ def _truncation_radius(spec: KernelSpec) -> float:
     # Scan the exponential tail for the first radius below threshold: a closed
     # form is its own tail and needs no Gamma, K_nu's tail is its asymptote.
     def tail(r: np.ndarray) -> np.ndarray:
-        if spec.eval_mode is EvalMode.CLOSED_FORM:
+        if spec.has_closed_form:
             return _kernel_vec(spec, r)
         return _asymptote(spec, AsymptoticRegime.LARGE_X, r)
 
@@ -247,9 +238,7 @@ def _convolution_eigenvalues(dom: Domain, s: float) -> np.ndarray:
     if dom.kind not in (DomainKind.TORUS, DomainKind.REAL_LINE) or dom.ndim != 1:
         raise ValueError("convolution route supports 1D periodic domains only")
     _require_positive_finite(s=s)
-    order = 2.0 * s
-    mode = EvalMode.CLOSED_FORM if order in (2.0, 4.0) else EvalMode.INTEGRAL_KNU
-    g = periodized_kernel_samples(KernelSpec(order, dom.ndim, mode), dom)
+    g = periodized_kernel_samples(KernelSpec(2.0 * s, dom.ndim), dom)
     lam = dom.spacing[0] * np.fft.fft(g).real  # g is even: its DFT is real
     if not np.isfinite(lam).all():
         raise ValueError(f"the convolution eigenvalues at n={dom.shape[0]}, s={s} are "

@@ -22,9 +22,9 @@ rounding.  The derived rays match the traced ones to ~1e-13, not bitwise.
 
 Each stored ray's entry count is bounded from its chord length, so each
 ray is traced once: a chunk of rays becomes a small CSR block copied to
-the front of its slot, the unfilled slot ends are dropped in place, and
-the buffers are shrunk to the entries, so the build holds the matrix only
-once.  The matrix is a read-only record of its CSR arrays (``CSRArrays``).
+the front of its slot, and the entries are compacted in place over the
+unfilled slot ends, which stay behind (0.9% of the entries at full scale).
+The matrix is a read-only record of its CSR arrays (``CSRArrays``).
 Each map is two products: a row prefix of the stored matrix with the
 permuted image, and that prefix's half-offset rows with its half-turn,
 written to the reversed offsets.  The adjoint is the exact transpose of
@@ -387,10 +387,10 @@ def _sparsetools() -> ModuleType:
 
 
 class CSRArrays(NamedTuple):
-    """A read-only CSR matrix: the arrays that scipy's CSR kernels take.
-    ``scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)`` wraps
-    them without a copy.  A named tuple, not a dataclass: it is defined at
-    every CLI start, where a frozen dataclass costs ~1.5 ms more."""
+    """A read-only CSR matrix: the arrays that scipy's CSR kernels take, ``indices``
+    and ``data`` views of longer buffers.  ``scipy.sparse.csr_matrix((data, indices,
+    indptr), shape=shape)`` wraps them without a copy.  A named tuple, not a dataclass:
+    it is defined at every CLI start, where a frozen dataclass costs ~1.5 ms more."""
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
@@ -456,11 +456,11 @@ def _system_matrix(geom: RadonGeometry) -> CSRArrays:
     block is copied to the front of its slot, and its last row is extended
     to the slot's end.  Every traced length is positive, so the only zeros
     are the unfilled slot ends: scipy's ``csr_eliminate_zeros`` drops them in
-    place, and the buffers are shrunk to the entries in place (or copied, if
-    a tracer or profiler holds the build's frame).  The entries of a row,
-    their order, and the per-row sort and duplicate sum are those of one
-    global COO-to-CSR conversion, so the rows are bitwise those of tracing
-    each ray on its own.
+    place, and ``indices``/``data`` are views of the buffers' first nnz
+    slots: the slot ends left behind are held at the build's peak anyway.
+    The entries of a row, their order, and the per-row sort and duplicate
+    sum are those of one global COO-to-CSR conversion, so the rows are
+    bitwise those of tracing each ray on its own.
 
     On two threads each one traces its own half of the rows into their
     slots.  Every row is traced as it is on one thread, so the matrix is the
@@ -506,14 +506,8 @@ def _system_matrix(geom: RadonGeometry) -> CSRArrays:
     _map(fill, [slice(k * n_rows // threads, (k + 1) * n_rows // threads)
                 for k in range(threads)])
     tools.csr_eliminate_zeros(n_rows, n * n, indptr, indices, data)
-    # no view of the buffers is left: each shrinks in place, never copied,
-    # unless a tracer or profiler holds this frame's locals and resize refuses
     nnz = int(indptr[-1])
-    try:
-        data.resize(nnz)
-        indices.resize(nnz)
-    except ValueError:
-        data, indices = data[:nnz].copy(), indices[:nnz].copy()
+    indices, data = indices[:nnz], data[:nnz]
     for array in (indptr, indices, data):
         array.flags.writeable = False  # every RadonOperator of geom shares it
     return CSRArrays(indptr, indices, data, (n_rows, n * n))

@@ -46,7 +46,6 @@ class WaveletBasis:
 
     name: str
     lo: np.ndarray
-    regularity_r: float
 
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=np.float64)
@@ -63,12 +62,11 @@ class WaveletBasis:
 
 _SQRT3 = np.sqrt(3.0)
 
-HAAR = WaveletBasis("haar", np.array([1.0, 1.0]) / np.sqrt(2.0), 0.0)
+HAAR = WaveletBasis("haar", np.array([1.0, 1.0]) / np.sqrt(2.0))
 DB4 = WaveletBasis(
     "db4",
     np.array([1.0 + _SQRT3, 3.0 + _SQRT3, 3.0 - _SQRT3, 1.0 - _SQRT3])
     / (4.0 * np.sqrt(2.0)),
-    1.0,
 )
 
 

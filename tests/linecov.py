@@ -14,14 +14,6 @@ module- and class-level statements (they run at import) are left out.  A
 compound statement counts as run when its header ran, a simple one when any
 of its lines did.  Tests that run the CLI in a subprocess add nothing.  The
 exit code is pytest's.  Over the whole suite it takes ~45 s on a 2-vCPU VM.
-
-Two tests fail under this recorder, as under any tracer or profiler:
-``test_system_matrix_build_peak_memory`` and
-``test_two_thread_build_peak_memory`` in ``tests/test_radon.py``.  A tracer
-holds references to the build's frame locals, so ``ndarray.resize``
-refuses and the Radon build falls back to trimmed copies, whose peak is
-1.73x the matrix against the tests' 1.3x bound.  Their failure says nothing
-about the lines they reach.
 """
 
 import ast

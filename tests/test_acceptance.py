@@ -103,17 +103,18 @@ def test_criterion_02_closed_form_kernels_and_asymptotics():
     t0 = time.monotonic()
     worst = 0.0
     for s in (2.0, 4.0):
-        closed = kernel.KernelSpec(s, 1, kernel.EvalMode.CLOSED_FORM)
-        quad = kernel.KernelSpec(s, 1, kernel.EvalMode.INTEGRAL_KNU)
+        closed = kernel.KernelSpec(s, 1)  # N = 1, s in {2, 4}: the closed form
         for x in np.geomspace(0.02, 10.0, 50):
             a = kernel.kernel_eval(closed, x)
-            b = kernel.kernel_eval(quad, x)
+            # G_s from K_nu and Gamma (scipy.special), independent of the closed form
+            b = (kernel.bessel_k((1 - s) / 2, x) * x ** ((s - 1) / 2)
+                 / (2 ** ((s - 1) / 2) * np.sqrt(np.pi) * kernel.gamma_fn(s / 2)))
             worst = max(worst, abs(a - b) / a)
     assert worst < 1e-7
 
     devs = {
         "large": kernel.kernel_asymptotics_check(
-            kernel.KernelSpec(2.0, 1, kernel.EvalMode.CLOSED_FORM),
+            kernel.KernelSpec(2.0, 1),
             kernel.AsymptoticRegime.LARGE_X, np.array([20.0])),
         "s<N": kernel.kernel_asymptotics_check(
             kernel.KernelSpec(1.0, 2), kernel.AsymptoticRegime.SMALL_X_S_LT_N,

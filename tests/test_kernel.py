@@ -6,7 +6,6 @@ from sobolev_adjoint import kernel
 from sobolev_adjoint.core import Domain, GridFn, l2_norm
 from sobolev_adjoint.kernel import (
     AsymptoticRegime,
-    EvalMode,
     KernelSpec,
     bessel_k,
     convolve_adjoint,
@@ -90,33 +89,36 @@ def test_bessel_k_rejects_nonpositive_x():
 # -- kernel values ----------------------------------------------------------
 
 def test_kernel_closed_forms():
-    g2 = KernelSpec(2.0, 1, EvalMode.CLOSED_FORM)
+    g2 = KernelSpec(2.0, 1)
     assert abs(kernel_eval(g2, 0.0) - 0.5) < 1e-14
     assert abs(kernel_eval(g2, 1.0) - np.exp(-1) / 2) < 1e-14
     assert abs(kernel_eval(g2, 1.0) - 0.18393972058572117) < 1e-12
-    g4 = KernelSpec(4.0, 1, EvalMode.CLOSED_FORM)
+    g4 = KernelSpec(4.0, 1)
     assert abs(kernel_eval(g4, 1.0) - np.exp(-1) * 2 / 4) < 1e-14
+
+
+def knu_kernel(s, x):
+    """G_s on N = 1 written out from K_nu and Gamma, as the module docstring gives it."""
+    return (bessel_k((1 - s) / 2, x) * x ** ((s - 1) / 2)
+            / (2 ** ((s - 1) / 2) * np.sqrt(np.pi) * gamma_fn(s / 2)))
 
 
 def test_closed_form_vs_integral_knu():
     for s in (2.0, 4.0):
-        closed = KernelSpec(s, 1, EvalMode.CLOSED_FORM)
-        quad = KernelSpec(s, 1, EvalMode.INTEGRAL_KNU)
+        closed = KernelSpec(s, 1)
+        assert closed.has_closed_form
         for x in np.geomspace(0.02, 10.0, 50):
-            a, b = kernel_eval(closed, x), kernel_eval(quad, x)
+            a, b = kernel_eval(closed, x), knu_kernel(s, x)
             assert abs(a - b) < 1e-7 * a
 
 
 def test_kernel_singularity_and_mode_errors():
     with pytest.raises(ValueError):
         kernel_eval(KernelSpec(1.0, 2), 0.0)  # s <= N singular at origin
-    with pytest.raises(ValueError):
-        KernelSpec(1.0, 1, EvalMode.CLOSED_FORM)  # no closed form
 
 
 def test_kernel_positive_and_decreasing():
-    for spec in (KernelSpec(2.0, 1, EvalMode.CLOSED_FORM), KernelSpec(1.0, 2),
-                 KernelSpec(3.0, 1)):
+    for spec in (KernelSpec(2.0, 1), KernelSpec(1.0, 2), KernelSpec(3.0, 1)):
         xs = np.geomspace(0.01, 12.0, 40)
         vals = np.array([kernel_eval(spec, x) for x in xs])
         assert np.all(vals > 0)
@@ -126,7 +128,7 @@ def test_kernel_positive_and_decreasing():
 # -- asymptotics -------------------------------------------------------------
 
 def test_asymptotics_large_x():
-    dev = kernel_asymptotics_check(KernelSpec(2.0, 1, EvalMode.CLOSED_FORM),
+    dev = kernel_asymptotics_check(KernelSpec(2.0, 1),
                                    AsymptoticRegime.LARGE_X, np.array([20.0]))
     assert dev < 0.05
 
@@ -148,7 +150,7 @@ def test_asymptotics_small_x_s_eq_n():
 
 
 def test_asymptotics_small_x_s_gt_n():
-    dev = kernel_asymptotics_check(KernelSpec(2.0, 1, EvalMode.CLOSED_FORM),
+    dev = kernel_asymptotics_check(KernelSpec(2.0, 1),
                                    AsymptoticRegime.SMALL_X_S_GT_N,
                                    np.array([1e-3]))
     assert dev < 0.01
@@ -156,7 +158,7 @@ def test_asymptotics_small_x_s_gt_n():
 
 def test_asymptotics_regime_consistency():
     with pytest.raises(ValueError):
-        kernel_asymptotics_check(KernelSpec(2.0, 1, EvalMode.CLOSED_FORM),
+        kernel_asymptotics_check(KernelSpec(2.0, 1),
                                  AsymptoticRegime.SMALL_X_S_LT_N, np.array([1e-3]))
 
 
@@ -165,9 +167,7 @@ def test_asymptotics_regime_consistency():
 def test_unit_mass_on_truncated_line():
     for s, n, width in ((1.0, 1024, 20.0), (1.5, 1024, 20.0), (2.0, 2048, 20.0)):
         h = 2 * width / n
-        order = 2 * s
-        mode = EvalMode.CLOSED_FORM if order in (2.0, 4.0) else EvalMode.INTEGRAL_KNU
-        vals = kernel_lattice(KernelSpec(order, 1, mode), h, n // 2)
+        vals = kernel_lattice(KernelSpec(2 * s, 1), h, n // 2)
         mass = h * (vals[0] + 2 * np.sum(vals[1:n // 2]) + vals[n // 2])
         assert 1 - 1e-3 <= mass <= 1.0
 
@@ -211,8 +211,7 @@ def test_convolve_knu_path():
 def test_convolve_equals_direct_circulant_product(dom, s):
     # independent of any FFT: sum_j h * g[(i - j) mod n] * u[j] over the folded kernel
     n, h = dom.shape[0], dom.spacing[0]
-    mode = EvalMode.CLOSED_FORM if s == 1.0 else EvalMode.INTEGRAL_KNU
-    g = periodized_kernel_samples(KernelSpec(2 * s, 1, mode), dom)
+    g = periodized_kernel_samples(KernelSpec(2 * s, 1), dom)
     circulant = h * g[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
     rng = np.random.default_rng(n)
     for vals in (rng.standard_normal(n),
@@ -228,15 +227,18 @@ def test_closed_form_orders_need_no_special_functions(monkeypatch):
     # tails: that route calls neither Gamma nor K_nu, so loads no scipy.special
     doms = [Domain.torus(1, 256), Domain.real_line(20.0, 1024)]
     want = [kernel._convolution_eigenvalues.__wrapped__(d, s) for d in doms for s in (1.0, 2.0)]
-    radii = [kernel._truncation_radius(KernelSpec(order, 1)) for order in (2.0, 4.0)]
-    assert radii == [30.0, 33.0]  # the K_nu route's scan of the large-x asymptote
+    # the radii a scan of the large-x asymptote, the K_nu route's tail, gives
+    radii = [next(r for r in np.arange(5.0, 200.0) if kernel._asymptote(
+        KernelSpec(order, 1), AsymptoticRegime.LARGE_X, np.array([r]))[0] < 1e-13)
+        for order in (2.0, 4.0)]
+    assert radii == [30.0, 33.0]
 
     def unavailable(*args):
         raise RuntimeError("a special function was called")
 
     monkeypatch.setattr(kernel, "gamma_fn", unavailable)
     monkeypatch.setattr(kernel, "_bessel_k_vec", unavailable)
-    assert [kernel._truncation_radius(KernelSpec(order, 1, EvalMode.CLOSED_FORM))
+    assert [kernel._truncation_radius(KernelSpec(order, 1))
             for order in (2.0, 4.0)] == radii
     got = [kernel._convolution_eigenvalues.__wrapped__(d, s) for d in doms for s in (1.0, 2.0)]
     assert [lam.tobytes() for lam in got] == [lam.tobytes() for lam in want]

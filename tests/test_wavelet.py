@@ -41,7 +41,7 @@ def test_filter_orthonormality():
 
 def test_basis_rejects_unnormalized_filter():
     with pytest.raises(ValueError):
-        WaveletBasis("bad", np.array([1.0, 1.0]), 0.0)
+        WaveletBasis("bad", np.array([1.0, 1.0]))
 
 
 def test_haar_constant_has_no_details():
